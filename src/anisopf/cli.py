@@ -132,7 +132,8 @@ def main(argv=None):
         print(f"anisopf: {exc}", file=sys.stderr)
         return 2
     except AnisoPFError as exc:
-        print(f"anisopf: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = f"step {exc.step}: " if hasattr(exc, "step") else ""
+        print(f"anisopf: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 2
 

@@ -50,7 +50,6 @@ class RunConfig:
     tol: float = 1e-8
     omega: float = 0.5
     max_outer: int = 200
-    pgs_max_sweeps: int = 500
     newton_tol: float = 1e-8
     newton_max_iter: int = 30
     # [mesh]
@@ -121,8 +120,8 @@ class RunConfig:
     def solver_config(self):
         return SolverConfig(
             method=self.method, tol=self.tol, max_outer=self.max_outer,
-            omega=self.omega, pgs_max_sweeps=self.pgs_max_sweeps,
-            newton_tol=self.newton_tol, newton_max_iter=self.newton_max_iter)
+            omega=self.omega, newton_tol=self.newton_tol,
+            newton_max_iter=self.newton_max_iter)
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -170,7 +169,6 @@ _SCHEMA = {
         "tol": ("tol", float),
         "omega": ("omega", float),
         "max_outer": ("max_outer", int),
-        "pgs_max_sweeps": ("pgs_max_sweeps", int),
         "newton_tol": ("newton_tol", float),
         "newton_max_iter": ("newton_max_iter", int),
     },
@@ -228,8 +226,8 @@ _SERIALIZE_ORDER = [
                  "eps", "u_D", "H", "R0", "T_end", "tau", "bc"]),
     ("model", ["potential", "shape", "anisotropy", "mobility", "initial",
                "m_cutoff"]),
-    ("solver", ["method", "tol", "omega", "max_outer", "pgs_max_sweeps",
-                "newton_tol", "newton_max_iter"]),
+    ("solver", ["method", "tol", "omega", "max_outer", "newton_tol",
+                "newton_max_iter"]),
     ("mesh", ["N_f", "N_c", "dim", "adaptive"]),
     ("output", ["dir", "vtk_every", "seed"]),
 ]

@@ -42,7 +42,8 @@ class InconsistentDimensions(AnisoPFError):
 
 
 class ZeroDiagonal(AnisoPFError):
-    """Projected Gauss-Seidel met a nonpositive diagonal entry."""
+    """The phase-row matrix has a nonpositive diagonal entry, so the
+    active-set predictor ``U - res / diag(C)`` is undefined."""
 
 
 class NonConvergence(AnisoPFError):

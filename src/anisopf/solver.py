@@ -4,23 +4,26 @@ The obstacle scheme leads to a nonsmooth saddle point problem: a heat row
 that is linear in (U, W) and a variational inequality for U over the box
 [-1, 1]^J.  Two solution methods are provided.
 
-* ``active_set_step``: a primal active-set (Uzawa-type) iteration.  A few
-  projected Gauss-Seidel sweeps on the phase row identify the nodes
-  pinned at +-1; the remaining coupled linear system, with pinned rows
-  replaced by the identity, is solved by a sparse LU factorization.  The
-  iteration stops when the active sets repeat and the iterates stall.
+* ``active_set_step``: a primal-dual active-set iteration (the semismooth
+  Newton method of Hintermueller, Ito and Kunisch).  With the phase-row
+  residual ``res = C U - lam M_rho W - g``, the nodes where the predictor
+  ``U - res / diag(C)`` leaves [-1, 1] are pinned at the bound they cross;
+  a sparse LU factorization of the saddle system on the free phase nodes
+  and all temperature nodes gives the next iterate.  The iteration stops
+  when the sign conditions of the inequality hold and, if the
+  coefficients depend on the iterate, the increment has stalled.
 * ``lagged_step``: an outer fixed point that freezes the iterate-dependent
   coefficients (the rho-hat weighted coupling and, for r > 1, the
   anisotropic stiffness), solves the resulting linear-coefficient problem
-  with the active-set machinery, and relaxes with a factor omega.  This is
-  the robust choice for strongly nonlinear exponents.
+  with the same active-set iteration, and relaxes with a factor omega.
+  This is the robust choice for strongly nonlinear exponents.
 
 The smooth (quartic) scheme is solved by ``newton_smooth_step``, a damped
 Newton method with an analytic Jacobian in which the direction argument of
 the anisotropic linearization is frozen per iteration.
 
-All sweeps and factorizations run in a fixed order, so identical inputs
-produce bit-identical outputs.
+All factorizations run in a fixed order, so identical inputs produce
+bit-identical outputs.
 """
 
 import time
@@ -42,7 +45,6 @@ from .errors import (
 __all__ = [
     "SolverConfig",
     "StepReport",
-    "pgs_vi_solve",
     "active_set_step",
     "lagged_step",
     "newton_smooth_step",
@@ -50,52 +52,6 @@ __all__ = [
     "residual_audit",
     "choose_method",
 ]
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover
-    njit = None
-
-
-def _pgs_sweeps_py(indptr, indices, data, diag, rhs, x, max_sweeps, tol,
-                   stop_on_sets):
-    n = x.shape[0]
-    act_prev = np.zeros(n, dtype=np.int8)
-    act_cur = np.zeros(n, dtype=np.int8)
-    have_prev = False
-    sweeps = 0
-    while sweeps < max_sweeps:
-        maxdiff = 0.0
-        for i in range(n):
-            s = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                if j != i:
-                    s += data[k] * x[j]
-            xi = (rhs[i] - s) / diag[i]
-            if xi > 1.0:
-                xi = 1.0
-            elif xi < -1.0:
-                xi = -1.0
-            d = abs(xi - x[i])
-            if d > maxdiff:
-                maxdiff = d
-            x[i] = xi
-            act_cur[i] = 1 if xi == 1.0 else (-1 if xi == -1.0 else 0)
-        sweeps += 1
-        if stop_on_sets and have_prev and np.array_equal(act_cur, act_prev):
-            return sweeps
-        if maxdiff < tol:
-            return sweeps
-        act_prev, act_cur = act_cur, act_prev
-        have_prev = True
-    return -sweeps
-
-
-if njit is not None:
-    _pgs_sweeps_jit = njit(cache=True)(_pgs_sweeps_py)
-else:  # pragma: no cover
-    _pgs_sweeps_jit = _pgs_sweeps_py
 
 
 @dataclass
@@ -106,7 +62,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_outer: int = 200
     omega: float = 0.5            # lagged relaxation, in (0, 1]
-    pgs_max_sweeps: int = 500
     newton_tol: float = 1e-8
     newton_max_iter: int = 30
 
@@ -117,7 +72,7 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("relaxation omega must lie in (0, 1]")
-        if self.max_outer < 1 or self.pgs_max_sweeps < 1 or self.newton_max_iter < 1:
+        if self.max_outer < 1 or self.newton_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
 
 
@@ -128,7 +83,6 @@ class StepReport:
     method: str
     outer_iterations: int = 0
     inner_iterations: int = 0
-    pgs_sweeps: int = 0
     active_plus: int = 0
     active_minus: int = 0
     residual: float = float("nan")
@@ -145,157 +99,105 @@ def choose_method(cfg, aniso):
     return "active-set" if aniso.exponent <= 3.0 else "lagged"
 
 
-def pgs_vi_solve(C, rhs, x0, cfg, stop_on_active_sets=False):
-    """Projected Gauss-Seidel for the box-constrained system C x = rhs.
+def _solve_free(sys, C, m_rho, f, MW, plus, minus):
+    """Solve for the free phase nodes and W with the active nodes pinned.
 
-    Sweeps run in ascending index order, each update clamped to [-1, 1].
-    By default the iteration runs until the sweep increment drops below
-    ``cfg.tol``; with ``stop_on_active_sets`` it additionally stops as soon
-    as two successive sweeps produce the same active sets, which is all the
-    primal active-set outer iteration needs from the half-step.  Returns
-    ``(x, sweeps)``.
+    The unknowns are U on the free set F and all of W; the saddle system
+    is [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values moved
+    to the right-hand side.
     """
-    C = C.tocsr()
-    diag = C.diagonal()
-    if np.any(diag <= 0.0):
-        raise ZeroDiagonal("system diagonal must be positive")
-    x = np.clip(np.asarray(x0, dtype=float), -1.0, 1.0).copy()
-    sweeps = _pgs_sweeps_jit(C.indptr, C.indices, C.data, diag,
-                             np.asarray(rhs, dtype=float), x,
-                             cfg.pgs_max_sweeps, cfg.tol,
-                             bool(stop_on_active_sets))
-    if sweeps < 0:
-        raise NonConvergence(
-            f"projected Gauss-Seidel did not settle in {cfg.pgs_max_sweeps} sweeps")
-    return x, sweeps
-
-
-def _solve_block(sys, C, m_rho, act_plus, act_minus, f):
-    """Solve the linear system with pinned rows replaced by the identity."""
-    act = act_plus | act_minus
-    if act.all() and sys.theta == 0.0 and not sys.dirichlet.any():
+    free = ~(plus | minus)
+    if not free.any() and sys.theta == 0.0 and not sys.dirichlet.any():
         raise SingularSystem(
             "all nodes active under pure Neumann conditions with theta = 0")
-    n = sys.n
-    inact = sp.diags((~act).astype(float))
-    C_hat = (inact @ C + sp.diags(act.astype(float))).tocsr()
-    M_hat = (inact @ sp.diags(sys.lam * m_rho)).tocsr()
-    g_hat = np.where(act_plus, 1.0, np.where(act_minus, -1.0, sys.g))
-    free = sp.diags((~sys.dirichlet).astype(float))
-    MW = (free @ (sys.theta * sp.diags(sys.M) + sys.tau * sys.A_diff)
-          + sp.diags(sys.dirichlet.astype(float))).tocsr()
-    MU = (free @ sp.diags(sys.lam * m_rho)).tocsr()
-    K = sp.bmat([[C_hat, -M_hat], [MU, MW]], format="csc")
+    F = np.flatnonzero(free)
+    nF = F.size
+    U = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
+    coup = sys.lam * m_rho
+    heat_u = np.where(sys.dirichlet, 0.0, coup)
+    C_F = C[F]
+    K = sp.bmat([
+        [C_F[:, F],
+         sp.csr_matrix((-coup[F], (np.arange(nF), F)), shape=(nF, sys.n))],
+        [sp.csr_matrix((heat_u[F], (F, np.arange(nF))), shape=(sys.n, nF)),
+         MW],
+    ], format="csc")
     try:
         lu = spla.splu(K)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from None
-    sol = lu.solve(np.concatenate([g_hat, f]))
-    U, W = sol[:n].copy(), sol[n:].copy()
+    sol = lu.solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
+    U[F] = sol[:nF]
+    W = sol[nF:].copy()
     W[sys.dirichlet] = sys.u_D
     return U, W
 
 
-def _uzawa_solve(sys, cfg, U0, W0, rebuild, report):
-    """Active-set iteration; ``rebuild`` refreshes coefficients at iterates."""
-    n = sys.n
-    U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0).copy()
+def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
+    """Primal-dual active-set iteration; ``rebuild`` refreshes coefficients
+    at the iterates."""
+    U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
     W = None if W0 is None else np.asarray(W0, dtype=float).copy()
+    moving = rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero)
+    _, MW = sys.heat_blocks()
+    kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
 
     def mats(Uk):
-        B = sys.b_matrix_at(Uk)
-        C = sys.c_matrix(B)
+        C = sys.c_matrix(sys.b_matrix_at(Uk))
+        d = C.diagonal()
+        if np.any(d <= 0.0):
+            raise ZeroDiagonal("system diagonal must be positive")
         m_rho = sys.m_rho_diag(Uk)
-        return C, m_rho, sys.f_rhs(m_rho)
+        return C, d, m_rho, sys.f_rhs(m_rho)
 
-    def same(sa, sb):
-        return (sa is not None and sb is not None
-                and np.array_equal(sa[0], sb[0])
-                and np.array_equal(sa[1], sb[1]))
-
-    C, m_rho, f = mats(U)
-    kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
-    sets = [None, None, None]      # active sets of the last three iterations
-    W_prev = None
-    act_plus = act_minus = np.zeros(n, dtype=bool)
-    for k in range(cfg.max_outer):
-        if k == 0 and W is None:
-            U_half = U.copy()
-            act_plus = U_half == 1.0
-            act_minus = U_half == -1.0
+    C, d, m_rho, f = mats(U)
+    res = None if W is None else C @ U - sys.lam * m_rho * W - sys.g
+    for _ in range(cfg.max_outer):
+        if res is None:
+            # no temperature guess: read the active sets off the phase
+            plus, minus = U == 1.0, U == -1.0
         else:
-            W_pgs = W
-            if (W_prev is not None and same(sets[-1], sets[-3])
-                    and not same(sets[-1], sets[-2])):
-                # period-2 cycle of the active sets: damp the temperature
-                # seen by the half-step to break the oscillation
-                W_pgs = 0.5 * (W + W_prev)
-            rhs = sys.g + sys.lam * m_rho * W_pgs
-            U_half, sweeps = pgs_vi_solve(C, rhs, U, cfg,
-                                          stop_on_active_sets=True)
-            report.pgs_sweeps += sweeps
-            act_plus = U_half == 1.0
-            act_minus = U_half == -1.0
-        U_new, W_new = _solve_block(sys, C, m_rho, act_plus, act_minus, f)
+            pred = U - res / d
+            plus, minus = pred > 1.0, pred < -1.0
+        U_new, W_new = _solve_free(sys, C, m_rho, f, MW, plus, minus)
         report.outer_iterations += 1
-        report.active_history.append((int(act_plus.sum()), int(act_minus.sum())))
+        report.active_history.append((int(plus.sum()), int(minus.sum())))
         if W is None:
             diff = np.inf
         else:
             diff = max(np.abs(U_new - U).max(), np.abs(W_new - W).max())
-        W_prev = W
         U, W = U_new, W_new
-        if rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero):
-            C, m_rho, f = mats(np.clip(U, -1.0, 1.0))
-        if diff < cfg.tol:
-            # a truncated half-step can certify a stale pinned region, and
-            # at a marginally stable state the sets wander at round-off
-            # level, so acceptance rests on the sign conditions of the
-            # inequality; on failure correct the sets and keep iterating
-            res = C @ U - sys.lam * m_rho * W - sys.g
-            bad_minus = act_minus & (res < -kkt_tol)
-            bad_plus = act_plus & (res > kkt_tol)
-            inactive = ~(act_plus | act_minus)
-            pin_plus = inactive & (U > 1.0 + cfg.tol)
-            pin_minus = inactive & (U < -1.0 - cfg.tol)
-            if not (bad_minus.any() or bad_plus.any()
-                    or pin_plus.any() or pin_minus.any()):
-                sets = [sets[-2], sets[-1], (act_plus, act_minus)]
-                report.converged = True
-                break
-            act_plus = (act_plus & ~bad_plus) | pin_plus
-            act_minus = (act_minus & ~bad_minus) | pin_minus
-            U, W = _solve_block(sys, C, m_rho, act_plus, act_minus, f)
-            report.outer_iterations += 1
-            report.active_history.append(
-                (int(act_plus.sum()), int(act_minus.sum())))
-            if rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero):
-                C, m_rho, f = mats(np.clip(U, -1.0, 1.0))
-        sets = [sets[-2], sets[-1], (act_plus, act_minus)]
+        if moving:
+            C, d, m_rho, f = mats(np.clip(U, -1.0, 1.0))
+        res = C @ U - sys.lam * m_rho * W - sys.g
+        # at a marginally stable state the sets flip at round-off level,
+        # so acceptance rests on the sign conditions, not on set repetition
+        if (np.all(res[plus] <= kkt_tol) and np.all(res[minus] >= -kkt_tol)
+                and np.all(np.abs(U[~(plus | minus)]) <= 1.0 + cfg.tol)
+                and (not moving or diff < cfg.tol)):
+            report.converged = True
+            break
     else:
         raise NonConvergence(
             f"active-set iteration did not converge in {cfg.max_outer} steps")
-    U = np.clip(U, -1.0, 1.0)
-    U[act_plus] = 1.0
-    U[act_minus] = -1.0
-    report.active_plus = int(act_plus.sum())
-    report.active_minus = int(act_minus.sum())
+    report.active_plus = int(plus.sum())
+    report.active_minus = int(minus.sum())
     report.residual = diff
-    return U, W
+    return np.clip(U, -1.0, 1.0), W
 
 
 def active_set_step(sys, cfg, u0=None, w0="prev"):
-    """One obstacle step via the primal active-set iteration.
+    """One obstacle step via the primal-dual active-set iteration.
 
     ``u0``/``w0`` seed the iteration (defaults: the previous state).  Pass
-    ``w0=None`` when no temperature guess exists; the first half-step is
-    then skipped and the initial active sets are read off ``u0``.
+    ``w0=None`` when no temperature guess exists; the initial active sets
+    are then read off ``u0``.
     """
     t0 = time.perf_counter()
     report = StepReport(method="active-set")
     U0 = sys.phi_prev if u0 is None else u0
     W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
-    U, W = _uzawa_solve(sys, cfg, U0, W0, rebuild=True, report=report)
+    U, W = _pdas_solve(sys, cfg, U0, W0, rebuild=True, report=report)
     report.wall_time = time.perf_counter() - t0
     return U, W, report
 
@@ -328,13 +230,10 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
 def _lagged_once(sys, cfg, U0, W0, omega, report):
     U = U0.copy()
     W = None if W0 is None else np.asarray(W0, float).copy()
-    inner_cfg = cfg
-    for k in range(cfg.max_outer):
+    for _ in range(cfg.max_outer):
         sub = StepReport(method="active-set")
-        U_half, W_half = _uzawa_solve(sys, inner_cfg, U, W, rebuild=False,
-                                      report=sub)
+        U_half, W_half = _pdas_solve(sys, cfg, U, W, rebuild=False, report=sub)
         report.inner_iterations += sub.outer_iterations
-        report.pgs_sweeps += sub.pgs_sweeps
         if W is None:
             U_new, W_new = U_half, W_half
             diff = np.inf
@@ -346,9 +245,8 @@ def _lagged_once(sys, cfg, U0, W0, omega, report):
         report.outer_iterations += 1
         if diff < cfg.tol:
             sub = StepReport(method="active-set")
-            U, W = _uzawa_solve(sys, inner_cfg, U, W, rebuild=False, report=sub)
+            U, W = _pdas_solve(sys, cfg, U, W, rebuild=False, report=sub)
             report.inner_iterations += sub.outer_iterations
-            report.pgs_sweeps += sub.pgs_sweeps
             report.active_plus = sub.active_plus
             report.active_minus = sub.active_minus
             report.residual = diff

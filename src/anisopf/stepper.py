@@ -242,9 +242,10 @@ def run_simulation(cfg, out_dir=None, strict=False):
 
     Produces VTK snapshots every ``vtk_every`` steps, the energy ledger CSV
     and a JSON run report in the output directory.  With ``strict`` a
-    failed stability inequality aborts the run.  Solver failures abort
-    cleanly: partial outputs are written and the error is re-raised with
-    the step index.
+    failed stability inequality aborts the run.  Failures abort cleanly:
+    partial outputs are written, the report's ``error`` field names the
+    step, and the original exception is re-raised with the step index set
+    as its ``step`` attribute.
     """
     params = cfg.physical_params()
     pot, sh, aniso, mobility = cfg.model_objects()
@@ -322,15 +323,15 @@ def run_simulation(cfg, out_dir=None, strict=False):
             state = new_state
             if strict and not (stab.ineq_stab2_holds and stab.ineq_stab3_holds):
                 raise StabilityViolation(
-                    f"step {n}: stab2_slack={stab.stab2_slack:.3e} "
+                    f"stab2_slack={stab.stab2_slack:.3e} "
                     f"stab3_slack={stab.stab3_slack:.3e}")
             out.vtk_snapshot(state, n)
     except Exception as exc:
-        if isinstance(exc, StabilityViolation):
-            out.finalize(state, error=str(exc))
-            raise
-        out.finalize(state, error=f"step {max(n, 1)}: {exc}")
-        raise type(exc)(f"step {max(n, 1)}: {exc}") from exc
+        # the original exception travels on, with its type and attributes
+        # intact; the failing step index rides along as ``exc.step``
+        exc.step = max(n, 1)
+        out.finalize(state, error=f"step {exc.step}: {exc}")
+        raise
 
     out.finalize(state)
     return state

@@ -2,12 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from anisopf.anisotropy import MobilitySpec, make_isotropic, make_regularized_l1
 from anisopf.assembly import assemble_step_system
 from anisopf.errors import (
-    NonConvergence,
     NotApplicable,
     SingularSystem,
     ZeroDiagonal,
@@ -21,7 +19,6 @@ from anisopf.solver import (
     conservation_audit,
     lagged_step,
     newton_smooth_step,
-    pgs_vi_solve,
     residual_audit,
 )
 from anisopf.stepper import PhysicalParams, initial_phase
@@ -31,12 +28,13 @@ CFG = SolverConfig()
 
 def small_setup(n=8, theta=0.0, rho=0.01, u_D=-2.0, bc="dirichlet",
                 shape=ShapeSpec("lin-minus", "for-negative-uD"),
-                pot=PotentialSpec("obstacle"), aniso=None, eps=None):
+                pot=PotentialSpec("obstacle"), aniso=None, eps=None,
+                tau=1e-3):
     aniso = aniso or make_regularized_l1(0.3, 2)
     eps = eps or 1.0 / (4.0 * np.pi)
     params = PhysicalParams(theta=theta, rho=rho, alpha=0.03, eps=eps,
                             u_D=u_D, H=0.5, bc_case=bc, R0=0.25,
-                            T_end=1e-3, tau=1e-3)
+                            T_end=1e-3, tau=tau)
     mesh = build_uniform_mesh(params.H, n, 2, bc)
     phi = initial_phase(mesh, params.R0, params.eps).values
     w = np.full(mesh.n_vertices, params.u_D if theta == 0.0 else 0.0)
@@ -45,18 +43,11 @@ def small_setup(n=8, theta=0.0, rho=0.01, u_D=-2.0, bc="dirichlet",
     return sys, params, CFG
 
 
-def test_pgs_scalar_clamps():
-    C = sp.csr_matrix(np.array([[2.0]]))
-    x, sweeps = pgs_vi_solve(C, np.array([6.0]), np.array([0.0]), CFG)
-    assert x[0] == 1.0
-    x, _ = pgs_vi_solve(C, np.array([1.0]), np.array([0.0]), CFG)
-    assert x[0] == pytest.approx(0.5)
-
-
 def test_pgs_rejects_zero_diagonal():
-    C = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
+    sys, params, cfg = small_setup(n=4)
+    sys0 = dataclasses.replace(sys, c_mu=0.0, c_B=0.0)
     with pytest.raises(ZeroDiagonal):
-        pgs_vi_solve(C, np.zeros(3), np.zeros(3), CFG)
+        active_set_step(sys0, cfg)
 
 
 def _box_qp_oracle(K, r, tol=1e-12, iters=500_000):
@@ -69,27 +60,6 @@ def _box_qp_oracle(K, r, tol=1e-12, iters=500_000):
             return x_new
         x = x_new
     return x
-
-
-def test_pgs_matches_qp_oracle():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(3, 3))
-    K = A @ A.T + 3.0 * np.eye(3)
-    r = rng.normal(size=3) * 4.0
-    cfg = dataclasses.replace(CFG, tol=1e-12, pgs_max_sweeps=5000)
-    x, _ = pgs_vi_solve(sp.csr_matrix(K), r, np.zeros(3), cfg)
-    oracle = _box_qp_oracle(K, r)
-    assert np.abs(x - oracle).max() <= 1e-6
-
-
-def test_pgs_nonconvergence_flag():
-    # a tight tolerance with a single allowed sweep cannot settle
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(5, 5))
-    K = A @ A.T + 5.0 * np.eye(5)
-    cfg = dataclasses.replace(CFG, tol=1e-14, pgs_max_sweeps=1)
-    with pytest.raises(NonConvergence):
-        pgs_vi_solve(sp.csr_matrix(K), rng.normal(size=5) * 10, np.zeros(5), cfg)
 
 
 def dense_coupled_oracle(sys):
@@ -123,6 +93,18 @@ def test_active_set_matches_dense_oracle():
     assert np.abs(U - U_ref).max() <= 1e-6
     assert np.abs(W - W_ref).max() <= 1e-6
     assert rep.converged
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+@pytest.mark.parametrize("tau", [1e-2, 1.0, 10.0])
+def test_active_set_matches_dense_oracle_any_step_size(tau, theta):
+    sys, params, cfg = small_setup(n=8, theta=theta, tau=tau)
+    U, W, rep = active_set_step(sys, cfg, w0=None if theta == 0.0 else "prev")
+    U_ref, W_ref = dense_coupled_oracle(sys)
+    assert rep.converged
+    assert U.max() <= 1.0 and U.min() >= -1.0
+    assert np.abs(U - U_ref).max() <= 1e-6
+    assert np.abs(W - W_ref).max() <= 1e-6
 
 
 def test_active_set_unconstrained_matches_linear_solve():

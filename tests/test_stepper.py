@@ -1,3 +1,5 @@
+import errno
+import json
 import math
 
 import numpy as np
@@ -207,14 +209,50 @@ def test_run_adaptive_remesh(tmp_path):
 
 
 def test_run_aborts_cleanly_with_partial_outputs(tmp_path):
-    import json
-
     from anisopf.errors import NonConvergence
 
     cfg = base_config(tmp_path, method="active-set", max_outer=1, u_D=-2.0)
     with pytest.raises(NonConvergence) as err:
         run_simulation(cfg)
-    assert "step 1" in str(err.value)
+    assert err.value.step == 1
     assert (tmp_path / "energies.csv").exists()
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["error"] is not None and "step 1" in doc["error"]
+
+
+def test_run_failure_keeps_exception_type_and_attributes(tmp_path, monkeypatch):
+    from anisopf import output
+
+    target = str(tmp_path / "fields_000002.vtk")
+    write_vtk = output.write_vtk
+
+    def full_disk(state, path):
+        if path == target:
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        write_vtk(state, path)
+
+    monkeypatch.setattr(output, "write_vtk", full_disk)
+    cfg = base_config(tmp_path, vtk_every=1)
+    with pytest.raises(OSError) as err:
+        run_simulation(cfg)
+    assert type(err.value) is OSError
+    assert err.value.errno == errno.ENOSPC
+    assert err.value.filename == target
+    assert err.value.step == 2
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["steps_completed"] == 2
+    assert doc["error"].startswith("step 2: ")
+
+
+def test_run_obstacle_quartic_shape_large_step(tmp_path):
+    # the nonlinear coupling of the quartic shape split with tau = 1e-2
+    cfg = RunConfig(theta=0.0, rho=0.01, alpha=0.03, u_D=-2.0, H=2.0,
+                    eps=1.0 / (4.0 * math.pi), R0=0.5, bc="dirichlet",
+                    potential="obstacle", shape="quartic-shape",
+                    anisotropy="hex2d:0.1", initial="seed", T_end=2e-2,
+                    tau=1e-2, N_f=32, N_c=16, vtk_every=0,
+                    out_dir=str(tmp_path))
+    state = run_simulation(cfg, strict=True)
+    assert len(state.ledger) == 2
+    assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
+    assert state.phi.values.min() >= -1.0 and state.phi.values.max() <= 1.0
