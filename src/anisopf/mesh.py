@@ -16,6 +16,7 @@ the nodal fields by piecewise-linear interpolation.
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,24 +39,15 @@ __all__ = [
 _BC_CASES = ("dirichlet", "neumann", "mixed")
 
 
-class _Elem:
-    __slots__ = ("verts", "tag", "gen", "parent", "children", "active")
-
-    def __init__(self, verts, tag, gen, parent=None):
-        self.verts = verts
-        self.tag = tag
-        self.gen = gen
-        self.parent = parent
-        self.children = None
-        self.active = True
-
-
 class SimplicialMesh:
     """Simplicial mesh of (-H, H)^d with boundary tags and refinement forest.
 
     Instances are created by :func:`build_uniform_mesh` and refined through
     :func:`adapt_to_interface`; once handed to the assembly they are
-    treated as immutable.
+    treated as immutable.  Every element ever created, active or not, keeps
+    its vertex tuple, bisection tag, generation and first child (-1 for a
+    leaf; the second child is the next id).  The active elements are the
+    leaves.
     """
 
     def __init__(self, H, N, dim, bc_case):
@@ -66,39 +58,43 @@ class SimplicialMesh:
         self.dim = int(dim)
         self.bc_case = bc_case
         self._coords = []
-        self._elems = []
-        self._vert_elems = []
+        self._verts = []
+        self._tag = []
+        self._gen = []
+        self._child = []
+        self._vert_elems = None
         self._edge_mid = {}
         self._perms = list(itertools.permutations(range(dim)))
-        self._perm_index = {p: i for i, p in enumerate(self._perms)}
         self._cache = None
-        self._vertex_lookup = {}
 
     # -- construction ---------------------------------------------------
 
     def _add_vertex(self, xyz):
         self._coords.append(np.asarray(xyz, dtype=float))
-        self._vert_elems.append(set())
         return len(self._coords) - 1
 
-    def _add_elem(self, verts, tag, gen, parent=None):
-        eid = len(self._elems)
-        self._elems.append(_Elem(tuple(verts), tag, gen, parent))
-        for v in verts:
-            self._vert_elems[v].add(eid)
-        return eid
+    def _add_elem(self, verts, tag, gen):
+        self._verts.append(tuple(verts))
+        self._tag.append(tag)
+        self._gen.append(gen)
+        self._child.append(-1)
+        return len(self._verts) - 1
 
-    def _deactivate(self, eid):
-        el = self._elems[eid]
-        el.active = False
-        for v in el.verts:
-            self._vert_elems[v].discard(eid)
+    def _vertex_elements(self):
+        """Vertex id -> set of active element ids, built on first use."""
+        if self._vert_elems is None:
+            self._vert_elems = defaultdict(set)
+            for eid, verts in enumerate(self._verts):
+                if self._child[eid] < 0:
+                    for v in verts:
+                        self._vert_elems[v].add(eid)
+        return self._vert_elems
 
     # -- refinement -----------------------------------------------------
 
     def _bisection_edge(self, eid):
-        el = self._elems[eid]
-        return el.verts[0], el.verts[el.tag]
+        v = self._verts[eid]
+        return v[0], v[self._tag[eid]]
 
     def _midpoint(self, a, b):
         key = (a, b) if a < b else (b, a)
@@ -109,30 +105,32 @@ class SimplicialMesh:
         return vid
 
     def _edge_sharers(self, a, b):
-        return sorted(self._vert_elems[a] & self._vert_elems[b])
+        vert_elems = self._vertex_elements()
+        return sorted(vert_elems[a] & vert_elems[b])
 
     def _split(self, eid, z):
-        el = self._elems[eid]
-        v = el.verts
-        t = el.tag
+        v = self._verts[eid]
+        t = self._tag[eid]
         newtag = t - 1 if t > 1 else self.dim
-        c1 = v[:t] + (z,) + v[t + 1:]
-        c2 = v[1:t + 1] + (z,) + v[t + 1:]
-        self._deactivate(eid)
-        el.children = (
-            self._add_elem(c1, newtag, el.gen + 1, eid),
-            self._add_elem(c2, newtag, el.gen + 1, eid),
-        )
+        gen = self._gen[eid] + 1
+        first = self._add_elem(v[:t] + (z,) + v[t + 1:], newtag, gen)
+        second = self._add_elem(v[1:t + 1] + (z,) + v[t + 1:], newtag, gen)
+        self._child[eid] = first
+        vert_elems = self._vertex_elements()
+        for u in v:
+            vert_elems[u].discard(eid)
+        for child in (first, second):
+            for u in self._verts[child]:
+                vert_elems[u].add(child)
 
     def _refine(self, eid, gen_cap, _depth=0):
         """Bisect element ``eid`` conformingly (recursive closure)."""
-        el = self._elems[eid]
-        if not el.active:
+        if self._child[eid] >= 0:
             return
         if _depth > gen_cap + 4:
             raise RefinementDepthExceeded(
                 f"closure recursion exceeded {gen_cap + 4} levels")
-        if el.gen >= gen_cap:
+        if self._gen[eid] >= gen_cap:
             raise RefinementDepthExceeded(
                 f"element generation would exceed cap {gen_cap}")
         a, b = self._bisection_edge(eid)
@@ -154,11 +152,17 @@ class SimplicialMesh:
     # -- finalized views -------------------------------------------------
 
     def _finalize(self):
-        if self._cache is not None:
-            return self._cache
-        active = [i for i, el in enumerate(self._elems) if el.active]
-        elements = np.array([self._elems[i].verts for i in active], dtype=np.int64)
-        vertices = np.array(self._coords, dtype=float)
+        if self._cache is None:
+            self._cache = self._geometry(
+                np.array(self._coords, dtype=float),
+                np.array(self._verts, dtype=np.int64),
+                np.array(self._child, dtype=np.int64))
+        return self._cache
+
+    def _geometry(self, vertices, forest_verts, forest_child):
+        """Active-element geometry, boundary masks and the forest arrays."""
+        active = np.flatnonzero(forest_child < 0)
+        elements = forest_verts[active]
         P = vertices[elements]                       # (ne, d+1, d)
         T = np.swapaxes(P[:, 1:, :] - P[:, :1, :], 1, 2)   # (ne, d, d)
         det = np.linalg.det(T)
@@ -182,7 +186,7 @@ class SimplicialMesh:
             dirichlet = np.zeros_like(onb)
         else:
             dirichlet = np.abs(vertices[:, -1] - self.H) <= tol
-        self._cache = {
+        return {
             "active": active,
             "elements": elements,
             "vertices": vertices,
@@ -191,8 +195,9 @@ class SimplicialMesh:
             "diameters": diam,
             "boundary_mask": onb,
             "dirichlet_mask": dirichlet,
+            "forest_verts": forest_verts,
+            "forest_child": forest_child,
         }
-        return self._cache
 
     @property
     def vertices(self):
@@ -275,59 +280,64 @@ class SimplicialMesh:
 
     # -- point location ----------------------------------------------------
 
-    def _barycentric(self, eid, x):
-        el = self._elems[eid]
-        P = np.array([self._coords[v] for v in el.verts])
-        A = np.vstack([np.ones(self.dim + 1), P.T])
-        rhs = np.concatenate([[1.0], x])
-        return np.linalg.solve(A, rhs)
+    def _barycentric(self, eids, x):
+        """Barycentric coordinates of points ``x`` in elements ``eids``."""
+        c = self._finalize()
+        P = c["vertices"][c["forest_verts"][eids]]       # (n, d+1, d)
+        A = np.ones((len(eids), self.dim + 1, self.dim + 1))
+        A[:, 1:, :] = np.swapaxes(P, 1, 2)
+        rhs = np.ones((len(eids), self.dim + 1, 1))
+        rhs[:, 1:, 0] = x
+        return np.linalg.solve(A, rhs)[:, :, 0]
 
     def locate(self, points):
         """Containing active element and barycentric weights per point.
 
         Returns (elem_ids, bary) with elem_ids internal element indices and
         bary of shape (n, d+1) ordered like the element's vertex tuple.
+        Points descend the bisection forest one level at a time; at each
+        split the child whose smallest barycentric coordinate is larger
+        wins, ties going to the first child.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
+        d = self.dim
         h = 2.0 * self.H / self.N0
         rel = (points + self.H) / h
         cells = np.clip(np.floor(rel).astype(np.int64), 0, self.N0 - 1)
-        frac = rel - cells
-        order = np.argsort(-frac, axis=1, kind="stable")
+        order = np.argsort(-(rel - cells), axis=1, kind="stable")
         lin = cells[:, 0]
-        for k in range(1, self.dim):
+        for k in range(1, d):
             lin = lin * self.N0 + cells[:, k]
-        nperm = len(self._perms)
-        eids = np.empty(n, dtype=np.int64)
-        bary = np.empty((n, self.dim + 1))
-        for i in range(n):
-            pid = self._perm_index[tuple(order[i])]
-            eid = int(lin[i]) * nperm + pid
-            lam = self._barycentric(eid, points[i])
-            while self._elems[eid].children is not None:
-                best, best_lam, best_min = None, None, -np.inf
-                for ch in self._elems[eid].children:
-                    lam_c = self._barycentric(ch, points[i])
-                    m = lam_c.min()
-                    if m > best_min:
-                        best, best_lam, best_min = ch, lam_c, m
-                eid, lam = best, best_lam
-            eids[i] = eid
-            bary[i] = lam
+        # Kuhn simplex of each cell: the permutation sorting frac downwards
+        radix = d ** np.arange(d - 1, -1, -1)
+        perm_of_code = np.zeros(d ** d, dtype=np.int64)
+        perm_of_code[np.array(self._perms) @ radix] = np.arange(len(self._perms))
+        eids = lin * len(self._perms) + perm_of_code[order @ radix]
+        bary = self._barycentric(eids, points)
+        child = self._finalize()["forest_child"]
+        todo = np.flatnonzero(child[eids] >= 0)
+        while todo.size:
+            first = child[eids[todo]]
+            lam0 = self._barycentric(first, points[todo])
+            lam1 = self._barycentric(first + 1, points[todo])
+            second = lam1.min(axis=1) > lam0.min(axis=1)
+            eids[todo] = first + second        # second child is first + 1
+            bary[todo] = np.where(second[:, None], lam1, lam0)
+            todo = todo[child[eids[todo]] >= 0]
         return eids, bary
+
+    def _transfer_weights(self, points):
+        """Vertex ids and clipped, renormalised barycentrics per point."""
+        eids, bary = self.locate(points)
+        weights = np.clip(bary, 0.0, None)
+        weights = weights / weights.sum(axis=1, keepdims=True)
+        return self._finalize()["forest_verts"][eids], weights
 
     def interpolate(self, values, points):
         """Evaluate the P1 interpolant of nodal ``values`` at ``points``."""
-        eids, bary = self.locate(points)
-        values = np.asarray(values, dtype=float)
-        out = np.empty(len(eids))
-        for i, (eid, lam) in enumerate(zip(eids, bary)):
-            idx = list(self._elems[eid].verts)
-            lam = np.clip(lam, 0.0, None)
-            lam = lam / lam.sum()
-            out[i] = float(lam @ values[idx])
-        return out
+        vert_ids, lam = self._transfer_weights(points)
+        vals = np.asarray(values, dtype=float)[vert_ids]
+        return (lam[:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -354,40 +364,33 @@ class TransferMap:
 
 
 def build_uniform_mesh(H, N, dim=2, bc_case="dirichlet"):
-    """Uniform Kuhn mesh of (-H, H)^dim with N cells per direction."""
+    """Uniform Kuhn mesh of (-H, H)^dim with N cells per direction.
+
+    Vertex ``(i_1, .., i_d)`` has id ``sum_k i_k (N+1)^(d-k)``; element
+    ``lin * d! + p`` is the Kuhn simplex of permutation ``p`` (in
+    ``itertools.permutations`` order) of the cell with lexicographic index
+    ``lin``, walking from the cell's lower corner along the axes ``p``.
+    """
     if N < 2 or N % 2 != 0:
         raise InvalidN(f"N must be an even count >= 2, got {N}")
     if dim not in (2, 3):
         raise InvalidN(f"dim must be 2 or 3, got {dim}")
     mesh = SimplicialMesh(H, N, dim, bc_case)
-    axes = [np.linspace(-H, H, N + 1) for _ in range(dim)]
-    if dim == 2:
-        for ix in range(N + 1):
-            for iy in range(N + 1):
-                mesh._add_vertex((axes[0][ix], axes[1][iy]))
-
-        def vid(ix, iy):
-            return ix * (N + 1) + iy
-    else:
-        for ix in range(N + 1):
-            for iy in range(N + 1):
-                for iz in range(N + 1):
-                    mesh._add_vertex((axes[0][ix], axes[1][iy], axes[2][iz]))
-
-        def vid(ix, iy, iz=0):
-            return (ix * (N + 1) + iy) * (N + 1) + iz
-
-    unit = np.eye(dim, dtype=np.int64)
-    cells = itertools.product(*(range(N) for _ in range(dim)))
-    for cell in cells:
-        base = np.array(cell, dtype=np.int64)
-        for perm in mesh._perms:
-            corner = base.copy()
-            verts = [vid(*corner)]
-            for k in perm:
-                corner = corner + unit[k]
-                verts.append(vid(*corner))
-            mesh._add_elem(verts, dim, 0)
+    axis = np.linspace(-H, H, N + 1)
+    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    vertices = grid.reshape(-1, dim)
+    stride = (N + 1) ** np.arange(dim - 1, -1, -1)
+    corner = np.indices((N,) * dim).reshape(dim, -1).T @ stride
+    walk = np.zeros((len(mesh._perms), dim + 1), dtype=np.int64)
+    walk[:, 1:] = np.cumsum(stride[np.array(mesh._perms)], axis=1)
+    elems = (corner[:, None, None] + walk).reshape(-1, dim + 1)
+    mesh._coords = list(vertices)
+    mesh._verts = list(map(tuple, elems.tolist()))
+    mesh._tag = [dim] * len(elems)
+    mesh._gen = [0] * len(elems)
+    mesh._child = [-1] * len(elems)
+    mesh._cache = mesh._geometry(vertices, elems,
+                                 np.full(len(elems), -1, dtype=np.int64))
     return mesh
 
 
@@ -408,48 +411,27 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
     gen_cap = max(0, 2 * levels * d)
     target = math.sqrt(d) * (2.0 * mesh.H / N_f) * (1.0 + 1e-9)
 
-    phi_at = {}
-
-    def phi_values():
-        missing = [v for v in range(new.n_vertices) if v not in phi_at]
-        if missing:
-            pts = np.array([new._coords[v] for v in missing])
-            vals = mesh.interpolate(phi.values, pts)
-            for v, val in zip(missing, vals):
-                phi_at[v] = val
-        return phi_at
-
+    phi_at = np.empty(0)
     for _round in range(8 * (levels + 1) * d + 8):
-        vals = phi_values()
         cache = new._finalize()
-        marked = set()
-        for pos, eid in enumerate(cache["active"]):
-            if cache["diameters"][pos] <= target:
-                continue
-            if any(abs(vals[v]) < 1.0 - 1e-7 for v in new._elems[eid].verts):
-                marked.add(eid)
-        layer = set()
-        for eid in marked:
-            for v in new._elems[eid].verts:
-                layer.update(new._vert_elems[v])
-        for pos, eid in enumerate(cache["active"]):
-            if eid in layer and eid not in marked and cache["diameters"][pos] > target:
-                marked.add(eid)
-        if not marked:
+        if len(phi_at) < new.n_vertices:
+            phi_at = np.concatenate([phi_at, mesh.interpolate(
+                phi.values, cache["vertices"][len(phi_at):])])
+        elems = cache["elements"]
+        coarse = cache["diameters"] > target
+        hit = coarse & (np.abs(phi_at[elems]) < 1.0 - 1e-7).any(axis=1)
+        # one layer of vertex neighbours around the elements hit
+        touched = np.zeros(new.n_vertices, dtype=bool)
+        touched[elems[hit]] = True
+        marked = cache["active"][coarse & touched[elems].any(axis=1)]
+        if not marked.size:
             break
-        for eid in sorted(marked):
-            if new._elems[eid].active:
-                new._refine(eid, gen_cap)
+        for eid in marked.tolist():
+            new._refine(eid, gen_cap)
     else:
         raise RefinementDepthExceeded("marking loop did not terminate")
 
-    pts = np.array([new._coords[v] for v in range(new.n_vertices)])
-    eids, bary = mesh.locate(pts)
-    vert_ids = np.empty((new.n_vertices, d + 1), dtype=np.int64)
-    weights = np.clip(bary, 0.0, None)
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    for i, eid in enumerate(eids):
-        vert_ids[i] = mesh._elems[eid].verts
+    vert_ids, weights = mesh._transfer_weights(new.vertices)
     return new, TransferMap(mesh, new, vert_ids, weights)
 
 

@@ -84,7 +84,6 @@ def write_report_json(cfg, state, path, error=None):
                 "active_plus": r.active_plus,
                 "active_minus": r.active_minus,
                 "converged": r.converged,
-                "wall_time": r.wall_time,
             }
             for r in reports
         ],

@@ -26,7 +26,6 @@ All factorizations run in a fixed order, so identical inputs produce
 bit-identical outputs.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,6 @@ class StepReport:
     active_minus: int = 0
     residual: float = float("nan")
     relaxation: float = float("nan")
-    wall_time: float = 0.0
     converged: bool = False
     active_history: list = field(default_factory=list)
 
@@ -193,12 +191,10 @@ def active_set_step(sys, cfg, u0=None, w0="prev"):
     ``w0=None`` when no temperature guess exists; the initial active sets
     are then read off ``u0``.
     """
-    t0 = time.perf_counter()
     report = StepReport(method="active-set")
     U0 = sys.phi_prev if u0 is None else u0
     W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
     U, W = _pdas_solve(sys, cfg, U0, W0, rebuild=True, report=report)
-    report.wall_time = time.perf_counter() - t0
     return U, W, report
 
 
@@ -209,7 +205,6 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
     current iterate, then relaxes with factor omega.  On non-convergence
     omega is halved, up to four times.
     """
-    t0 = time.perf_counter()
     U0 = np.clip(sys.phi_prev if u0 is None else np.asarray(u0, float), -1, 1)
     W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
     omega = cfg.omega
@@ -218,7 +213,6 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
         report = StepReport(method="lagged", relaxation=omega)
         try:
             U, W = _lagged_once(sys, cfg, U0, W0, omega, report)
-            report.wall_time = time.perf_counter() - t0
             return U, W, report
         except NonConvergence as exc:
             last_exc = exc
@@ -275,7 +269,6 @@ def newton_smooth_step(sys, cfg):
     exactly; the direction argument of the anisotropic stiffness is frozen
     within each linearization and refreshed between iterations.
     """
-    t0 = time.perf_counter()
     report = StepReport(method="newton")
     n = sys.n
     sh = sys._shape
@@ -324,7 +317,6 @@ def newton_smooth_step(sys, cfg):
         report.converged = True
     report.residual = rnorm
     W[sys.dirichlet] = sys.u_D
-    report.wall_time = time.perf_counter() - t0
     return U, W, report
 
 

@@ -208,6 +208,28 @@ def test_run_adaptive_remesh(tmp_path):
     assert all(r.stab2_holds for r in state.ledger)
 
 
+def test_run_adaptive_strict_holds_bounds_every_step(tmp_path):
+    cfg = base_config(tmp_path, N_f=64, N_c=16, adaptive=True)
+    state = run_simulation(cfg, strict=True)
+    assert len(state.ledger) == 5
+    assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
+    assert state.phi.values.min() >= -1.0 and state.phi.values.max() <= 1.0
+    state.mesh.check_conforming()
+
+
+def test_run_outputs_are_byte_identical_across_reruns(tmp_path):
+    cfg = base_config(tmp_path, N_f=32, N_c=16, adaptive=True, T_end=3e-5,
+                      vtk_every=1)
+    names = ["report.json", "energies.csv", "fields_final.vtk"] + [
+        f"fields_{n:06d}.vtk" for n in range(4)]
+    run_simulation(cfg)
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    run_simulation(cfg)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
+    doc = json.loads(first["report.json"])
+    assert all("wall_time" not in row for row in doc["solver"])
+
+
 def test_run_aborts_cleanly_with_partial_outputs(tmp_path):
     from anisopf.errors import NonConvergence
 
