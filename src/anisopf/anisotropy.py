@@ -23,11 +23,6 @@ __all__ = [
     "AnisotropyDensity",
     "MobilitySpec",
     "InequalityReport",
-    "gamma_eval",
-    "gamma_grad",
-    "a_prime",
-    "b_r_matrix",
-    "mobility_mu",
     "make_isotropic",
     "make_regularized_l1",
     "make_rotated_family",
@@ -90,7 +85,10 @@ class AnisotropyDensity:
     def gamma_l(self, p):
         """Component values gamma_l(p) = sqrt(p . G_l p), shape (..., L)."""
         p = np.asarray(p, dtype=float)
-        quad = np.einsum("...i,lij,...j->...l", p, self.matrices, p)
+        flat = p.reshape(-1, self.dim)
+        # (p G_l) . p as one stacked product over l, shape (L, n)
+        quad = ((flat @ self.matrices) * flat).sum(axis=-1)
+        quad = quad.T.reshape(p.shape[:-1] + (self.nmat,))
         return np.sqrt(np.maximum(quad, 0.0))
 
     def gamma(self, p):
@@ -103,9 +101,9 @@ class AnisotropyDensity:
 
     def _weights(self, p):
         """(gamma_l(p)/gamma(p))^(r-1) with the value 1 at p = 0."""
-        gl = self.gamma_l(p)
         if self.exponent == 1.0:
-            return np.ones_like(gl)
+            return np.ones(np.shape(p)[:-1] + (self.nmat,))
+        gl = self.gamma_l(p)
         g = (gl**self.exponent).sum(axis=-1) ** (1.0 / self.exponent)
         g = np.asarray(g)
         ratio = np.where(g[..., None] > 0.0, gl / np.where(g[..., None] > 0.0, g[..., None], 1.0), 1.0)
@@ -149,24 +147,9 @@ class AnisotropyDensity:
         # coefficient of G_l: gamma(q)/gamma_l(q) for q != 0, else L^(1/r)
         safe_gl = np.where(gl_q > 0.0, gl_q, 1.0)
         coef = np.where(qzero[..., None], self.nmat ** (1.0 / r), g_q[..., None] / safe_gl)
-        return np.einsum("...l,lij->...ij", coef * w, self.matrices)
-
-# Functional aliases matching the operation-level vocabulary.
-
-def gamma_eval(a, p):
-    return a.gamma(p)
-
-
-def gamma_grad(a, p):
-    return a.gamma_grad(p)
-
-
-def a_prime(a, p):
-    return a.a_prime(p)
-
-
-def b_r_matrix(a, q, p):
-    return a.b_matrix(q, p)
+        L, d = self.nmat, self.dim
+        B = (coef * w) @ self.matrices.reshape(L, d * d)
+        return B.reshape(B.shape[:-1] + (d, d))
 
 
 @dataclass(frozen=True)
@@ -224,10 +207,6 @@ class MobilitySpec:
         if p.ndim == 1:
             return float(g / b) if b > 0.0 else bar
         return np.where(b > 0.0, g / np.where(b > 0.0, b, 1.0), bar)
-
-
-def mobility_mu(a, m, p):
-    return m.mu(a, p)
 
 
 def make_isotropic(dim):

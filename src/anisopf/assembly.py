@@ -53,22 +53,18 @@ def lumped_mass(mesh, weight=None, per="vertex"):
     c = mesh._finalize()
     elements, volumes = c["elements"], c["volumes"]
     nv = len(c["vertices"])
+    weight = None if weight is None else np.asarray(weight, dtype=float)
+    vertex_weight = weight is not None and per == "vertex"
+    if vertex_weight and weight.shape[0] != nv:
+        raise InconsistentDimensions("vertex weight length mismatch")
+    if weight is not None and not vertex_weight:
+        if weight.shape[0] != len(volumes):
+            raise InconsistentDimensions("element weight length mismatch")
+        volumes = volumes * weight
     d1 = mesh.dim + 1
-    diag = np.zeros(nv)
-    contrib = np.repeat(volumes / d1, d1)
-    np.add.at(diag, elements.ravel(), contrib)
-    if weight is None:
-        return diag
-    weight = np.asarray(weight, dtype=float)
-    if per == "vertex":
-        if weight.shape[0] != nv:
-            raise InconsistentDimensions("vertex weight length mismatch")
-        return diag * weight
-    if weight.shape[0] != len(volumes):
-        raise InconsistentDimensions("element weight length mismatch")
-    diag = np.zeros(nv)
-    np.add.at(diag, elements.ravel(), np.repeat(volumes * weight / d1, d1))
-    return diag
+    diag = np.bincount(elements.ravel(), np.repeat(volumes / d1, d1),
+                       minlength=nv)
+    return diag * weight if vertex_weight else diag
 
 
 def stiffness(mesh, coeff=None):
@@ -77,27 +73,39 @@ def stiffness(mesh, coeff=None):
     Entry (i, j) = sum_sigma vol * (C_sigma grad chi_j) . grad chi_i.
     """
     c = mesh._finalize()
-    elements, volumes, grads = c["elements"], c["volumes"], c["grads"]
-    ne, d1, d = grads.shape
-    if coeff is None:
-        local = np.einsum("e,ekd,emd->ekm", volumes, grads, grads)
+    volumes, grads = c["volumes"], c["grads"]
+    ne, _, d = grads.shape
+    gradsT = np.swapaxes(grads, 1, 2)
+    coeff = 1.0 if coeff is None else np.asarray(coeff, dtype=float)
+    if np.ndim(coeff) <= 1:
+        if np.ndim(coeff) == 1 and coeff.shape[0] != ne:
+            raise InconsistentDimensions("element coefficient length mismatch")
+        local = (volumes * coeff)[:, None, None] * (grads @ gradsT)
     else:
-        coeff = np.asarray(coeff, dtype=float)
-        if coeff.ndim == 0:
-            local = np.einsum("e,ekd,emd->ekm", volumes * float(coeff), grads, grads)
-        elif coeff.ndim == 1:
-            if coeff.shape[0] != ne:
-                raise InconsistentDimensions("element coefficient length mismatch")
-            local = np.einsum("e,ekd,emd->ekm", volumes * coeff, grads, grads)
-        else:
-            if coeff.shape != (ne, d, d):
-                raise InconsistentDimensions("matrix coefficient shape mismatch")
-            local = np.einsum("e,ekd,edf,emf->ekm", volumes, grads, coeff, grads)
-    rows = np.repeat(elements, d1, axis=1).ravel()
-    cols = np.tile(elements, (1, d1)).ravel()
+        if coeff.shape != (ne, d, d):
+            raise InconsistentDimensions("matrix coefficient shape mismatch")
+        local = volumes[:, None, None] * (grads @ coeff @ gradsT)
+    slot, indices, indptr = _csr_pattern(c)
     nv = len(c["vertices"])
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
-    return K.tocsr()
+    data = np.bincount(slot, local.ravel(), minlength=len(indices))
+    # copied, so that no caller can alter the cached structure
+    return sp.csr_matrix((data, indices, indptr), shape=(nv, nv), copy=True)
+
+
+def _csr_pattern(c):
+    """CSR structure of the P1 stiffness of a finalized mesh and the slot of
+    every local entry in it, kept in the mesh cache (which a refinement
+    drops)."""
+    if "csr_pattern" not in c:
+        elements = c["elements"]
+        nv = len(c["vertices"])
+        d1 = elements.shape[1]
+        rows = np.repeat(elements, d1, axis=1).ravel()
+        cols = np.tile(elements, (1, d1)).ravel()
+        keys, slot = np.unique(rows * nv + cols, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
+        c["csr_pattern"] = (slot, keys % nv, indptr)
+    return c["csr_pattern"]
 
 
 def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur):

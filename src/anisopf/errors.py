@@ -81,7 +81,3 @@ class ValidationError(AnisoPFError):
         super().__init__(f"{key}: {reason}")
         self.key = key
         self.reason = reason
-
-
-# File writers raise the interpreter's native I/O error.
-IoError = OSError

@@ -19,34 +19,32 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _lines(fmt, rows):
+    """``fmt`` filled with each row of a 2d array in turn, joined."""
+    return "".join(map(fmt.format, *np.asarray(rows).T.tolist()))
+
+
 def write_vtk(state, path):
     """Write phi and w as point data on the mesh, legacy ASCII format."""
     mesh = state.mesh
-    verts = mesh.vertices
     elems = mesh.elements
-    nv, d = verts.shape
+    nv, d = mesh.vertices.shape
+    ne = len(elems)
+    points = np.zeros((nv, 3))
+    points[:, :d] = mesh.vertices
+    parts = [
+        "# vtk DataFile Version 3.0\nanisotropic phase field state\n"
+        f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
+        _lines("{:.17g} {:.17g} {:.17g}\n", points),
+        f"CELLS {ne} {ne * (d + 2)}\n",
+        _lines(f"{d + 1}" + " {}" * (d + 1) + "\n", elems),
+        f"CELL_TYPES {ne}\n" + f"{_CELL_TYPE[d]}\n" * ne + f"POINT_DATA {nv}\n",
+    ]
+    for name, vals in (("phi", state.phi.values), ("w", state.w.values)):
+        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n",
+                  _lines("{:.17g}\n", np.asarray(vals, dtype=float)[:, None])]
     with open(path, "w", newline="\n") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("anisotropic phase field state\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {nv} double\n")
-        for p in verts:
-            coords = list(p) + [0.0] * (3 - d)
-            f.write(" ".join(_fmt(c) for c in coords) + "\n")
-        ne = len(elems)
-        f.write(f"CELLS {ne} {ne * (d + 2)}\n")
-        for el in elems:
-            f.write(f"{d + 1} " + " ".join(str(int(v)) for v in el) + "\n")
-        f.write(f"CELL_TYPES {ne}\n")
-        for _ in range(ne):
-            f.write(f"{_CELL_TYPE[d]}\n")
-        f.write(f"POINT_DATA {nv}\n")
-        for name, vals in (("phi", state.phi.values), ("w", state.w.values)):
-            f.write(f"SCALARS {name} double\n")
-            f.write("LOOKUP_TABLE default\n")
-            for v in vals:
-                f.write(_fmt(v) + "\n")
+        f.write("".join(parts))
 
 
 _CSV_HEADER = ("t,E_h,F_h,diffusive_dissipation,kinetic_dissipation,"

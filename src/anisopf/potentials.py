@@ -12,7 +12,7 @@ energy estimate valid for the configured sign of the boundary supercooling.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,10 +208,3 @@ def shape_from_name(name, u_D=0.0, m=2.0):
     if name in _SHAPE_KINDS:
         return ShapeSpec(name, split, m)
     raise ValueError(f"unknown shape {name!r}")
-
-
-def opposite_split(sh):
-    """Same shape with the mirrored split (testing helper)."""
-    other = ("for-positive-uD" if sh.split_sign == "for-negative-uD"
-             else "for-negative-uD")
-    return replace(sh, split_sign=other)

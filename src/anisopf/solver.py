@@ -97,6 +97,20 @@ def choose_method(cfg, aniso):
     return "active-set" if aniso.exponent <= 3.0 else "lagged"
 
 
+def _factor(K):
+    """Sparse LU of a step system.
+
+    The step systems have a symmetric sparsity pattern, so the columns are
+    ordered by minimum degree on A^T + A and SuperLU prefers diagonal
+    pivots; its threshold pivoting still guards a singular heat block.
+    """
+    try:
+        return spla.splu(K, permc_spec="MMD_AT_PLUS_A",
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from None
+
+
 def _solve_free(sys, C, m_rho, f, MW, plus, minus):
     """Solve for the free phase nodes and W with the active nodes pinned.
 
@@ -120,11 +134,7 @@ def _solve_free(sys, C, m_rho, f, MW, plus, minus):
         [sp.csr_matrix((heat_u[F], (F, np.arange(nF))), shape=(sys.n, nF)),
          MW],
     ], format="csc")
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from None
-    sol = lu.solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
+    sol = _factor(K).solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
     U[F] = sol[:nF]
     W = sol[nF:].copy()
     W[sys.dirichlet] = sys.u_D
@@ -291,7 +301,7 @@ def newton_smooth_step(sys, cfg):
         J22 = (free @ (sys.theta * sp.diags(sys.M) + sys.tau * sys.A_diff)
                + D_dir).tocsr()
         K = sp.bmat([[J11, J12], [J21, J22]], format="csc")
-        delta = spla.splu(K).solve(-np.concatenate([r_phi, r_w]))
+        delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
         t = 1.0
         for _ls in range(20):
             U_t = U + t * delta[:n]

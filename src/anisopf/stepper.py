@@ -112,6 +112,8 @@ class StabilityReport:
     stab3_slack: float
     diffusive: float
     kinetic: float
+    E_h: float          # energies of the new state
+    F_h: float
 
 
 @dataclass
@@ -174,13 +176,15 @@ def discrete_energy(mesh, phi, w, params, pot, sh, aniso):
 
 
 def verify_stability(prev, new, params, pot, sh, aniso, mobility,
-                     tau=None, sys=None):
+                     tau=None, sys=None, prev_energy=None):
     """Evaluate both per-step stability inequalities on a fixed mesh.
 
     The first compares E_h plus the supercooling work and both dissipation
     terms against the previous E_h; the second is the plain monotonicity of
     F_h including the dissipation.  A flag holds when the left side exceeds
-    the right by at most 1e-8 (1 + |rhs|).
+    the right by at most 1e-8 (1 + |rhs|).  ``prev_energy`` is the
+    ``(E_h, F_h)`` pair of ``prev`` when the caller already has it; the
+    report carries the pair of ``new``.
     """
     if prev.mesh is not new.mesh:
         raise MeshChanged("stability check requires a common mesh")
@@ -202,7 +206,9 @@ def verify_stability(prev, new, params, pot, sh, aniso, mobility,
         b_vertex = diffusivity_b(phi_o, params.Kplus, params.Kminus, clipped=smooth)
         A_diff = stiffness(mesh, b_vertex[mesh.elements].mean(axis=1))
 
-    E_o, F_o = discrete_energy(mesh, phi_o, w_o, params, pot, sh, aniso)
+    if prev_energy is None:
+        prev_energy = discrete_energy(mesh, phi_o, w_o, params, pot, sh, aniso)
+    E_o, F_o = prev_energy
     E_n, F_n = discrete_energy(mesh, phi_n, w_n, params, pot, sh, aniso)
     dphi = phi_n - phi_o
     diffusive = tau * float(w_n @ (A_diff @ w_n))
@@ -225,6 +231,8 @@ def verify_stability(prev, new, params, pot, sh, aniso, mobility,
         stab3_slack=slack3,
         diffusive=diffusive,
         kinetic=kinetic,
+        E_h=E_n,
+        F_h=F_n,
     )
 
 
@@ -275,6 +283,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
         method = choose_method(scfg, aniso)
 
     n = 0
+    energy = None      # (E_h, F_h) of ``state`` once known
     try:
         for n in range(1, n_steps + 1):
             if cfg.adaptive and n > 1:
@@ -285,6 +294,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
                     transfer_field(state.phi, tmap),
                     transfer_field(state.w, tmap),
                     state.ledger, state.reports)
+                energy = None   # the transfer changed the fields
             sys = assemble_step_system(
                 state.mesh, params, pot, sh, aniso, mobility,
                 state.phi.values, state.w.values)
@@ -307,10 +317,11 @@ def run_simulation(cfg, out_dir=None, strict=False):
                 NodalField(U, state.mesh), NodalField(W, state.mesh),
                 state.ledger, state.reports)
             stab = verify_stability(state, new_state, params, pot, sh,
-                                    aniso, mobility, sys=sys)
-            E_n, F_n = discrete_energy(state.mesh, U, W, params, pot, sh, aniso)
+                                    aniso, mobility, sys=sys,
+                                    prev_energy=energy)
+            energy = (stab.E_h, stab.F_h)
             row = EnergyRow(
-                t=new_state.t, E_h=E_n, F_h=F_n,
+                t=new_state.t, E_h=stab.E_h, F_h=stab.F_h,
                 diffusive=stab.diffusive, kinetic=stab.kinetic,
                 stab2_slack=stab.stab2_slack, stab3_slack=stab.stab3_slack,
                 stab2_holds=stab.ineq_stab2_holds,

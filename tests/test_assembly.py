@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anisopf.anisotropy import (
     MobilitySpec,
@@ -14,9 +15,9 @@ from anisopf.assembly import (
     stiffness,
 )
 from anisopf.errors import InconsistentDimensions
-from anisopf.mesh import SimplicialMesh, build_uniform_mesh
+from anisopf.mesh import SimplicialMesh, adapt_to_interface, build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
-from anisopf.stepper import PhysicalParams
+from anisopf.stepper import PhysicalParams, initial_phase
 
 
 def single_triangle_mesh():
@@ -217,3 +218,130 @@ def test_rebuild_tracks_iterate(unit_mesh):
     U = rng.uniform(-1, 1, unit_mesh.n_vertices)
     expected = sys.M * (sh.rho_minus(phi) + sh.rho_plus(U))
     assert np.allclose(sys.m_rho_diag(U), expected)
+
+
+# -- oracles for the batched kernels ------------------------------------
+# Test-local einsum/COO references: the formulas the kernels compute,
+# written term by term.
+
+def _einsum_stiffness(mesh, coeff=None):
+    elements, volumes, grads = mesh.elements, mesh.volumes, mesh.grads
+    ne, d1, _ = grads.shape
+    coeff = np.ones(ne) if coeff is None else np.asarray(coeff, dtype=float)
+    if coeff.ndim == 0:
+        coeff = np.full(ne, float(coeff))
+    if coeff.ndim == 1:
+        local = np.einsum("e,ekd,emd->ekm", volumes * coeff, grads, grads)
+    else:
+        local = np.einsum("e,ekd,edf,emf->ekm", volumes, grads, coeff, grads)
+    rows = np.repeat(elements, d1, axis=1).ravel()
+    cols = np.tile(elements, (1, d1)).ravel()
+    nv = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def _einsum_gamma_l(a, p):
+    quad = np.einsum("...i,lij,...j->...l", p, a.matrices, p)
+    return np.sqrt(np.maximum(quad, 0.0))
+
+
+def _einsum_b_matrix(a, q, p):
+    r, L = a.exponent, a.nmat
+    gl_p, gl_q = _einsum_gamma_l(a, p), _einsum_gamma_l(a, q)
+    g_p = (gl_p**r).sum(axis=-1) ** (1.0 / r)
+    g_q = (gl_q**r).sum(axis=-1) ** (1.0 / r)
+    w = np.ones_like(gl_p)
+    if r != 1.0:
+        pos = g_p[..., None] > 0.0
+        w = np.where(pos, gl_p / np.where(pos, g_p[..., None], 1.0), 1.0) ** (r - 1.0)
+    coef = np.where((g_q == 0.0)[..., None], L ** (1.0 / r),
+                    g_q[..., None] / np.where(gl_q > 0.0, gl_q, 1.0))
+    return np.einsum("...l,lij->...ij", coef * w, a.matrices)
+
+
+def _add_at_lumped_mass(mesh, weight=None, per="vertex"):
+    d1 = mesh.dim + 1
+    vol = mesh.volumes if weight is None or per == "vertex" else mesh.volumes * weight
+    diag = np.zeros(mesh.n_vertices)
+    np.add.at(diag, mesh.elements.ravel(), np.repeat(vol / d1, d1))
+    return diag * weight if weight is not None and per == "vertex" else diag
+
+
+def _assert_csr_close(K, ref, rtol=1e-13):
+    ref = ref.copy()
+    ref.sort_indices()
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.abs(K.data - ref.data).max() <= rtol * np.abs(ref.data).max()
+
+
+KERNEL_MESHES = [(2, 8), (3, 4)]
+
+
+@pytest.mark.parametrize("dim,N", KERNEL_MESHES)
+@pytest.mark.parametrize("kind", ["none", "scalar", "element", "matrix"])
+def test_stiffness_matches_einsum_reference(dim, N, kind):
+    mesh = build_uniform_mesh(0.5, N, dim, "neumann")
+    rng = np.random.default_rng(dim)
+    ne = mesh.n_elements
+    if kind == "none":
+        coeff = None
+    elif kind == "scalar":
+        coeff = 1.7
+    elif kind == "element":
+        coeff = rng.uniform(0.5, 2.0, ne)
+    else:
+        X = rng.normal(size=(ne, dim, dim))
+        coeff = X @ np.swapaxes(X, 1, 2) + 0.1 * np.eye(dim)
+    _assert_csr_close(stiffness(mesh, coeff), _einsum_stiffness(mesh, coeff))
+
+
+@pytest.mark.parametrize("name,dim", [("hex2d-rot:0.1", 2), ("ani1:0.3", 2),
+                                      ("cube3d:0.3:9", 3), ("hexprism3d:0.2", 3),
+                                      ("ani1:0.3", 3)])
+def test_gamma_l_and_b_matrix_match_einsum_reference(name, dim):
+    a = anisotropy_from_name(name, dim)
+    rng = np.random.default_rng(7)
+    P = rng.uniform(-3.0, 3.0, size=(200, dim))
+    Q = rng.uniform(-3.0, 3.0, size=(200, dim))
+    P[0] = 0.0
+    Q[1] = 0.0
+    P[2] = Q[2] = 0.0
+    for p in (P, P[5], P.reshape(20, 10, dim)):
+        ref = _einsum_gamma_l(a, p)
+        assert a.gamma_l(p).shape == ref.shape
+        assert np.abs(a.gamma_l(p) - ref).max() <= 1e-13 * np.abs(ref).max()
+    for q, p in ((Q, P), (Q[5], P[5]), (Q[1], P[0])):
+        ref = _einsum_b_matrix(a, q, p)
+        B = a.b_matrix(q, p)
+        assert B.shape == ref.shape
+        assert np.abs(B - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,N", KERNEL_MESHES)
+def test_field_gradients_and_lumped_mass_match_reference(dim, N):
+    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=mesh.n_vertices)
+    ref = np.einsum("ekd,ek->ed", mesh.grads, u[mesh.elements])
+    assert np.abs(mesh.field_gradients(u) - ref).max() <= 1e-13 * np.abs(ref).max()
+    wv = rng.uniform(0.5, 2.0, mesh.n_vertices)
+    we = rng.uniform(0.5, 2.0, mesh.n_elements)
+    for args in ((), (wv, "vertex"), (we, "element")):
+        ref = _add_at_lumped_mass(mesh, *args)
+        assert np.abs(lumped_mass(mesh, *args) - ref).max() <= 1e-13 * ref.max()
+
+
+def test_stiffness_pattern_follows_refinement():
+    mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    rng = np.random.default_rng(12)
+    _assert_csr_close(stiffness(mesh), _einsum_stiffness(mesh))
+    # an in-place bisection drops the cached pattern with the geometry
+    mesh._refine(5, 4)
+    coeff = rng.uniform(0.5, 2.0, mesh.n_elements)
+    _assert_csr_close(stiffness(mesh, coeff), _einsum_stiffness(mesh, coeff))
+    phi = initial_phase(mesh, 0.2, 1.0 / (16.0 * np.pi))
+    new, _ = adapt_to_interface(mesh, phi, 32, 8)
+    assert new.n_vertices != mesh.n_vertices
+    coeff = rng.uniform(0.5, 2.0, new.n_elements)
+    _assert_csr_close(stiffness(new, coeff), _einsum_stiffness(new, coeff))

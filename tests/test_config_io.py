@@ -115,6 +115,58 @@ def test_vtk_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _per_value_vtk(state, path):
+    """Reference writer: one ``write`` per value, as the format was defined."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    verts, elems = state.mesh.vertices, state.mesh.elements
+    nv, d = verts.shape
+    cell_type = {2: 5, 3: 10}[d]
+    with open(path, "w", newline="\n") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write("anisotropic phase field state\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {nv} double\n")
+        for p in verts:
+            coords = list(p) + [0.0] * (3 - d)
+            f.write(" ".join(fmt(c) for c in coords) + "\n")
+        ne = len(elems)
+        f.write(f"CELLS {ne} {ne * (d + 2)}\n")
+        for el in elems:
+            f.write(f"{d + 1} " + " ".join(str(int(v)) for v in el) + "\n")
+        f.write(f"CELL_TYPES {ne}\n")
+        for _ in range(ne):
+            f.write(f"{cell_type}\n")
+        f.write(f"POINT_DATA {nv}\n")
+        for name, vals in (("phi", state.phi.values), ("w", state.w.values)):
+            f.write(f"SCALARS {name} double\n")
+            f.write("LOOKUP_TABLE default\n")
+            for v in vals:
+                f.write(fmt(v) + "\n")
+
+
+@pytest.mark.parametrize("dim,N", [(2, 8), (3, 2)])
+def test_vtk_matches_per_value_writer(tmp_path, dim, N):
+    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    rng = np.random.default_rng(dim)
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 3.0,
+               -2.0, 5e-324, 0.1, 1.0 / 3.0]
+    phi = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    phi[:len(special)] = special
+    w = np.round(rng.normal(size=mesh.n_vertices) * 100.0)
+    w[-len(special):] = special
+    state = SimulationState(0.0, mesh, NodalField(phi, mesh),
+                            NodalField(w, mesh))
+    write_vtk(state, tmp_path / "new.vtk")
+    _per_value_vtk(state, tmp_path / "ref.vtk")
+    new = (tmp_path / "new.vtk").read_bytes()
+    assert new == (tmp_path / "ref.vtk").read_bytes()
+    assert all(f"\n{x:.17g}\n".encode() in new for x in special)
+    assert b"\n-0\n" in new
+
+
 def test_energy_csv(tmp_path):
     path = tmp_path / "e.csv"
     write_energy_csv([], path)

@@ -50,20 +50,40 @@ def test_pgs_rejects_zero_diagonal():
         active_set_step(sys0, cfg)
 
 
-def _box_qp_oracle(K, r, tol=1e-12, iters=500_000):
-    """Projected gradient for min 1/2 x'Kx - r'x over [-1,1]^n."""
+def _box_qp_oracle(K, r, tol=1e-12, iters=500_000, project=None):
+    """Projected gradient for min 1/2 x'Kx - r'x over [-1,1]^n (or over the
+    set ``project`` maps onto)."""
+    project = project or (lambda y: np.clip(y, -1.0, 1.0))
     L = np.linalg.eigvalsh(K).max()
     x = np.zeros(len(r))
     for _ in range(iters):
-        x_new = np.clip(x - (K @ x - r) / L, -1.0, 1.0)
+        x_new = project(x - (K @ x - r) / L)
         if np.abs(x_new - x).max() < tol:
             return x_new
         x = x_new
     return x
 
 
+def _box_slice_projection(d, s):
+    """Projection onto {x in [-1,1]^n : d.x = s} for d >= 0: bisection on
+    the multiplier nu of x = clip(y - nu d)."""
+    def project(y):
+        hi = (np.abs(y).max() + 1.0) / d[d > 0.0].min()
+        lo = -hi
+        for _ in range(100):
+            nu = 0.5 * (lo + hi)
+            if np.clip(y - nu * d, -1.0, 1.0) @ d > s:
+                lo = nu
+            else:
+                hi = nu
+        return np.clip(y - 0.5 * (lo + hi) * d, -1.0, 1.0)
+    return project
+
+
 def dense_coupled_oracle(sys):
     """Eliminate W and solve the box-constrained reduced problem densely."""
+    if sys.theta == 0.0 and not sys.dirichlet.any():
+        return _singular_heat_oracle(sys)
     n = sys.n
     C = sys.c_matrix().toarray()
     D = sys.lam * sys.M_rho
@@ -86,6 +106,28 @@ def dense_coupled_oracle(sys):
     return U, W
 
 
+def _singular_heat_oracle(sys):
+    """Dense oracle for pure Neumann walls with theta = 0.
+
+    The heat row tau A W = D (Phi_old - U) fixes W only up to a constant
+    and forces d.U = d.Phi_old with d = lam M_rho.  With the pseudo-inverse
+    the reduced problem is the box QP restricted to that hyperplane; the
+    constant in W is the multiplier of the constraint.
+    """
+    C = sys.c_matrix().toarray()
+    d = sys.lam * sys.M_rho
+    A_pinv = np.linalg.pinv(sys.tau * sys.A_diff.toarray())
+    f = d * sys.phi_prev
+    K = C + d[:, None] * A_pinv * d[None, :]
+    r = sys.g + d * (A_pinv @ f)
+    U = _box_qp_oracle(K, r, tol=1e-13,
+                       project=_box_slice_projection(d, d @ sys.phi_prev))
+    # phase row on free nodes: K U - r = c d
+    free = (np.abs(U) < 1.0) & (d > 0.0)
+    c = np.mean((K @ U - r)[free] / d[free])
+    return U, A_pinv @ (f - d * U) + c
+
+
 def test_active_set_matches_dense_oracle():
     sys, params, cfg = small_setup(n=8)
     U, W, rep = active_set_step(sys, cfg, w0=None)
@@ -95,10 +137,22 @@ def test_active_set_matches_dense_oracle():
     assert rep.converged
 
 
-@pytest.mark.parametrize("theta", [0.0, 1.0])
-@pytest.mark.parametrize("tau", [1e-2, 1.0, 10.0])
-def test_active_set_matches_dense_oracle_any_step_size(tau, theta):
-    sys, params, cfg = small_setup(n=8, theta=theta, tau=tau)
+# Dirichlet walls at every step size and theta, plus the pure Neumann
+# theta = 0 case (the heat block alone is singular, the LU pivots through
+# the coupling) and mixed walls.
+ORACLE_CASES = (
+    [pytest.param(tau, theta, "dirichlet", id=f"{tau}-{theta}")
+     for tau in (1e-2, 1.0, 10.0) for theta in (0.0, 1.0)]
+    + [pytest.param(tau, 0.0, "neumann", id=f"neumann-{tau}-0.0")
+       for tau in (1e-2, 1.0, 10.0)]
+    + [pytest.param(tau, theta, "mixed", id=f"mixed-{tau}-{theta}")
+       for tau, theta in ((1e-2, 0.0), (1.0, 1.0), (10.0, 0.0))])
+
+
+@pytest.mark.parametrize("tau,theta,bc", ORACLE_CASES)
+def test_active_set_matches_dense_oracle_any_step_size(tau, theta, bc):
+    sys, params, cfg = small_setup(n=8, theta=theta, tau=tau, bc=bc,
+                                   u_D=0.0 if bc == "neumann" else -2.0)
     U, W, rep = active_set_step(sys, cfg, w0=None if theta == 0.0 else "prev")
     U_ref, W_ref = dense_coupled_oracle(sys)
     assert rep.converged

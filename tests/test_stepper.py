@@ -278,3 +278,54 @@ def test_run_obstacle_quartic_shape_large_step(tmp_path):
     assert len(state.ledger) == 2
     assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
     assert state.phi.values.min() >= -1.0 and state.phi.values.max() <= 1.0
+
+
+def test_stability_with_carried_energy_is_unchanged(mesh):
+    params, pot, sh, aniso, mob = _model()
+    phi = initial_phase(mesh, params.R0, params.eps)
+    w = NodalField(np.full(mesh.n_vertices, params.u_D), mesh)
+    rng = np.random.default_rng(5)
+    phi_n = np.clip(phi.values + 0.05 * rng.normal(size=mesh.n_vertices),
+                    -1.0, 1.0)
+    prev = SimulationState(0.0, mesh, phi, w)
+    new = SimulationState(params.tau, mesh, NodalField(phi_n, mesh), w)
+    plain = verify_stability(prev, new, params, pot, sh, aniso, mob)
+    carried = discrete_energy(mesh, phi.values, w.values, params, pot, sh,
+                              aniso)
+    assert verify_stability(prev, new, params, pot, sh, aniso, mob,
+                            prev_energy=carried) == plain
+    assert (plain.E_h, plain.F_h) == discrete_energy(
+        mesh, phi_n, w.values, params, pot, sh, aniso)
+
+
+def _count_energy_calls(monkeypatch):
+    from anisopf import stepper
+
+    calls = []
+    energy = stepper.discrete_energy
+
+    def counted(mesh, phi, *args):
+        calls.append(mesh)
+        return energy(mesh, phi, *args)
+
+    monkeypatch.setattr(stepper, "discrete_energy", counted)
+    return calls
+
+
+def test_run_evaluates_energy_once_per_step(tmp_path, monkeypatch):
+    calls = _count_energy_calls(monkeypatch)
+    state = run_simulation(base_config(tmp_path))
+    assert len(state.ledger) == 5
+    assert len(calls) == 5 + 1
+
+
+def test_run_adaptive_recomputes_energy_after_remesh(tmp_path, monkeypatch):
+    calls = _count_energy_calls(monkeypatch)
+    cfg = base_config(tmp_path, N_f=64, N_c=16, adaptive=True)
+    state = run_simulation(cfg, strict=True)
+    assert len(state.ledger) == 5
+    # every step runs on a fresh mesh: old and new state are both evaluated
+    # on it, and the pair carried from the previous mesh is never used
+    assert len(calls) == 2 * 5
+    assert all(calls[2 * k] is calls[2 * k + 1] for k in range(5))
+    assert len({id(m) for m in calls}) == 5
