@@ -202,7 +202,7 @@ class MobilitySpec:
         """mu(p) = gamma(p)/beta(p) for p != 0, the fallback at p = 0."""
         p = np.asarray(p, dtype=float)
         g = a.gamma(p)
-        b = self.beta(a, p)
+        b = g if self.kind == "gamma" else self.beta(a, p)
         bar = self.fallback(a)
         if p.ndim == 1:
             return float(g / b) if b > 0.0 else bar

@@ -186,13 +186,18 @@ class SystemMatrices:
         if self.b_depends_on_iterate:
             self.B_stiff = self.b_matrix_at(U)
 
-    def heat_blocks(self):
-        """(U-block, W-block) of the heat row with Dirichlet replacement."""
-        free = ~self.dirichlet
-        D_free = sp.diags(free.astype(float))
-        MW = self.theta * sp.diags(self.M) + self.tau * self.A_diff
-        MW = (D_free @ MW + sp.diags(self.dirichlet.astype(float))).tocsr()
-        MU = (D_free @ sp.diags(self.lam * self.M_rho)).tocsr()
+    def heat_blocks(self, m_rho=None):
+        """(U-block, W-block) of the heat row with Dirichlet replacement.
+
+        The U-block is diag(lam * m_rho) (``m_rho`` defaults to ``M_rho``)
+        with empty Dirichlet rows, the W-block theta M + tau A_diff with
+        identity Dirichlet rows; neither stores explicit zeros.
+        """
+        u = self.lam * (self.M_rho if m_rho is None else m_rho)
+        MU = sp.diags(np.where(self.dirichlet, 0.0, u), format="csr")
+        MW = (self.theta * sp.diags(self.M) + self.tau * self.A_diff).tocsr()
+        MW.data[np.repeat(self.dirichlet, np.diff(MW.indptr))] = 0.0
+        MW = MW + sp.diags(self.dirichlet.astype(float))
         return MU, MW
 
 

@@ -2,11 +2,12 @@
 
 Uniform meshes split every grid square into two triangles (d = 2) or every
 grid cube into six tetrahedra sharing the main diagonal (d = 3, Kuhn
-split).  Local refinement bisects the tagged edge of a simplex and
-recursively forces the neighbours sharing that edge first, so the mesh
-stays conforming; the tag bookkeeping follows the ordered-vertex bisection
-rule for Kuhn-type meshes (new vertex replaces slot ``tag``, the tag
-decreases cyclically).
+split).  Local refinement bisects the tagged edge of a simplex.  It works in
+passes over all wanted elements at once: each pass bisects every edge
+whose patch of sharing elements agrees on it as their bisection edge and
+wants first the sharers that do not, so the mesh stays conforming; the tag
+bookkeeping follows the ordered-vertex bisection rule for Kuhn-type meshes
+(new vertex replaces slot ``tag``, the tag decreases cyclically).
 
 The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
@@ -16,7 +17,6 @@ the nodal fields by piecewise-linear interpolation.
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,137 +44,131 @@ class SimplicialMesh:
 
     Instances are created by :func:`build_uniform_mesh` and refined through
     :func:`adapt_to_interface`; once handed to the assembly they are
-    treated as immutable.  Every element ever created, active or not, keeps
-    its vertex tuple, bisection tag, generation and first child (-1 for a
-    leaf; the second child is the next id).  The active elements are the
-    leaves.
+    treated as immutable.  The forest is kept as arrays: ``_coords``
+    (nv, d) holds the vertex coordinates, and every element ever created,
+    active or not, has a row in ``_verts`` (n, d+1) and an entry in
+    ``_tag`` (bisection tag), ``_gen`` (generation) and ``_child`` (first
+    child, -1 for a leaf; the second child is the next id).  The active
+    elements are the leaves.
     """
 
-    def __init__(self, H, N, dim, bc_case):
+    def __init__(self, H, N, dim, bc_case, coords, verts):
         if bc_case not in _BC_CASES:
             raise ValueError(f"unknown boundary case {bc_case!r}")
         self.H = float(H)
         self.N0 = int(N)
         self.dim = int(dim)
         self.bc_case = bc_case
-        self._coords = []
-        self._verts = []
-        self._tag = []
-        self._gen = []
-        self._child = []
-        self._vert_elems = None
-        self._edge_mid = {}
+        self._coords = np.asarray(coords, dtype=float)
+        self._verts = np.asarray(verts, dtype=np.int64)
+        self._tag = np.full(len(self._verts), self.dim, dtype=np.int64)
+        self._gen = np.zeros(len(self._verts), dtype=np.int64)
+        self._child = np.full(len(self._verts), -1, dtype=np.int64)
         self._perms = list(itertools.permutations(range(dim)))
         self._cache = None
 
-    # -- construction ---------------------------------------------------
-
-    def _add_vertex(self, xyz):
-        self._coords.append(np.asarray(xyz, dtype=float))
-        return len(self._coords) - 1
-
-    def _add_elem(self, verts, tag, gen):
-        self._verts.append(tuple(verts))
-        self._tag.append(tag)
-        self._gen.append(gen)
-        self._child.append(-1)
-        return len(self._verts) - 1
-
-    def _vertex_elements(self):
-        """Vertex id -> set of active element ids, built on first use."""
-        if self._vert_elems is None:
-            self._vert_elems = defaultdict(set)
-            for eid, verts in enumerate(self._verts):
-                if self._child[eid] < 0:
-                    for v in verts:
-                        self._vert_elems[v].add(eid)
-        return self._vert_elems
-
     # -- refinement -----------------------------------------------------
 
-    def _bisection_edge(self, eid):
-        v = self._verts[eid]
-        return v[0], v[self._tag[eid]]
+    def _edge_keys(self, eids):
+        """Bisection edge ``(v0, v_tag)`` of each element as ``min*nv + max``."""
+        v = self._verts[eids]
+        a = v[:, 0]
+        b = v[np.arange(len(eids)), self._tag[eids]]
+        return np.minimum(a, b) * len(self._coords) + np.maximum(a, b)
 
-    def _midpoint(self, a, b):
-        key = (a, b) if a < b else (b, a)
-        vid = self._edge_mid.get(key)
-        if vid is None:
-            vid = self._add_vertex(0.5 * (self._coords[a] + self._coords[b]))
-            self._edge_mid[key] = vid
-        return vid
+    def refine(self, eids, gen_cap):
+        """Bisect the active elements ``eids`` and their conforming closure.
 
-    def _edge_sharers(self, a, b):
-        vert_elems = self._vertex_elements()
-        return sorted(vert_elems[a] & vert_elems[b])
-
-    def _split(self, eid, z):
-        v = self._verts[eid]
-        t = self._tag[eid]
-        newtag = t - 1 if t > 1 else self.dim
-        gen = self._gen[eid] + 1
-        first = self._add_elem(v[:t] + (z,) + v[t + 1:], newtag, gen)
-        second = self._add_elem(v[1:t + 1] + (z,) + v[t + 1:], newtag, gen)
-        self._child[eid] = first
-        vert_elems = self._vertex_elements()
-        for u in v:
-            vert_elems[u].discard(eid)
-        for child in (first, second):
-            for u in self._verts[child]:
-                vert_elems[u].add(child)
-
-    def _refine(self, eid, gen_cap, _depth=0):
-        """Bisect element ``eid`` conformingly (recursive closure)."""
-        if self._child[eid] >= 0:
-            return
-        if _depth > gen_cap + 4:
-            raise RefinementDepthExceeded(
-                f"closure recursion exceeded {gen_cap + 4} levels")
-        if self._gen[eid] >= gen_cap:
-            raise RefinementDepthExceeded(
-                f"element generation would exceed cap {gen_cap}")
-        a, b = self._bisection_edge(eid)
-        for _pass in range(64):
-            sharers = self._edge_sharers(a, b)
-            bad = [e for e in sharers
-                   if set(self._bisection_edge(e)) != {a, b}]
-            if not bad:
-                break
-            for e in bad:
-                self._refine(e, gen_cap, _depth + 1)
-        else:
-            raise RefinementDepthExceeded("edge closure did not stabilize")
-        z = self._midpoint(a, b)
-        for e in sharers:
-            self._split(e, z)
+        Each pass takes the bisection edge of every wanted element and the
+        active elements sharing it.  Sharers that would bisect another edge
+        are wanted too, for a later pass; every edge whose sharers all
+        agree is bisected in this pass, at one new midpoint.  The closure
+        of a set of bisections is unique (Stevenson, Math. Comp. 2008), so
+        the mesh does not depend on the order of the passes.
+        """
+        d = self.dim
+        pairs = np.triu_indices(d + 1, 1)
+        cols = np.arange(d + 1)
+        want = np.unique(np.asarray(eids, dtype=np.int64))
+        want = want[self._child[want] < 0]
+        while want.size:
+            if (self._gen[want] >= gen_cap).any():
+                raise RefinementDepthExceeded(
+                    f"element generation would exceed cap {gen_cap}")
+            nv = len(self._coords)
+            keys = np.unique(self._edge_keys(want))
+            # every sharer of an edge holds its lower vertex
+            low = np.zeros(nv, dtype=bool)
+            low[keys // nv] = True
+            active = np.flatnonzero(self._child < 0)
+            cand = active[low[self._verts[active]].any(axis=1)]
+            v = self._verts[cand]
+            a, b = v[:, pairs[0]], v[:, pairs[1]]
+            edges = np.minimum(a, b) * nv + np.maximum(a, b)
+            own = self._edge_keys(cand)
+            other = np.isin(edges, keys) & (edges != own[:, None])
+            agree = np.isin(own, keys) & ~np.isin(own, edges[other])
+            blocking = cand[other.any(axis=1)]
+            if not agree.any() and np.isin(blocking, want).all():
+                raise RefinementDepthExceeded("edge closure did not stabilize")
+            want = np.union1d(want, blocking)
+            mids, z = np.unique(own[agree], return_inverse=True)
+            self._coords = np.concatenate([self._coords, 0.5 * (
+                self._coords[mids // nv] + self._coords[mids % nv])])
+            # the midpoint replaces slot tag; the second child drops v0
+            split, v, z = cand[agree], v[agree], nv + z
+            t = self._tag[split]
+            rows = np.arange(len(split))
+            first = v.copy()
+            first[rows, t] = z
+            second = np.take_along_axis(
+                v, np.where(cols < t[:, None], cols + 1, cols), axis=1)
+            second[rows, t] = z
+            n = len(self._verts)
+            self._child[split] = n + 2 * rows
+            self._verts = np.concatenate(
+                [self._verts, np.stack([first, second], axis=1).reshape(-1, d + 1)])
+            self._tag = np.concatenate(
+                [self._tag, np.repeat(np.where(t > 1, t - 1, d), 2)])
+            self._gen = np.concatenate([self._gen, np.repeat(self._gen[split] + 1, 2)])
+            self._child = np.concatenate([self._child, np.full(2 * len(split), -1)])
+            want = want[self._child[want] < 0]
         self._cache = None
 
     # -- finalized views -------------------------------------------------
 
-    def _finalize(self):
-        if self._cache is None:
-            self._cache = self._geometry(
-                np.array(self._coords, dtype=float),
-                np.array(self._verts, dtype=np.int64),
-                np.array(self._child, dtype=np.int64))
-        return self._cache
+    def _finalize(self, geometry=True):
+        """Active elements and diameters; with ``geometry`` also volumes,
+        P1 gradients and boundary masks.  Dropped on refinement."""
+        c = self._cache
+        if c is None:
+            active = np.flatnonzero(self._child < 0)
+            elements = self._verts[active]
+            i, j = np.triu_indices(self.dim + 1, 1)
+            P = self._coords[elements]
+            c = self._cache = {
+                "active": active,
+                "elements": elements,
+                "vertices": self._coords,
+                "diameters": np.linalg.norm(P[:, i] - P[:, j], axis=2).max(axis=1),
+            }
+        if geometry and "volumes" not in c:
+            c.update(self._geometry(c["elements"]))
+        return c
 
-    def _geometry(self, vertices, forest_verts, forest_child):
-        """Active-element geometry, boundary masks and the forest arrays."""
-        active = np.flatnonzero(forest_child < 0)
-        elements = forest_verts[active]
-        P = vertices[elements]                       # (ne, d+1, d)
-        T = np.swapaxes(P[:, 1:, :] - P[:, :1, :], 1, 2)   # (ne, d, d)
-        det = np.linalg.det(T)
-        volumes = np.abs(det) / math.factorial(self.dim)
-        Tinv = np.linalg.inv(T)                      # rows of Tinv = grad lambda_k
-        grads = np.empty((len(active), self.dim + 1, self.dim))
-        grads[:, 1:, :] = Tinv
-        grads[:, 0, :] = -Tinv.sum(axis=1)
-        diam = np.zeros(len(active))
-        for i in range(self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                diam = np.maximum(diam, np.linalg.norm(P[:, i] - P[:, j], axis=1))
+    def _geometry(self, elements):
+        """Volumes, P1 gradients (closed-form inverses) and boundary masks."""
+        P = self._coords[elements]                   # (ne, d+1, d)
+        E = P[:, 1:, :] - P[:, :1, :]                # row k: edge to vertex k+1
+        # rows of adj / det are the rows of the inverse of [e_1 .. e_d]
+        if self.dim == 2:
+            adj = np.stack([E[:, 1, ::-1], E[:, 0, ::-1]], axis=1) * [[1, -1], [-1, 1]]
+        else:
+            adj = np.cross(E[:, [1, 2, 0]], E[:, [2, 0, 1]])
+        det = (E[:, 0] * adj[:, 0]).sum(axis=1)
+        Tinv = adj / det[:, None, None]              # rows = grad lambda_k
+        grads = np.concatenate([-Tinv.sum(axis=1, keepdims=True), Tinv], axis=1)
+        vertices = self._coords
         onb = np.zeros(len(vertices), dtype=bool)
         tol = 1e-12 * max(1.0, self.H)
         for k in range(self.dim):
@@ -187,25 +181,19 @@ class SimplicialMesh:
         else:
             dirichlet = np.abs(vertices[:, -1] - self.H) <= tol
         return {
-            "active": active,
-            "elements": elements,
-            "vertices": vertices,
-            "volumes": volumes,
+            "volumes": np.abs(det) / math.factorial(self.dim),
             "grads": grads,
-            "diameters": diam,
             "boundary_mask": onb,
             "dirichlet_mask": dirichlet,
-            "forest_verts": forest_verts,
-            "forest_child": forest_child,
         }
 
     @property
     def vertices(self):
-        return self._finalize()["vertices"]
+        return self._coords
 
     @property
     def elements(self):
-        return self._finalize()["elements"]
+        return self._finalize(geometry=False)["elements"]
 
     @property
     def volumes(self):
@@ -217,7 +205,7 @@ class SimplicialMesh:
 
     @property
     def diameters(self):
-        return self._finalize()["diameters"]
+        return self._finalize(geometry=False)["diameters"]
 
     @property
     def boundary_mask(self):
@@ -233,7 +221,7 @@ class SimplicialMesh:
 
     @property
     def n_elements(self):
-        return len(self._finalize()["active"])
+        return len(self._finalize(geometry=False)["active"])
 
     @property
     def boundary_tags(self):
@@ -256,34 +244,30 @@ class SimplicialMesh:
 
     def check_conforming(self):
         """Face-matching audit; raises AssertionError on a hanging face."""
-        c = self._finalize()
-        counts = {}
-        for elem in c["elements"]:
-            for drop in range(self.dim + 1):
-                face = tuple(sorted(v for i, v in enumerate(elem) if i != drop))
-                counts[face] = counts.get(face, 0) + 1
+        elements = self.elements
+        faces = np.sort(np.stack([np.delete(elements, k, axis=1)
+                                  for k in range(self.dim + 1)]), axis=2)
+        faces, counts = np.unique(faces.reshape(-1, self.dim), axis=0,
+                                  return_counts=True)
+        if (counts > 2).any():
+            k = np.argmax(counts > 2)
+            raise AssertionError(
+                f"face {faces[k].tolist()} shared by {counts[k]} elements")
+        lone = faces[counts == 1]
         tol = 1e-12 * max(1.0, self.H)
-        verts = c["vertices"]
-        for face, cnt in counts.items():
-            if cnt == 2:
-                continue
-            if cnt != 1:
-                raise AssertionError(f"face {face} shared by {cnt} elements")
-            on_plane = False
-            for k in range(self.dim):
-                for side in (-self.H, self.H):
-                    if np.all(np.abs(verts[list(face), k] - side) <= tol):
-                        on_plane = True
-            if not on_plane:
-                raise AssertionError(f"interior face {face} has one owner")
+        on_plane = np.zeros(len(lone), dtype=bool)
+        for side in (-self.H, self.H):
+            on_plane |= (np.abs(self._coords[lone] - side) <= tol).all(axis=1).any(axis=1)
+        if not on_plane.all():
+            face = lone[np.argmin(on_plane)].tolist()
+            raise AssertionError(f"interior face {face} has one owner")
         return True
 
     # -- point location ----------------------------------------------------
 
     def _barycentric(self, eids, x):
         """Barycentric coordinates of points ``x`` in elements ``eids``."""
-        c = self._finalize()
-        P = c["vertices"][c["forest_verts"][eids]]       # (n, d+1, d)
+        P = self._coords[self._verts[eids]]              # (n, d+1, d)
         A = np.ones((len(eids), self.dim + 1, self.dim + 1))
         A[:, 1:, :] = np.swapaxes(P, 1, 2)
         rhs = np.ones((len(eids), self.dim + 1, 1))
@@ -314,7 +298,7 @@ class SimplicialMesh:
         perm_of_code[np.array(self._perms) @ radix] = np.arange(len(self._perms))
         eids = lin * len(self._perms) + perm_of_code[order @ radix]
         bary = self._barycentric(eids, points)
-        child = self._finalize()["forest_child"]
+        child = self._child
         todo = np.flatnonzero(child[eids] >= 0)
         while todo.size:
             first = child[eids[todo]]
@@ -331,7 +315,7 @@ class SimplicialMesh:
         eids, bary = self.locate(points)
         weights = np.clip(bary, 0.0, None)
         weights = weights / weights.sum(axis=1, keepdims=True)
-        return self._finalize()["forest_verts"][eids], weights
+        return self._verts[eids], weights
 
     def interpolate(self, values, points):
         """Evaluate the P1 interpolant of nodal ``values`` at ``points``."""
@@ -375,23 +359,15 @@ def build_uniform_mesh(H, N, dim=2, bc_case="dirichlet"):
         raise InvalidN(f"N must be an even count >= 2, got {N}")
     if dim not in (2, 3):
         raise InvalidN(f"dim must be 2 or 3, got {dim}")
-    mesh = SimplicialMesh(H, N, dim, bc_case)
     axis = np.linspace(-H, H, N + 1)
     grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
-    vertices = grid.reshape(-1, dim)
     stride = (N + 1) ** np.arange(dim - 1, -1, -1)
     corner = np.indices((N,) * dim).reshape(dim, -1).T @ stride
-    walk = np.zeros((len(mesh._perms), dim + 1), dtype=np.int64)
-    walk[:, 1:] = np.cumsum(stride[np.array(mesh._perms)], axis=1)
+    perms = np.array(list(itertools.permutations(range(dim))))
+    walk = np.zeros((len(perms), dim + 1), dtype=np.int64)
+    walk[:, 1:] = np.cumsum(stride[perms], axis=1)
     elems = (corner[:, None, None] + walk).reshape(-1, dim + 1)
-    mesh._coords = list(vertices)
-    mesh._verts = list(map(tuple, elems.tolist()))
-    mesh._tag = [dim] * len(elems)
-    mesh._gen = [0] * len(elems)
-    mesh._child = [-1] * len(elems)
-    mesh._cache = mesh._geometry(vertices, elems,
-                                 np.full(len(elems), -1, dtype=np.int64))
-    return mesh
+    return SimplicialMesh(H, N, dim, bc_case, grid.reshape(-1, dim), elems)
 
 
 def adapt_to_interface(mesh, phi, N_f, N_c):
@@ -413,10 +389,10 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
 
     phi_at = np.empty(0)
     for _round in range(8 * (levels + 1) * d + 8):
-        cache = new._finalize()
         if len(phi_at) < new.n_vertices:
             phi_at = np.concatenate([phi_at, mesh.interpolate(
-                phi.values, cache["vertices"][len(phi_at):])])
+                phi.values, new.vertices[len(phi_at):])])
+        cache = new._finalize(geometry=False)
         elems = cache["elements"]
         coarse = cache["diameters"] > target
         hit = coarse & (np.abs(phi_at[elems]) < 1.0 - 1e-7).any(axis=1)
@@ -426,8 +402,7 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
         marked = cache["active"][coarse & touched[elems].any(axis=1)]
         if not marked.size:
             break
-        for eid in marked.tolist():
-            new._refine(eid, gen_cap)
+        new.refine(marked, gen_cap)
     else:
         raise RefinementDepthExceeded("marking loop did not terminate")
 

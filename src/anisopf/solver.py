@@ -111,12 +111,36 @@ def _factor(K):
         raise SingularSystem(str(exc)) from None
 
 
+def _saddle_matrix(C_FF, top, bottom, MW, F):
+    """CSC matrix [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]].
+
+    ``C_FF`` and ``MW`` are CSC.  The result holds the entries ``sp.bmat``
+    gives, in the same order and with the explicit zeros of the coupling
+    blocks, without its COO round trip.
+    """
+    nF, n = len(F), MW.shape[0]
+    free = np.zeros(n, dtype=np.int64)
+    free[F] = 1
+    # the two block rows as CSC arrays (column pointers, rows, values)
+    up = np.concatenate([C_FF.indptr, C_FF.nnz + np.cumsum(free)])
+    lo = np.concatenate([np.arange(nF), nF + MW.indptr])
+    rows = np.concatenate([C_FF.indices, np.arange(nF), nF + F, nF + MW.indices])
+    vals = np.concatenate([C_FF.data, top[F], bottom[F], MW.data])
+    # column j of K: its upper entries, then its lower ones
+    pos = np.concatenate([np.arange(up[-1]) + np.repeat(lo[:-1], np.diff(up)),
+                          np.arange(lo[-1]) + np.repeat(up[1:], np.diff(lo))])
+    indices = np.empty(len(pos), dtype=np.int64)
+    data = np.empty(len(pos))
+    indices[pos], data[pos] = rows, vals
+    return sp.csc_matrix((data, indices, up + lo), shape=(nF + n, nF + n))
+
+
 def _solve_free(sys, C, m_rho, f, MW, plus, minus):
     """Solve for the free phase nodes and W with the active nodes pinned.
 
     The unknowns are U on the free set F and all of W; the saddle system
     is [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values moved
-    to the right-hand side.
+    to the right-hand side; ``MW`` is CSC.
     """
     free = ~(plus | minus)
     if not free.any() and sys.theta == 0.0 and not sys.dirichlet.any():
@@ -128,12 +152,7 @@ def _solve_free(sys, C, m_rho, f, MW, plus, minus):
     coup = sys.lam * m_rho
     heat_u = np.where(sys.dirichlet, 0.0, coup)
     C_F = C[F]
-    K = sp.bmat([
-        [C_F[:, F],
-         sp.csr_matrix((-coup[F], (np.arange(nF), F)), shape=(nF, sys.n))],
-        [sp.csr_matrix((heat_u[F], (F, np.arange(nF))), shape=(sys.n, nF)),
-         MW],
-    ], format="csc")
+    K = _saddle_matrix(C_F[:, F].tocsc(), -coup, heat_u, MW, F)
     sol = _factor(K).solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
     U[F] = sol[:nF]
     W = sol[nF:].copy()
@@ -147,7 +166,7 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
     U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
     W = None if W0 is None else np.asarray(W0, dtype=float).copy()
     moving = rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero)
-    _, MW = sys.heat_blocks()
+    MW = sys.heat_blocks()[1].tocsc()
     kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
 
     def mats(Uk):
@@ -287,8 +306,6 @@ def newton_smooth_step(sys, cfg):
     B = sys.b_matrix_at(U)
     r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
     rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
-    free = sp.diags((~sys.dirichlet).astype(float))
-    D_dir = sp.diags(sys.dirichlet.astype(float))
     for _it in range(cfg.newton_max_iter):
         if rnorm < cfg.newton_tol:
             report.converged = True
@@ -297,9 +314,7 @@ def newton_smooth_step(sys, cfg):
         J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
                - sp.diags(sys.lam * sys.M * drho * W)).tocsr()
         J12 = sp.diags(-sys.lam * m_rho)
-        J21 = (free @ sp.diags(sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev)))).tocsr()
-        J22 = (free @ (sys.theta * sp.diags(sys.M) + sys.tau * sys.A_diff)
-               + D_dir).tocsr()
+        J21, J22 = sys.heat_blocks(m_rho + sys.M * drho * (U - sys.phi_prev))
         K = sp.bmat([[J11, J12], [J21, J22]], format="csc")
         delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
         t = 1.0

@@ -22,11 +22,8 @@ from anisopf.stepper import PhysicalParams, initial_phase
 
 def single_triangle_mesh():
     """Right triangle (0,0), (1,0), (0,1) packed into the mesh structure."""
-    m = SimplicialMesh(1.0, 2, 2, "neumann")
-    for xy in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-        m._add_vertex(xy)
-    m._add_elem((0, 1, 2), 2, 0)
-    return m
+    return SimplicialMesh(1.0, 2, 2, "neumann",
+                          [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
 
 @pytest.fixture
@@ -196,6 +193,59 @@ def test_theta_term_only_when_positive(unit_mesh):
     assert np.allclose(diff, expect, atol=1e-14)
 
 
+def _product_heat_blocks(sys, m_rho):
+    """The heat blocks as products with 0/1 diagonal matrices."""
+    D_free = sp.diags((~sys.dirichlet).astype(float))
+    MW = sys.theta * sp.diags(sys.M) + sys.tau * sys.A_diff
+    MW = (D_free @ MW + sp.diags(sys.dirichlet.astype(float))).tocsr()
+    MU = (D_free @ sp.diags(sys.lam * m_rho)).tocsr()
+    return MU, MW
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("theta", [0.0, 1.5])
+def test_heat_blocks_match_product_expressions(bc, theta):
+    mesh = build_uniform_mesh(0.5, 8, 2, bc)
+    rng = np.random.default_rng(13)
+    phi = rng.uniform(-1, 1, mesh.n_vertices)
+    w = rng.normal(size=mesh.n_vertices)
+    params, pot, sh, aniso, mob = _default_setup(mesh, theta=theta, rho=0.01,
+                                                 bc=bc, Kplus=2.0)
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi, w)
+    # a Newton-type coupling diagonal, with zeros that must not be stored
+    m_lin = sys.M_rho + sys.M * rng.uniform(-1, 1, sys.n)
+    m_lin[::7] = 0.0
+    for m_rho in (None, m_lin):
+        got = sys.heat_blocks(m_rho)
+        want = _product_heat_blocks(sys, sys.M_rho if m_rho is None else m_rho)
+        for G, W in zip(got, want):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(G, name), getattr(W, name)), name
+
+
+def test_gamma_mobility_evaluates_gamma_once(monkeypatch):
+    aniso = make_regularized_l1(0.3, 2)
+    rng = np.random.default_rng(14)
+    p = rng.normal(size=(40, 2))
+    p[::5] = 0.0
+    for mob in (MobilitySpec("gamma"), MobilitySpec("gamma", mu_bar=0.7)):
+        g, b = aniso.gamma(p), mob.beta(aniso, p)
+        want = np.where(b > 0.0, g / np.where(b > 0.0, b, 1.0), mob.fallback(aniso))
+        calls = []
+
+        def counting_gamma(q, gamma=aniso.gamma):
+            calls.append(np.ndim(q))
+            return gamma(q)
+
+        monkeypatch.setattr(aniso, "gamma", counting_gamma)
+        got = mob.mu(aniso, p)
+        monkeypatch.undo()
+        assert calls.count(2) == 1
+        assert np.array_equal(got, want)
+        assert mob.mu(aniso, p[1]) == 1.0
+        assert mob.mu(aniso, p[0]) == mob.fallback(aniso)
+
+
 def test_weight_length_validation(unit_mesh):
     with pytest.raises(InconsistentDimensions):
         lumped_mass(unit_mesh, np.ones(3), per="vertex")
@@ -337,7 +387,7 @@ def test_stiffness_pattern_follows_refinement():
     rng = np.random.default_rng(12)
     _assert_csr_close(stiffness(mesh), _einsum_stiffness(mesh))
     # an in-place bisection drops the cached pattern with the geometry
-    mesh._refine(5, 4)
+    mesh.refine([5], 4)
     coeff = rng.uniform(0.5, 2.0, mesh.n_elements)
     _assert_csr_close(stiffness(mesh, coeff), _einsum_stiffness(mesh, coeff))
     phi = initial_phase(mesh, 0.2, 1.0 / (16.0 * np.pi))

@@ -1,0 +1,181 @@
+"""Batched conforming refinement against the recursive closure.
+
+The reference is the recursive newest-vertex closure on plain lists: to
+bisect an element it first bisects, recursively, every active sharer of
+its bisection edge that would bisect another edge, then splits the whole
+edge patch at one midpoint.  The batched ``SimplicialMesh.refine`` numbers
+vertices and elements in another order, so the meshes are compared as sets:
+every active element by its vertex coordinates in slot order, its tag and
+its generation, and every vertex by its coordinates, all bitwise.
+"""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from anisopf.errors import RefinementDepthExceeded
+from anisopf.mesh import (
+    NodalField,
+    SimplicialMesh,
+    adapt_to_interface,
+    build_uniform_mesh,
+    transfer_field,
+)
+
+
+class RecursiveForest:
+    """The forest of a mesh as plain lists, refined by the recursive closure."""
+
+    def __init__(self, mesh):
+        self.dim = mesh.dim
+        self.coords = list(mesh._coords)
+        self.verts = [tuple(v) for v in mesh._verts.tolist()]
+        self.tag = mesh._tag.tolist()
+        self.gen = mesh._gen.tolist()
+        self.child = mesh._child.tolist()
+        self.edge_mid = {}
+        self.vert_elems = defaultdict(set)
+        for eid, verts in enumerate(self.verts):
+            if self.child[eid] < 0:
+                for v in verts:
+                    self.vert_elems[v].add(eid)
+
+    def bisection_edge(self, eid):
+        v = self.verts[eid]
+        return v[0], v[self.tag[eid]]
+
+    def midpoint(self, a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in self.edge_mid:
+            self.coords.append(0.5 * (self.coords[a] + self.coords[b]))
+            self.edge_mid[key] = len(self.coords) - 1
+        return self.edge_mid[key]
+
+    def edge_sharers(self, a, b):
+        return sorted(self.vert_elems[a] & self.vert_elems[b])
+
+    def add_elem(self, verts, tag, gen):
+        self.verts.append(tuple(verts))
+        self.tag.append(tag)
+        self.gen.append(gen)
+        self.child.append(-1)
+        for v in verts:
+            self.vert_elems[v].add(len(self.verts) - 1)
+        return len(self.verts) - 1
+
+    def split(self, eid, z):
+        v, t = self.verts[eid], self.tag[eid]
+        newtag = t - 1 if t > 1 else self.dim
+        gen = self.gen[eid] + 1
+        self.child[eid] = self.add_elem(v[:t] + (z,) + v[t + 1:], newtag, gen)
+        self.add_elem(v[1:t + 1] + (z,) + v[t + 1:], newtag, gen)
+        for u in v:
+            self.vert_elems[u].discard(eid)
+
+    def refine(self, eid, gen_cap, depth=0):
+        if self.child[eid] >= 0:
+            return
+        if depth > gen_cap + 4 or self.gen[eid] >= gen_cap:
+            raise RefinementDepthExceeded("reference closure too deep")
+        a, b = self.bisection_edge(eid)
+        while True:
+            sharers = self.edge_sharers(a, b)
+            bad = [e for e in sharers
+                   if set(self.bisection_edge(e)) != {a, b}]
+            if not bad:
+                break
+            for e in bad:
+                self.refine(e, gen_cap, depth + 1)
+        z = self.midpoint(a, b)
+        for e in sharers:
+            self.split(e, z)
+
+    def store(self, mesh):
+        mesh._coords = np.array(self.coords)
+        mesh._verts = np.array(self.verts, dtype=np.int64)
+        mesh._tag = np.array(self.tag, dtype=np.int64)
+        mesh._gen = np.array(self.gen, dtype=np.int64)
+        mesh._child = np.array(self.child, dtype=np.int64)
+        mesh._cache = None
+
+
+def recursive_refine(mesh, eids, gen_cap):
+    """Drop-in for ``SimplicialMesh.refine``: one closure per element, in
+    ascending id order."""
+    forest = RecursiveForest(mesh)
+    for eid in sorted(set(np.asarray(eids).tolist())):
+        forest.refine(eid, gen_cap)
+    forest.store(mesh)
+
+
+def active_set(mesh):
+    """Active elements as (vertex coordinates in slot order, tag, generation)."""
+    active = np.flatnonzero(mesh._child < 0)
+    P = mesh._coords[mesh._verts[active]]
+    return {(P[k].tobytes(), int(mesh._tag[e]), int(mesh._gen[e]))
+            for k, e in enumerate(active)}
+
+
+def assert_same_forest(mesh, ref):
+    assert active_set(mesh) == active_set(ref)
+    coords = {x.tobytes() for x in mesh._coords}
+    assert len(coords) == mesh.n_vertices == ref.n_vertices
+    assert coords == {x.tobytes() for x in ref._coords}
+    mesh.check_conforming()
+
+
+def circular_phase(mesh, R0, eps):
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    vals = np.sin((r - R0) / eps)
+    vals[r <= R0 - eps * np.pi / 2] = -1.0
+    vals[r >= R0 + eps * np.pi / 2] = 1.0
+    return NodalField(np.clip(vals, -1.0, 1.0), mesh)
+
+
+@pytest.mark.parametrize("dim,N,rounds,per_round", [(2, 4, 12, 4), (3, 2, 10, 3)])
+def test_random_marking_matches_recursive_closure(dim, N, rounds, per_round):
+    rng = np.random.default_rng(20 + dim)
+    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    ref = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    for _ in range(rounds):
+        # the same simplices in both meshes: located from the same points,
+        # half of them in a small box so that the forest grows deep there
+        pts = rng.uniform(-0.5, 0.5, (per_round, dim))
+        pts[::2] = 0.1 + 0.15 * pts[::2]
+        mesh.refine(mesh.locate(pts)[0], gen_cap=40)
+        recursive_refine(ref, ref.locate(pts)[0], gen_cap=40)
+        assert_same_forest(mesh, ref)
+    assert mesh._gen[mesh._child < 0].max() >= 2 * dim
+
+
+def test_refine_skips_inactive_and_repeated_ids():
+    mesh = build_uniform_mesh(0.5, 4, 2, "dirichlet")
+    ref = build_uniform_mesh(0.5, 4, 2, "dirichlet")
+    mesh.refine([5, 5, 9], gen_cap=8)
+    mesh.refine([5, 9], gen_cap=8)          # both are parents now
+    recursive_refine(ref, [5, 9], gen_cap=8)
+    assert_same_forest(mesh, ref)
+
+
+def adapt_twice(dim, N_f, N_c):
+    eps = 1.0 / (N_f / 4 * np.pi)
+    m = build_uniform_mesh(0.5, N_f, dim, "neumann")
+    phi = circular_phase(m, 0.2, eps)
+    m1, t1 = adapt_to_interface(m, phi, N_f, N_c)
+    m2, t2 = adapt_to_interface(m1, circular_phase(m1, 0.27, eps), N_f, N_c)
+    return m1, m2, transfer_field(transfer_field(phi, t1), t2)
+
+
+@pytest.mark.parametrize("dim,N_f,N_c", [(2, 64, 8), (3, 8, 4)])
+def test_adapt_matches_recursive_closure(monkeypatch, dim, N_f, N_c):
+    m1, m2, field = adapt_twice(dim, N_f, N_c)
+    with monkeypatch.context() as mp:
+        mp.setattr(SimplicialMesh, "refine", recursive_refine)
+        r1, r2, ref_field = adapt_twice(dim, N_f, N_c)
+    assert_same_forest(m1, r1)
+    assert_same_forest(m2, r2)
+    # transferred values keyed by vertex coordinates
+    got = {x.tobytes(): v.tobytes() for x, v in zip(m2._coords, field.values)}
+    want = {x.tobytes(): v.tobytes() for x, v in zip(r2._coords, ref_field.values)}
+    assert got == want

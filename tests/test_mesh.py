@@ -4,6 +4,7 @@ import pytest
 from anisopf.errors import InvalidN, MeshMismatch
 from anisopf.mesh import (
     NodalField,
+    SimplicialMesh,
     adapt_to_interface,
     build_uniform_mesh,
     transfer_field,
@@ -74,7 +75,7 @@ def test_conformity_after_local_refinement():
     m = build_uniform_mesh(0.5, 4, 2, "dirichlet")
     for _ in range(25):
         eid, _ = m.locate(np.array([[0.11, 0.07]]))
-        m._refine(int(eid[0]), gen_cap=40)
+        m.refine([int(eid[0])], gen_cap=40)
     m.check_conforming()
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
 
@@ -83,9 +84,42 @@ def test_conformity_after_local_refinement_3d():
     m = build_uniform_mesh(0.5, 2, 3, "neumann")
     for _ in range(15):
         eid, _ = m.locate(np.array([[0.05, 0.02, -0.04]]))
-        m._refine(int(eid[0]), gen_cap=40)
+        m.refine([int(eid[0])], gen_cap=40)
     m.check_conforming()
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_conformity_audit_rejects_hanging_node():
+    # the square as two triangles, the second one bisected alone at the
+    # midpoint of the shared diagonal
+    coords = [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5), (0.0, 0.0)]
+    m = SimplicialMesh(0.5, 2, 2, "dirichlet", coords,
+                       [(0, 1, 2), (1, 3, 4), (3, 2, 4)])
+    with pytest.raises(AssertionError, match="has one owner"):
+        m.check_conforming()
+
+
+def test_conformity_audit_rejects_face_with_three_owners():
+    u = build_uniform_mesh(0.5, 2, 2, "dirichlet")
+    m = SimplicialMesh(0.5, 2, 2, "dirichlet", u.vertices,
+                       np.vstack([u.elements, u.elements[3:4]]))
+    with pytest.raises(AssertionError, match="shared by 3 elements"):
+        m.check_conforming()
+
+
+@pytest.mark.parametrize("dim,N_f,N_c", [(2, 32, 8), (3, 8, 4)])
+def test_closed_form_geometry_matches_linalg(dim, N_f, N_c):
+    m = build_uniform_mesh(0.5, N_f, dim, "dirichlet")
+    out, _ = adapt_to_interface(m, circular_phase(m), N_f, N_c)
+    P = out.vertices[out.elements]
+    T = np.swapaxes(P[:, 1:] - P[:, :1], 1, 2)
+    Tinv = np.linalg.inv(T)
+    # a few hundred ulps on matrices whose condition number is at most ~10
+    tol = 1e-13 * np.abs(Tinv).max()
+    assert np.abs(out.grads[:, 1:] - Tinv).max() <= tol
+    assert np.abs(out.grads[:, 0] + Tinv.sum(axis=1)).max() <= tol
+    vol = np.abs(np.linalg.det(T)) / (2 if dim == 2 else 6)
+    assert np.abs(out.volumes / vol - 1.0).max() <= 1e-13
 
 
 def test_adapt_no_interface_is_coarse_mesh():
@@ -197,7 +231,7 @@ def test_refinement_depth_cap_raises():
     with pytest.raises(RefinementDepthExceeded):
         for _ in range(20):
             eid, _ = m.locate(np.array([[0.01, 0.02]]))
-            m._refine(int(eid[0]), gen_cap=4)
+            m.refine([int(eid[0])], gen_cap=4)
 
 
 def test_radial_maxima_counter():

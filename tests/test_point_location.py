@@ -15,7 +15,7 @@ from anisopf.mesh import NodalField, adapt_to_interface, build_uniform_mesh
 
 
 def reference_barycentric(mesh, eid, x):
-    P = np.array([mesh._coords[v] for v in mesh._verts[eid]])
+    P = mesh._coords[mesh._verts[eid]]
     A = np.vstack([np.ones(mesh.dim + 1), P.T])
     return np.linalg.solve(A, np.concatenate([[1.0], x]))
 
@@ -53,13 +53,13 @@ def reference_interpolate(mesh, values, points):
     for i, (eid, lam) in enumerate(zip(eids, bary)):
         lam = np.clip(lam, 0.0, None)
         lam = lam / lam.sum()
-        out[i] = float(lam @ values[list(mesh._verts[eid])])
+        out[i] = float(lam @ values[mesh._verts[eid]])
     return out
 
 
 def reference_transfer(mesh, points):
     eids, bary = reference_locate(mesh, points)
-    vert_ids = np.array([mesh._verts[e] for e in eids], dtype=np.int64)
+    vert_ids = mesh._verts[eids]
     weights = np.clip(bary, 0.0, None)
     return vert_ids, weights / weights.sum(axis=1, keepdims=True)
 
@@ -110,7 +110,7 @@ def adapted_2d():
 def test_forest_is_several_levels_deep(adapted_2d):
     m1, m2 = adapted_2d
     for m in (m1, m2):
-        assert max(m._gen[e] for e in m._finalize()["active"]) >= 4
+        assert m._gen[m._child < 0].max() >= 4
 
 
 def test_locate_matches_reference_2d(adapted_2d):
@@ -134,8 +134,8 @@ def test_locate_and_transfer_match_reference_3d():
     eps = 1.0 / (8 * np.pi)
     m = build_uniform_mesh(0.5, 8, 3, "neumann")
     m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 8, 4)
-    gens = [m1._gen[e] for e in m1._finalize()["active"]]
-    assert min(gens) < max(gens) == 3
+    gens = m1._gen[m1._child < 0]
+    assert gens.min() < gens.max() == 3
     values = rng.uniform(-1.0, 1.0, m1.n_vertices)
     assert_matches_reference(m1, probe_points(m1, rng, 200), values)
     new, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), 8, 4)
@@ -158,7 +158,7 @@ def test_uniform_mesh_numbering(dim, N):
 
     coords = [np.array([axis[i] for i in idx])
               for idx in itertools.product(range(N + 1), repeat=dim)]
-    elems, vert_elems = [], [set() for _ in coords]
+    elems = []
     for lin, cell in enumerate(itertools.product(range(N), repeat=dim)):
         for p, perm in enumerate(itertools.permutations(range(dim))):
             corner = list(cell)
@@ -168,13 +168,9 @@ def test_uniform_mesh_numbering(dim, N):
                 verts.append(vid(corner))
             eid = len(elems)
             assert eid == lin * len(m._perms) + p
-            elems.append(tuple(verts))
-            for v in verts:
-                vert_elems[v].add(eid)
-    assert len(m._coords) == len(coords)
-    assert all(np.array_equal(a, b) for a, b in zip(m._coords, coords))
-    assert m._verts == elems
-    assert [m._vertex_elements()[v] for v in range(len(coords))] == vert_elems
+            elems.append(verts)
+    assert np.array_equal(m._coords, coords)
+    assert np.array_equal(m._verts, elems)
     # locate's first guess is this numbering; on an unrefined mesh it is
     # the containing simplex
     rng = np.random.default_rng(5)

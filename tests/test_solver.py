@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anisopf.anisotropy import MobilitySpec, make_isotropic, make_regularized_l1
 from anisopf.assembly import assemble_step_system
@@ -14,6 +15,7 @@ from anisopf.mesh import build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.solver import (
     SolverConfig,
+    _saddle_matrix,
     active_set_step,
     choose_method,
     conservation_audit,
@@ -41,6 +43,33 @@ def small_setup(n=8, theta=0.0, rho=0.01, u_D=-2.0, bc="dirichlet",
     mob = MobilitySpec("gamma")
     sys = assemble_step_system(mesh, params, pot, shape, aniso, mob, phi, w)
     return sys, params, CFG
+
+
+@pytest.mark.parametrize("bc,theta", [("dirichlet", 0.0), ("mixed", 1.0),
+                                      ("neumann", 0.0), ("neumann", 1.0)])
+@pytest.mark.parametrize("free_set", ["band", "none", "all"])
+def test_saddle_matrix_matches_bmat(bc, theta, free_set):
+    sys, params, cfg = small_setup(n=8, bc=bc, theta=theta)
+    n = sys.n
+    F = {"band": np.flatnonzero(np.abs(sys.phi_prev) < 1.0),
+         "none": np.arange(0), "all": np.arange(n)}[free_set]
+    nF = F.size
+    C = sys.c_matrix()
+    coup = sys.lam * sys.m_rho_diag(sys.phi_prev)
+    heat_u = np.where(sys.dirichlet, 0.0, coup)
+    MW = sys.heat_blocks()[1]
+    K = _saddle_matrix(C[F][:, F].tocsc(), -coup, heat_u, MW.tocsc(), F)
+    ref = sp.bmat([
+        [C[F][:, F],
+         sp.csr_matrix((-coup[F], (np.arange(nF), F)), shape=(nF, n))],
+        [sp.csr_matrix((heat_u[F], (F, np.arange(nF))), shape=(n, nF)), MW],
+    ], format="csc")
+    assert K.format == "csc" and K.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, name), getattr(ref, name)), name
+    if bc != "neumann" and free_set == "all":
+        # Dirichlet phase nodes in F give explicit zeros in the coupling
+        assert (K.data == 0.0).any()
 
 
 def test_pgs_rejects_zero_diagonal():
