@@ -158,30 +158,24 @@ class MobilitySpec:
 
     ``kind`` is one of ``gamma`` (beta = gamma), ``flat`` / ``tall``
     (axis-weighted Euclidean mobilities with weight 10^(-2*level) on the
-    last coordinate, resp. on all but the last), or ``custom`` with an
-    explicit anisotropy as beta.  ``mu_bar`` is the fallback value of mu at
-    p = 0; it must lie between inf and sup of gamma/beta, which holds
-    automatically when it is a value of that ratio.
+    last coordinate, resp. on all but the last).  ``mu_bar`` is the
+    fallback value of mu at p = 0; it must lie between inf and sup of
+    gamma/beta, which holds automatically when it is a value of that ratio.
     """
 
     kind: str = "gamma"
     level: int = 0
-    beta_custom: AnisotropyDensity | None = None
     mu_bar: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gamma", "flat", "tall", "custom"):
+        if self.kind not in ("gamma", "flat", "tall"):
             raise ValueError(f"unknown mobility kind {self.kind!r}")
-        if self.kind == "custom" and self.beta_custom is None:
-            raise ValueError("custom mobility requires beta_custom")
 
     def beta(self, a, p):
         """beta(p); positively one-homogeneous, > 0 away from 0."""
         p = np.asarray(p, dtype=float)
         if self.kind == "gamma":
             return a.gamma(p)
-        if self.kind == "custom":
-            return self.beta_custom.gamma(p)
         if self.kind == "flat":
             w = np.ones(p.shape[-1])
             w[-1] = 10.0 ** (-2 * self.level)

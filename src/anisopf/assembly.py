@@ -43,28 +43,22 @@ __all__ = [
 ]
 
 
-def lumped_mass(mesh, weight=None, per="vertex"):
+def lumped_mass(mesh, weight=None):
     """Diagonal of the lumped mass matrix, optionally weighted.
 
-    ``weight`` may be per-vertex values (the weight is a nodal function)
-    or per-element values (piecewise constant); the unweighted diagonal
-    sums to the domain volume.
+    ``weight`` holds per-element values (a piecewise constant weight); the
+    unweighted diagonal sums to the domain volume.
     """
     c = mesh._finalize()
     elements, volumes = c["elements"], c["volumes"]
-    nv = len(c["vertices"])
-    weight = None if weight is None else np.asarray(weight, dtype=float)
-    vertex_weight = weight is not None and per == "vertex"
-    if vertex_weight and weight.shape[0] != nv:
-        raise InconsistentDimensions("vertex weight length mismatch")
-    if weight is not None and not vertex_weight:
+    if weight is not None:
+        weight = np.asarray(weight, dtype=float)
         if weight.shape[0] != len(volumes):
             raise InconsistentDimensions("element weight length mismatch")
         volumes = volumes * weight
     d1 = mesh.dim + 1
-    diag = np.bincount(elements.ravel(), np.repeat(volumes / d1, d1),
-                       minlength=nv)
-    return diag * weight if vertex_weight else diag
+    return np.bincount(elements.ravel(), np.repeat(volumes / d1, d1),
+                       minlength=len(c["vertices"]))
 
 
 def stiffness(mesh, coeff=None):
@@ -117,21 +111,21 @@ def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur):
 
 @dataclass
 class SystemMatrices:
-    """All blocks of one time step, evaluated at a phase iterate.
+    """All blocks of one time step, built once from the previous state.
 
-    The heat-row blocks carry the Dirichlet replacement already; ``A_diff``
-    and ``B_stiff`` are kept raw (energy evaluations need the unmodified
-    stiffness).  ``rebuild(U)`` refreshes the iterate-dependent pieces
-    (``M_rho`` always, ``B_stiff`` and hence ``C`` only when r > 1).
+    ``MW`` is the heat W-block theta M + tau A_diff with identity Dirichlet
+    rows, the one both solvers factor; ``A_diff`` and ``B_stiff`` are kept
+    raw (energy evaluations need the unmodified stiffness).  ``M_rho`` is
+    the rho-hat weighted coupling diagonal at the previous phase.
     """
 
     mesh: object
     M: np.ndarray                 # lumped mass diagonal
     M_mu: np.ndarray              # mobility-weighted lumped diagonal
     A_diff: sp.csr_matrix         # conductivity-weighted stiffness, raw
-    B_stiff: sp.csr_matrix        # anisotropic stiffness at the iterate
-    M_rho: np.ndarray             # rho-hat weighted lumped diagonal at the iterate
-    f: np.ndarray                 # heat-row rhs at the iterate (Dirichlet applied)
+    MW: sp.csc_matrix             # heat W-block, Dirichlet rows replaced
+    B_stiff: sp.csr_matrix        # anisotropic stiffness at the previous phase
+    M_rho: np.ndarray             # rho-hat weighted lumped diagonal
     g: np.ndarray                 # phase-row rhs
     dirichlet: np.ndarray         # boolean vertex mask
     c_mu: float
@@ -145,7 +139,6 @@ class SystemMatrices:
     w_prev: np.ndarray = field(repr=False, default=None)
     _shape: object = field(repr=False, default=None)
     _aniso: object = field(repr=False, default=None)
-    _smooth_cutoff: bool = field(repr=False, default=False)
     b_depends_on_iterate: bool = False
     rho_plus_nonzero: bool = False
 
@@ -161,12 +154,7 @@ class SystemMatrices:
 
     def m_rho_diag(self, U):
         """Diagonal of lam-free M_rho(U) (rho-hat weighted lumped mass)."""
-        sh = self._shape
-        if self._smooth_cutoff:
-            w = sh.rho_minus(self.phi_prev) + sh.rho_plus_clamped(U)
-        else:
-            w = sh.rho_hat(self.phi_prev, U)
-        return self.M * w
+        return self.M * self._shape.rho_hat(self.phi_prev, U)
 
     def b_matrix_at(self, U):
         if not self.b_depends_on_iterate:
@@ -179,50 +167,21 @@ class SystemMatrices:
         f[self.dirichlet] = self.u_D
         return f
 
-    def rebuild(self, U):
-        """Refresh M_rho, f and (for r > 1) B_stiff at the iterate U."""
-        self.M_rho = self.m_rho_diag(U)
-        self.f = self.f_rhs(self.M_rho)
-        if self.b_depends_on_iterate:
-            self.B_stiff = self.b_matrix_at(U)
-
-    def heat_blocks(self, m_rho=None):
-        """(U-block, W-block) of the heat row with Dirichlet replacement.
-
-        The U-block is diag(lam * m_rho) (``m_rho`` defaults to ``M_rho``)
-        with empty Dirichlet rows, the W-block theta M + tau A_diff with
-        identity Dirichlet rows; neither stores explicit zeros.
-        """
-        u = self.lam * (self.M_rho if m_rho is None else m_rho)
-        MU = sp.diags(np.where(self.dirichlet, 0.0, u), format="csr")
-        MW = (self.theta * sp.diags(self.M) + self.tau * self.A_diff).tocsr()
-        MW.data[np.repeat(self.dirichlet, np.diff(MW.indptr))] = 0.0
-        MW = MW + sp.diags(self.dirichlet.astype(float))
-        return MU, MW
-
 
 def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
-                         phi_prev, w_prev, phi_iter=None, tau=None):
+                         phi_prev, w_prev):
     """Build the coupled step system at the previous state.
 
-    ``phi_iter`` selects where the iterate-dependent blocks are evaluated
-    (defaults to the previous phase).  ``params`` carries the physical
-    constants; the smooth scheme is selected by ``pot.kind == 'quartic'``
-    and uses the clipped conductivity and the clamped implicit shape part.
-    ``tau`` overrides the uniform step size for variable-step drivers.
+    ``params`` carries the physical constants and the step size; ``pot``
+    only enters through c_psi.
     """
     phi_prev = np.asarray(phi_prev, dtype=float)
     w_prev = np.asarray(w_prev, dtype=float)
     nv = mesh.n_vertices
     if phi_prev.shape != (nv,) or w_prev.shape != (nv,):
         raise InconsistentDimensions("field lengths do not match the mesh")
-    if phi_iter is None:
-        phi_iter = phi_prev
-    tau = params.tau if tau is None else float(tau)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
 
-    smooth = pot.kind == "quartic"
+    tau = params.tau
     c_psi = pot.c_psi
     c_mu = params.lam * params.eps * params.rho / (c_psi * params.a * tau)
     c_B = params.lam * params.alpha * params.eps / (c_psi * params.a)
@@ -231,28 +190,32 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
     M = lumped_mass(mesh)
     grads_prev = mesh.field_gradients(phi_prev)
     mu_elem = mobility.mu(aniso, grads_prev)
-    M_mu = lumped_mass(mesh, mu_elem, per="element")
+    M_mu = lumped_mass(mesh, mu_elem)
 
-    b_vertex = diffusivity_b(phi_prev, params.Kplus, params.Kminus, clipped=smooth)
+    b_vertex = diffusivity_b(phi_prev, params.Kplus, params.Kminus)
     b_elem = b_vertex[mesh.elements].mean(axis=1)
     A_diff = stiffness(mesh, b_elem)
 
-    B = anisotropic_stiffness(mesh, aniso, phi_prev, phi_iter)
+    dirichlet = mesh.dirichlet_mask.copy()
+    MW = (params.theta * sp.diags(M) + tau * A_diff).tocsr()
+    MW.data[np.repeat(dirichlet, np.diff(MW.indptr))] = 0.0
+    MW = (MW + sp.diags(dirichlet.astype(float))).tocsc()
+
+    B = anisotropic_stiffness(mesh, aniso, phi_prev, phi_prev)
 
     g = c_mu * M_mu * phi_prev + c_conc * M * phi_prev
 
     sys = SystemMatrices(
-        mesh=mesh, M=M, M_mu=M_mu, A_diff=A_diff, B_stiff=B,
-        M_rho=np.zeros(nv), f=np.zeros(nv), g=g,
-        dirichlet=mesh.dirichlet_mask.copy(),
+        mesh=mesh, M=M, M_mu=M_mu, A_diff=A_diff, MW=MW, B_stiff=B,
+        M_rho=None, g=g,
+        dirichlet=dirichlet,
         c_mu=c_mu, c_B=c_B, c_conc=c_conc,
         lam=params.lam, theta=params.theta,
         tau=tau, u_D=params.u_D,
         phi_prev=phi_prev, w_prev=w_prev,
-        _shape=shape, _aniso=aniso, _smooth_cutoff=smooth,
+        _shape=shape, _aniso=aniso,
         b_depends_on_iterate=aniso.exponent > 1.0,
         rho_plus_nonzero=not shape.implicit_part_is_zero,
     )
-    sys.M_rho = sys.m_rho_diag(phi_iter)
-    sys.f = sys.f_rhs(sys.M_rho)
+    sys.M_rho = sys.m_rho_diag(phi_prev)
     return sys

@@ -21,7 +21,7 @@ from .errors import AnisoPFError, ParseError, ValidationError
 from .potentials import boundary_layer_check
 from .stepper import run_simulation
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main"]
 
 
 def _build_parser():
@@ -137,8 +137,6 @@ def main(argv=None):
         return 1
     return 2
 
-
-cli_main = main
 
 if __name__ == "__main__":
     raise SystemExit(main())

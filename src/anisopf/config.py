@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .anisotropy import anisotropy_from_name, mobility_from_name
 from .errors import ParseError, ValidationError
-from .potentials import potential_from_name, shape_from_name
+from .potentials import PotentialSpec, shape_from_name
 from .solver import SolverConfig
 from .stepper import PhysicalParams
 
@@ -60,7 +60,6 @@ class RunConfig:
     # [output]
     out_dir: str = ""
     vtk_every: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not self.out_dir:
@@ -108,7 +107,7 @@ class RunConfig:
             R0=self.R0, T_end=self.T_end, tau=self.tau)
 
     def model_objects(self):
-        pot = potential_from_name(self.potential)
+        pot = PotentialSpec(self.potential)
         sh = shape_from_name(self.shape, u_D=self.u_D, m=self.m_cutoff)
         aniso = anisotropy_from_name(self.anisotropy, dim=self.dim)
         if aniso.dim != self.dim:
@@ -181,7 +180,6 @@ _SCHEMA = {
     "output": {
         "dir": ("out_dir", str),
         "vtk_every": ("vtk_every", int),
-        "seed": ("seed", int),
     },
 }
 
@@ -221,25 +219,15 @@ def parse_config(text):
     return RunConfig(**values)
 
 
-_SERIALIZE_ORDER = [
-    ("physics", ["theta", "lambda", "a", "alpha", "rho", "K_plus", "K_minus",
-                 "eps", "u_D", "H", "R0", "T_end", "tau", "bc"]),
-    ("model", ["potential", "shape", "anisotropy", "mobility", "initial",
-               "m_cutoff"]),
-    ("solver", ["method", "tol", "omega", "max_outer", "newton_tol",
-                "newton_max_iter"]),
-    ("mesh", ["N_f", "N_c", "dim", "adaptive"]),
-    ("output", ["dir", "vtk_every", "seed"]),
-]
-
-
 def serialize_config(cfg):
-    """Canonical text form; floats keep 17 significant digits."""
+    """Canonical text form in schema order (``eps`` written, not its
+    ``eps_inv`` alias); floats keep 17 significant digits."""
     lines = []
-    for section, keys in _SERIALIZE_ORDER:
+    for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key in keys:
-            attr, _ = _SCHEMA[section][key]
+        for key, (attr, _) in keys.items():
+            if key == "eps_inv":
+                continue
             val = getattr(cfg, attr)
             if isinstance(val, bool):
                 text = "true" if val else "false"

@@ -40,7 +40,7 @@ _BC_CASES = ("dirichlet", "neumann", "mixed")
 
 
 class SimplicialMesh:
-    """Simplicial mesh of (-H, H)^d with boundary tags and refinement forest.
+    """Simplicial mesh of (-H, H)^d with a Dirichlet mask and refinement forest.
 
     Instances are created by :func:`build_uniform_mesh` and refined through
     :func:`adapt_to_interface`; once handed to the assembly they are
@@ -139,7 +139,7 @@ class SimplicialMesh:
 
     def _finalize(self, geometry=True):
         """Active elements and diameters; with ``geometry`` also volumes,
-        P1 gradients and boundary masks.  Dropped on refinement."""
+        P1 gradients and the Dirichlet mask.  Dropped on refinement."""
         c = self._cache
         if c is None:
             active = np.flatnonzero(self._child < 0)
@@ -157,7 +157,7 @@ class SimplicialMesh:
         return c
 
     def _geometry(self, elements):
-        """Volumes, P1 gradients (closed-form inverses) and boundary masks."""
+        """Volumes, P1 gradients (closed-form inverses) and Dirichlet mask."""
         P = self._coords[elements]                   # (ne, d+1, d)
         E = P[:, 1:, :] - P[:, :1, :]                # row k: edge to vertex k+1
         # rows of adj / det are the rows of the inverse of [e_1 .. e_d]
@@ -175,7 +175,7 @@ class SimplicialMesh:
             onb |= np.abs(vertices[:, k] - self.H) <= tol
             onb |= np.abs(vertices[:, k] + self.H) <= tol
         if self.bc_case == "dirichlet":
-            dirichlet = onb.copy()
+            dirichlet = onb
         elif self.bc_case == "neumann":
             dirichlet = np.zeros_like(onb)
         else:
@@ -183,7 +183,6 @@ class SimplicialMesh:
         return {
             "volumes": np.abs(det) / math.factorial(self.dim),
             "grads": grads,
-            "boundary_mask": onb,
             "dirichlet_mask": dirichlet,
         }
 
@@ -208,10 +207,6 @@ class SimplicialMesh:
         return self._finalize(geometry=False)["diameters"]
 
     @property
-    def boundary_mask(self):
-        return self._finalize()["boundary_mask"]
-
-    @property
     def dirichlet_mask(self):
         return self._finalize()["dirichlet_mask"]
 
@@ -222,15 +217,6 @@ class SimplicialMesh:
     @property
     def n_elements(self):
         return len(self._finalize(geometry=False)["active"])
-
-    @property
-    def boundary_tags(self):
-        """Map boundary vertex id -> 'dirichlet' | 'neumann'."""
-        c = self._finalize()
-        tags = {}
-        for v in np.nonzero(c["boundary_mask"])[0]:
-            tags[int(v)] = "dirichlet" if c["dirichlet_mask"][v] else "neumann"
-        return tags
 
     def field_gradients(self, values):
         """Per-element constant gradient of a nodal field, shape (ne, d)."""

@@ -16,17 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicable
-
 __all__ = [
     "PotentialSpec",
     "ShapeSpec",
-    "phi_split",
-    "shape_eval",
-    "shape_cutoff",
     "diffusivity_b",
     "boundary_layer_check",
-    "potential_from_name",
     "shape_from_name",
 ]
 
@@ -54,15 +48,6 @@ class PotentialSpec:
         return 0.25 * (s * s - 1.0) ** 2
 
 
-def phi_split(pot, s):
-    """Convex/concave derivative split (s^3, -s) of the quartic well."""
-    if pot.kind != "quartic":
-        raise NotApplicable("the obstacle well has no derivative split; "
-                            "its constraint is enforced variationally")
-    s = np.asarray(s, dtype=float)
-    return s**3, -s
-
-
 _SHAPE_KINDS = ("const", "lin-minus", "lin-plus", "quartic-shape")
 
 
@@ -73,7 +58,7 @@ class ShapeSpec:
     ``split_sign`` selects the split family: ``for-negative-uD`` keeps the
     implicit part nondecreasing (valid for u_D <= 0), ``for-positive-uD``
     the mirrored variant.  ``m`` is the clamp bound of the implicit part
-    used by the smooth scheme (m >= 2).
+    (m >= 2, so the clamp only acts in the smooth scheme).
     """
 
     kind: str = "lin-minus"
@@ -120,11 +105,6 @@ class ShapeSpec:
             return 0.5 * s + 0.25 * s * s + 0.25
         return (15.0 / 16.0) * (s**5 / 5.0 - 2.0 * s**3 / 3.0 + s) + 0.5
 
-    def rho_plus_clamped(self, s):
-        """rho+ evaluated with its argument clamped to [-m, m]."""
-        s = np.clip(np.asarray(s, dtype=float), -self.m, self.m)
-        return self.rho_plus(s)
-
     def rho_plus_deriv_clamped(self, s):
         """d/ds of the clamped implicit part (zero beyond the clamp)."""
         s = np.asarray(s, dtype=float)
@@ -134,7 +114,9 @@ class ShapeSpec:
         return np.where(np.abs(s) <= self.m, sign * 1.5, 0.0)
 
     def rho_hat(self, s_old, s_new):
-        """Semi-implicit weight rho-(old) + rho+(new), no clamp."""
+        """Semi-implicit weight rho-(old) + rho+(new), the implicit argument
+        clamped to [-m, m] (never active on the obstacle box [-1, 1])."""
+        s_new = np.clip(np.asarray(s_new, dtype=float), -self.m, self.m)
         return self.rho_minus(s_old) + self.rho_plus(s_new)
 
     @property
@@ -142,25 +124,13 @@ class ShapeSpec:
         return self.kind != "quartic-shape"
 
 
-def shape_eval(sh, s):
-    """Evaluate (rho, rho+, rho-, P) at s."""
-    return sh.rho(s), sh.rho_plus(s), sh.rho_minus(s), sh.interp(s)
-
-
-def shape_cutoff(sh, s_old, s_new):
-    """Semi-implicit weight with the implicit argument clamped at +-m."""
-    return sh.rho_minus(s_old) + sh.rho_plus_clamped(s_new)
-
-
-def diffusivity_b(s, Kplus, Kminus, clipped=False):
+def diffusivity_b(s, Kplus, Kminus):
     """Phase-interpolated conductivity b(s) = (1+s)/2 K+ + (1-s)/2 K-.
 
-    With ``clipped`` the argument is clamped to [-1, 1] first, keeping the
-    value >= min(K+, K-) for out-of-range phase values.
+    The argument is clamped to [-1, 1] first, keeping the value >=
+    min(K+, K-) for the out-of-range phase values of the smooth scheme.
     """
-    s = np.asarray(s, dtype=float)
-    if clipped:
-        s = np.clip(s, -1.0, 1.0)
+    s = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
     return 0.5 * (1.0 + s) * Kplus + 0.5 * (1.0 - s) * Kminus
 
 
@@ -191,10 +161,6 @@ def boundary_layer_check(pot, sh, eps, alpha, a, u_D):
         stable_m = u_D * rho_m1 == 0.0
     critical = -bulk / rho_p1 if rho_p1 > 0.0 else -math.inf
     return BoundaryLayerReport(bool(stable_p), bool(stable_m), critical)
-
-
-def potential_from_name(name):
-    return PotentialSpec(name)
 
 
 def shape_from_name(name, u_D=0.0, m=2.0):

@@ -114,9 +114,11 @@ def _factor(K):
 def _saddle_matrix(C_FF, top, bottom, MW, F):
     """CSC matrix [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]].
 
-    ``C_FF`` and ``MW`` are CSC.  The result holds the entries ``sp.bmat``
-    gives, in the same order and with the explicit zeros of the coupling
-    blocks, without its COO round trip.
+    ``C_FF`` and ``MW`` are CSC.  Both step solvers factor this matrix:
+    the active-set iteration on its free set, Newton with ``F`` = all
+    nodes.  The result holds the entries ``scipy.sparse.bmat`` gives, in
+    the same order and with the explicit zeros of the coupling blocks,
+    without its COO round trip.
     """
     nF, n = len(F), MW.shape[0]
     free = np.zeros(n, dtype=np.int64)
@@ -135,12 +137,12 @@ def _saddle_matrix(C_FF, top, bottom, MW, F):
     return sp.csc_matrix((data, indices, up + lo), shape=(nF + n, nF + n))
 
 
-def _solve_free(sys, C, m_rho, f, MW, plus, minus):
+def _solve_free(sys, C, m_rho, f, plus, minus):
     """Solve for the free phase nodes and W with the active nodes pinned.
 
     The unknowns are U on the free set F and all of W; the saddle system
     is [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values moved
-    to the right-hand side; ``MW`` is CSC.
+    to the right-hand side.
     """
     free = ~(plus | minus)
     if not free.any() and sys.theta == 0.0 and not sys.dirichlet.any():
@@ -152,7 +154,7 @@ def _solve_free(sys, C, m_rho, f, MW, plus, minus):
     coup = sys.lam * m_rho
     heat_u = np.where(sys.dirichlet, 0.0, coup)
     C_F = C[F]
-    K = _saddle_matrix(C_F[:, F].tocsc(), -coup, heat_u, MW, F)
+    K = _saddle_matrix(C_F[:, F].tocsc(), -coup, heat_u, sys.MW, F)
     sol = _factor(K).solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
     U[F] = sol[:nF]
     W = sol[nF:].copy()
@@ -166,7 +168,6 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
     U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
     W = None if W0 is None else np.asarray(W0, dtype=float).copy()
     moving = rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero)
-    MW = sys.heat_blocks()[1].tocsc()
     kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
 
     def mats(Uk):
@@ -186,7 +187,7 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
         else:
             pred = U - res / d
             plus, minus = pred > 1.0, pred < -1.0
-        U_new, W_new = _solve_free(sys, C, m_rho, f, MW, plus, minus)
+        U_new, W_new = _solve_free(sys, C, m_rho, f, plus, minus)
         report.outer_iterations += 1
         report.active_history.append((int(plus.sum()), int(minus.sum())))
         if W is None:
@@ -312,10 +313,13 @@ def newton_smooth_step(sys, cfg):
             break
         drho = sh.rho_plus_deriv_clamped(U)
         J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
-               - sp.diags(sys.lam * sys.M * drho * W)).tocsr()
-        J12 = sp.diags(-sys.lam * m_rho)
-        J21, J22 = sys.heat_blocks(m_rho + sys.M * drho * (U - sys.phi_prev))
-        K = sp.bmat([[J11, J12], [J21, J22]], format="csc")
+               - sp.diags(sys.lam * sys.M * drho * W)).tocsc()
+        bottom = sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev))
+        bottom[sys.dirichlet] = 0.0
+        K = _saddle_matrix(J11, -sys.lam * m_rho, bottom, sys.MW, np.arange(n))
+        # vanishing coupling entries (Dirichlet rows, liquid nodes of the
+        # quartic shape) stay out of the pattern the LU orders and fills
+        K.eliminate_zeros()
         delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
         t = 1.0
         for _ls in range(20):
@@ -367,16 +371,10 @@ def residual_audit(sys, U, W, smooth=False):
     violation at the pinned nodes (positive residual at +1, negative at
     -1; both should be <= 0 up to solver tolerance).
     """
-    B = sys.b_matrix_at(U)
-    C = sys.c_matrix(B)
-    m_rho = sys.m_rho_diag(U)
-    res = C @ U - sys.lam * m_rho * W - sys.g
-    if smooth:
-        res = res + sys.c_conc * sys.M * U**3
-    heat = (sys.lam * m_rho * (U - sys.phi_prev)
-            + sys.theta * sys.M * (W - sys.w_prev)
-            + sys.tau * (sys.A_diff @ W))
-    heat[sys.dirichlet] = W[sys.dirichlet] - sys.u_D
+    res, heat, _, _ = _smooth_residual(sys, U, W, sys.b_matrix_at(U))
+    if not smooth:
+        # the obstacle row has no cubic term
+        res = res - sys.c_conc * sys.M * U**3
     at_plus = U == 1.0
     at_minus = U == -1.0
     interior = ~(at_plus | at_minus)

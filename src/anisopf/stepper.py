@@ -41,7 +41,6 @@ __all__ = [
     "PhysicalParams",
     "SimulationState",
     "EnergyRow",
-    "StabilityReport",
     "initial_phase",
     "initial_temperature",
     "discrete_energy",
@@ -105,18 +104,6 @@ class EnergyRow:
 
 
 @dataclass
-class StabilityReport:
-    ineq_stab2_holds: bool
-    ineq_stab3_holds: bool
-    stab2_slack: float
-    stab3_slack: float
-    diffusive: float
-    kinetic: float
-    E_h: float          # energies of the new state
-    F_h: float
-
-
-@dataclass
 class SimulationState:
     """Fields and bookkeeping at one time level."""
 
@@ -175,64 +162,44 @@ def discrete_energy(mesh, phi, w, params, pot, sh, aniso):
     return E, F
 
 
-def verify_stability(prev, new, params, pot, sh, aniso, mobility,
-                     tau=None, sys=None, prev_energy=None):
+def verify_stability(prev, new, params, pot, sh, aniso, sys,
+                     prev_energy=None):
     """Evaluate both per-step stability inequalities on a fixed mesh.
 
     The first compares E_h plus the supercooling work and both dissipation
     terms against the previous E_h; the second is the plain monotonicity of
     F_h including the dissipation.  A flag holds when the left side exceeds
-    the right by at most 1e-8 (1 + |rhs|).  ``prev_energy`` is the
-    ``(E_h, F_h)`` pair of ``prev`` when the caller already has it; the
-    report carries the pair of ``new``.
+    the right by at most 1e-8 (1 + |rhs|).  The masses, the conductivity,
+    the coupling weight and tau are read from ``sys``, the step system the
+    solver was given.  ``prev_energy`` is the ``(E_h, F_h)`` pair of
+    ``prev`` when the caller already has it.  Returns the ledger row of
+    ``new``.
     """
     if prev.mesh is not new.mesh:
         raise MeshChanged("stability check requires a common mesh")
     mesh = prev.mesh
-    tau = params.tau if tau is None else tau
-    smooth = pot.kind == "quartic"
     phi_o, w_o = prev.phi.values, prev.w.values
     phi_n, w_n = new.phi.values, new.w.values
-
-    if sys is not None:
-        M, M_mu, A_diff = sys.M, sys.M_mu, sys.A_diff
-    else:
-        from .assembly import stiffness
-        from .potentials import diffusivity_b
-
-        M = lumped_mass(mesh)
-        mu_elem = mobility.mu(aniso, mesh.field_gradients(phi_o))
-        M_mu = lumped_mass(mesh, mu_elem, per="element")
-        b_vertex = diffusivity_b(phi_o, params.Kplus, params.Kminus, clipped=smooth)
-        A_diff = stiffness(mesh, b_vertex[mesh.elements].mean(axis=1))
 
     if prev_energy is None:
         prev_energy = discrete_energy(mesh, phi_o, w_o, params, pot, sh, aniso)
     E_o, F_o = prev_energy
     E_n, F_n = discrete_energy(mesh, phi_n, w_n, params, pot, sh, aniso)
     dphi = phi_n - phi_o
-    diffusive = tau * float(w_n @ (A_diff @ w_n))
-    kinetic = (params.lam * params.rho * params.eps
-               / (params.a * pot.c_psi * tau)) * float(np.sum(M_mu * dphi * dphi))
-    if smooth:
-        rho_hat = sh.rho_minus(phi_o) + sh.rho_plus_clamped(phi_n)
-    else:
-        rho_hat = sh.rho_hat(phi_o, phi_n)
-    work = -params.u_D * params.lam * float(np.sum(M * rho_hat * dphi))
+    diffusive = sys.tau * float(w_n @ (sys.A_diff @ w_n))
+    c_kin = (params.lam * params.rho * params.eps
+             / (params.a * pot.c_psi * sys.tau))
+    kinetic = c_kin * float(np.sum(sys.M_mu * dphi * dphi))
+    work = -params.u_D * params.lam * float(np.sum(sys.m_rho_diag(phi_n) * dphi))
 
-    lhs2 = E_n + work + diffusive + kinetic
-    slack2 = lhs2 - E_o
-    lhs3 = F_n + diffusive + kinetic
-    slack3 = lhs3 - F_o
-    return StabilityReport(
-        ineq_stab2_holds=bool(slack2 <= 1e-8 * (1.0 + abs(E_o))),
-        ineq_stab3_holds=bool(slack3 <= 1e-8 * (1.0 + abs(F_o))),
-        stab2_slack=slack2,
-        stab3_slack=slack3,
-        diffusive=diffusive,
-        kinetic=kinetic,
-        E_h=E_n,
-        F_h=F_n,
+    slack2 = E_n + work + diffusive + kinetic - E_o
+    slack3 = F_n + diffusive + kinetic - F_o
+    return EnergyRow(
+        t=new.t, E_h=E_n, F_h=F_n, diffusive=diffusive, kinetic=kinetic,
+        stab2_slack=slack2, stab3_slack=slack3,
+        stab2_holds=bool(slack2 <= 1e-8 * (1.0 + abs(E_o))),
+        stab3_holds=bool(slack3 <= 1e-8 * (1.0 + abs(F_o))),
+        phi_within_split_bound=_phi_within_split_bound(sh, phi_o, phi_n),
     )
 
 
@@ -316,26 +283,16 @@ def run_simulation(cfg, out_dir=None, strict=False):
                 state.t + params.tau, state.mesh,
                 NodalField(U, state.mesh), NodalField(W, state.mesh),
                 state.ledger, state.reports)
-            stab = verify_stability(state, new_state, params, pot, sh,
-                                    aniso, mobility, sys=sys,
-                                    prev_energy=energy)
-            energy = (stab.E_h, stab.F_h)
-            row = EnergyRow(
-                t=new_state.t, E_h=stab.E_h, F_h=stab.F_h,
-                diffusive=stab.diffusive, kinetic=stab.kinetic,
-                stab2_slack=stab.stab2_slack, stab3_slack=stab.stab3_slack,
-                stab2_holds=stab.ineq_stab2_holds,
-                stab3_holds=stab.ineq_stab3_holds,
-                phi_within_split_bound=_phi_within_split_bound(
-                    sh, state.phi.values, U),
-            )
+            row = verify_stability(state, new_state, params, pot, sh, aniso,
+                                   sys, prev_energy=energy)
+            energy = (row.E_h, row.F_h)
             new_state.ledger.append(row)
             new_state.reports.append(rep)
             state = new_state
-            if strict and not (stab.ineq_stab2_holds and stab.ineq_stab3_holds):
+            if strict and not (row.stab2_holds and row.stab3_holds):
                 raise StabilityViolation(
-                    f"stab2_slack={stab.stab2_slack:.3e} "
-                    f"stab3_slack={stab.stab3_slack:.3e}")
+                    f"stab2_slack={row.stab2_slack:.3e} "
+                    f"stab3_slack={row.stab3_slack:.3e}")
             out.vtk_snapshot(state, n)
     except Exception as exc:
         # the original exception travels on, with its type and attributes

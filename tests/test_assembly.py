@@ -49,8 +49,7 @@ def test_lumped_mass_unit_mobility_weight(unit_mesh):
     phi = rng.uniform(-1, 1, unit_mesh.n_vertices)
     mu = mob.mu(aniso, unit_mesh.field_gradients(phi))
     assert np.allclose(mu, 1.0)
-    assert np.allclose(lumped_mass(unit_mesh, mu, per="element"),
-                       lumped_mass(unit_mesh))
+    assert np.allclose(lumped_mass(unit_mesh, mu), lumped_mass(unit_mesh))
 
 
 def test_lumped_product_matches_vertex_quadrature(unit_mesh):
@@ -147,14 +146,13 @@ def test_step_system_blocks(unit_mesh):
         assert np.abs((K - K.T).toarray()).max() <= 1e-13 * max(
             1e-30, np.abs(K.toarray()).max())
     # Dirichlet rows of the heat block are identity rows
-    MU, MW = sys.heat_blocks()
+    assert sys.MW.format == "csc"
     d = np.nonzero(sys.dirichlet)[0]
-    assert np.abs(MU[d].toarray()).max() == 0.0
-    sub = MW[d].toarray()
+    sub = sys.MW.toarray()[d]
     expect = np.zeros_like(sub)
     expect[np.arange(len(d)), d] = 1.0
     assert np.array_equal(sub, expect)
-    assert np.all(sys.f[d] == params.u_D)
+    assert np.all(sys.f_rhs(sys.M_rho)[d] == params.u_D)
 
 
 def test_step_system_conservation_row_sum():
@@ -165,15 +163,12 @@ def test_step_system_conservation_row_sum():
     params, pot, sh, aniso, mob = _default_setup(mesh, bc="neumann", u_D=0.0,
                                                  shape_kind="const")
     sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi, w)
-    MU, MW = sys.heat_blocks()
     ones = np.ones(mesh.n_vertices)
     # stiffness columns sum to zero, so testing the heat row with the
     # constant function reduces it to conservation of the rho-weighted phase
     assert np.abs(sys.A_diff.T @ ones).max() <= 1e-12
-    assert float(ones @ (MW @ w)) == pytest.approx(0.0, abs=1e-12)
-    assert float(ones @ (MU @ phi)) == pytest.approx(
-        sys.lam * float(np.sum(sys.M_rho * phi)), abs=1e-13)
-    assert float(ones @ sys.f) == pytest.approx(
+    assert float(ones @ (sys.MW @ w)) == pytest.approx(0.0, abs=1e-12)
+    assert float(ones @ sys.f_rhs(sys.M_rho)) == pytest.approx(
         sys.lam * float(np.sum(sys.M_rho * phi)), abs=1e-13)
 
 
@@ -185,21 +180,17 @@ def test_theta_term_only_when_positive(unit_mesh):
     params1, *_ = _default_setup(unit_mesh, theta=2.0)
     s0 = assemble_step_system(unit_mesh, params0, pot, sh, aniso, mob, phi, w)
     s1 = assemble_step_system(unit_mesh, params1, pot, sh, aniso, mob, phi, w)
-    _, MW0 = s0.heat_blocks()
-    _, MW1 = s1.heat_blocks()
     free = ~s0.dirichlet
-    diff = (MW1 - MW0).toarray()[free]
+    diff = (s1.MW - s0.MW).toarray()[free]
     expect = 2.0 * np.diag(s0.M)[free]
     assert np.allclose(diff, expect, atol=1e-14)
 
 
-def _product_heat_blocks(sys, m_rho):
-    """The heat blocks as products with 0/1 diagonal matrices."""
+def _product_heat_block(sys):
+    """The heat W-block as products with 0/1 diagonal matrices."""
     D_free = sp.diags((~sys.dirichlet).astype(float))
     MW = sys.theta * sp.diags(sys.M) + sys.tau * sys.A_diff
-    MW = (D_free @ MW + sp.diags(sys.dirichlet.astype(float))).tocsr()
-    MU = (D_free @ sp.diags(sys.lam * m_rho)).tocsr()
-    return MU, MW
+    return (D_free @ MW + sp.diags(sys.dirichlet.astype(float))).tocsc()
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed"])
@@ -212,15 +203,9 @@ def test_heat_blocks_match_product_expressions(bc, theta):
     params, pot, sh, aniso, mob = _default_setup(mesh, theta=theta, rho=0.01,
                                                  bc=bc, Kplus=2.0)
     sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi, w)
-    # a Newton-type coupling diagonal, with zeros that must not be stored
-    m_lin = sys.M_rho + sys.M * rng.uniform(-1, 1, sys.n)
-    m_lin[::7] = 0.0
-    for m_rho in (None, m_lin):
-        got = sys.heat_blocks(m_rho)
-        want = _product_heat_blocks(sys, sys.M_rho if m_rho is None else m_rho)
-        for G, W in zip(got, want):
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(G, name), getattr(W, name)), name
+    want = _product_heat_block(sys)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sys.MW, name), getattr(want, name)), name
 
 
 def test_gamma_mobility_evaluates_gamma_once(monkeypatch):
@@ -248,7 +233,7 @@ def test_gamma_mobility_evaluates_gamma_once(monkeypatch):
 
 def test_weight_length_validation(unit_mesh):
     with pytest.raises(InconsistentDimensions):
-        lumped_mass(unit_mesh, np.ones(3), per="vertex")
+        lumped_mass(unit_mesh, np.ones(3))
     with pytest.raises(InconsistentDimensions):
         stiffness(unit_mesh, np.ones(3))
 
@@ -268,6 +253,26 @@ def test_rebuild_tracks_iterate(unit_mesh):
     U = rng.uniform(-1, 1, unit_mesh.n_vertices)
     expected = sys.M * (sh.rho_minus(phi) + sh.rho_plus(U))
     assert np.allclose(sys.m_rho_diag(U), expected)
+
+
+@pytest.mark.parametrize("kind", ["const", "lin-minus", "lin-plus",
+                                  "quartic-shape"])
+@pytest.mark.parametrize("split", ["for-negative-uD", "for-positive-uD"])
+def test_obstacle_coupling_weight_is_unclamped(unit_mesh, kind, split):
+    # the clamp of the implicit argument at +-m >= 2 never acts on the
+    # obstacle box, so the weight is the plain rho-(old) + rho+(new)
+    rng = np.random.default_rng(15)
+    phi = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    w = rng.normal(size=unit_mesh.n_vertices)
+    params, pot, _, aniso, mob = _default_setup(unit_mesh)
+    sh = ShapeSpec(kind, split)
+    sys = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
+    U = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    U[:4] = [-1.0, 1.0, 0.0, -0.0]
+    for s in (U, phi):
+        want = sys.M * (sh.rho_minus(phi) + sh.rho_plus(s))
+        assert np.array_equal(sys.m_rho_diag(s), want)
+    assert np.array_equal(sys.M_rho, sys.m_rho_diag(phi))
 
 
 # -- oracles for the batched kernels ------------------------------------
@@ -309,12 +314,12 @@ def _einsum_b_matrix(a, q, p):
     return np.einsum("...l,lij->...ij", coef * w, a.matrices)
 
 
-def _add_at_lumped_mass(mesh, weight=None, per="vertex"):
+def _add_at_lumped_mass(mesh, weight=None):
     d1 = mesh.dim + 1
-    vol = mesh.volumes if weight is None or per == "vertex" else mesh.volumes * weight
+    vol = mesh.volumes if weight is None else mesh.volumes * weight
     diag = np.zeros(mesh.n_vertices)
     np.add.at(diag, mesh.elements.ravel(), np.repeat(vol / d1, d1))
-    return diag * weight if weight is not None and per == "vertex" else diag
+    return diag
 
 
 def _assert_csr_close(K, ref, rtol=1e-13):
@@ -375,9 +380,8 @@ def test_field_gradients_and_lumped_mass_match_reference(dim, N):
     u = rng.normal(size=mesh.n_vertices)
     ref = np.einsum("ekd,ek->ed", mesh.grads, u[mesh.elements])
     assert np.abs(mesh.field_gradients(u) - ref).max() <= 1e-13 * np.abs(ref).max()
-    wv = rng.uniform(0.5, 2.0, mesh.n_vertices)
     we = rng.uniform(0.5, 2.0, mesh.n_elements)
-    for args in ((), (wv, "vertex"), (we, "element")):
+    for args in ((), (we,)):
         ref = _add_at_lumped_mass(mesh, *args)
         assert np.abs(lumped_mass(mesh, *args) - ref).max() <= 1e-13 * ref.max()
 

@@ -1,11 +1,13 @@
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from anisopf.cli import main
-from anisopf.config import RunConfig, parse_config, serialize_config
+from anisopf.config import _SCHEMA, RunConfig, parse_config, serialize_config
 from anisopf.errors import ParseError, ValidationError
 from anisopf.mesh import NodalField, build_uniform_mesh
 from anisopf.output import write_energy_csv, write_vtk
@@ -29,6 +31,34 @@ def test_roundtrip_equality():
                     vtk_every=7, out_dir="somewhere")
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
+    # every schema key is written once; eps stands for its eps_inv alias
+    written = re.findall(r"^(\w+) = ", text, flags=re.M)
+    keys = [k for section in _SCHEMA.values() for k in section if k != "eps_inv"]
+    assert sorted(written) == sorted(keys)
+    assert "eps_inv" not in written
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    cfg = parse_config(path.read_text())
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_config_parses():
+    blocks = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(),
+                        flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.anisotropy == "hex2d-rot:0.1" and cfg.N_f == 64
+
+
+def test_output_seed_key_is_rejected():
+    with pytest.raises(ParseError):
+        parse_config("[output]\nseed = 0\n")
 
 
 def test_eps_inv_key():

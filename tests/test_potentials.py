@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from anisopf.errors import NotApplicable
 from anisopf.potentials import (
     PotentialSpec,
     ShapeSpec,
     boundary_layer_check,
     diffusivity_b,
-    phi_split,
-    shape_cutoff,
-    shape_eval,
     shape_from_name,
 )
 
@@ -37,36 +33,13 @@ def test_c_psi_matches_quadrature(kind):
     assert pot.c_psi == pytest.approx(val, abs=1e-10)
 
 
-def test_phi_split_values():
-    pot = PotentialSpec("quartic")
-    assert phi_split(pot, 0.0) == (0.0, 0.0)
-    plus, minus = phi_split(pot, 1.0)
-    assert (plus, minus) == (1.0, -1.0)
-    plus, minus = phi_split(pot, 2.0)
-    assert (plus, minus) == (8.0, -2.0)
-    assert plus + minus == 2.0**3 - 2.0
-
-
-def test_phi_split_not_for_obstacle():
-    with pytest.raises(NotApplicable):
-        phi_split(PotentialSpec("obstacle"), 0.3)
-
-
-def test_phi_plus_strictly_increasing():
-    pot = PotentialSpec("quartic")
-    s = np.linspace(-3.0, 3.0, 500)
-    plus, _ = phi_split(pot, s)
-    assert np.all(np.diff(plus) > 0.0)
-
-
 def test_shape_values():
     quartic = ShapeSpec("quartic-shape")
     assert quartic.rho(1.0) == 0.0 and quartic.rho(-1.0) == 0.0
     assert quartic.rho(0.0) == pytest.approx(15.0 / 16.0)
     for sh in ALL_SHAPES:
-        rho, plus, minus, P = shape_eval(sh, 1.0)
-        assert P == pytest.approx(1.0, abs=1e-14)
-        assert shape_eval(sh, -1.0)[3] == pytest.approx(0.0, abs=1e-14)
+        assert sh.interp(1.0) == pytest.approx(1.0, abs=1e-14)
+        assert sh.interp(-1.0) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("sh", ALL_SHAPES, ids=lambda s: f"{s.kind}:{s.split_sign}")
@@ -103,19 +76,18 @@ def test_split_monotonicity_for_positive_uD():
 
 def test_shape_cutoff_clamps():
     sh = ShapeSpec("quartic-shape", "for-negative-uD", m=2.0)
-    assert sh.rho_plus_clamped(5.0) == pytest.approx(3.0)  # (3/2) * 2
-    assert shape_cutoff(sh, 0.3, 5.0) == pytest.approx(
-        float(sh.rho_minus(0.3)) + 3.0)
-    # inside the clamp the cutoff equals the plain semi-implicit weight
-    assert shape_cutoff(sh, 0.3, 1.7) == pytest.approx(
-        float(sh.rho_hat(0.3, 1.7)))
+    # rho+ at the clamp: (3/2) * 2
+    assert sh.rho_hat(0.3, 5.0) == pytest.approx(float(sh.rho_minus(0.3)) + 3.0)
+    assert sh.rho_hat(0.3, -5.0) == pytest.approx(
+        float(sh.rho_minus(0.3)) - 3.0)
+    # inside the clamp the weight is the plain semi-implicit one
+    assert sh.rho_hat(0.3, 1.7) == float(sh.rho_minus(0.3) + sh.rho_plus(1.7))
 
 
 def test_shape_cutoff_trivial_for_zero_plus():
     sh = ShapeSpec("lin-minus")
     for s_new in (-7.0, 0.0, 9.0):
-        assert shape_cutoff(sh, 0.25, s_new) == pytest.approx(
-            float(sh.rho(0.25)))
+        assert sh.rho_hat(0.25, s_new) == pytest.approx(float(sh.rho(0.25)))
 
 
 def test_cutoff_requires_m_at_least_two():
@@ -128,8 +100,9 @@ def test_diffusivity_values():
     assert diffusivity_b(-1.0, 3.0, 7.0) == pytest.approx(7.0)
     s = np.linspace(-1, 1, 11)
     assert np.allclose(diffusivity_b(s, 1.0, 1.0), 1.0)
-    assert diffusivity_b(3.0, 2.0, 1.0, clipped=True) == pytest.approx(2.0)
-    assert diffusivity_b(3.0, 2.0, 1.0, clipped=False) == pytest.approx(3.0)
+    # out-of-range phase values are clipped to [-1, 1]
+    assert diffusivity_b(3.0, 2.0, 1.0) == pytest.approx(2.0)
+    assert diffusivity_b(-3.0, 2.0, 1.0) == pytest.approx(1.0)
 
 
 def test_boundary_layer_threshold_matches_reported_value():

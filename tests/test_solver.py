@@ -15,7 +15,9 @@ from anisopf.mesh import build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.solver import (
     SolverConfig,
+    _factor,
     _saddle_matrix,
+    _smooth_residual,
     active_set_step,
     choose_method,
     conservation_audit,
@@ -57,8 +59,8 @@ def test_saddle_matrix_matches_bmat(bc, theta, free_set):
     C = sys.c_matrix()
     coup = sys.lam * sys.m_rho_diag(sys.phi_prev)
     heat_u = np.where(sys.dirichlet, 0.0, coup)
-    MW = sys.heat_blocks()[1]
-    K = _saddle_matrix(C[F][:, F].tocsc(), -coup, heat_u, MW.tocsc(), F)
+    MW = sys.MW
+    K = _saddle_matrix(C[F][:, F].tocsc(), -coup, heat_u, MW, F)
     ref = sp.bmat([
         [C[F][:, F],
          sp.csr_matrix((-coup[F], (np.arange(nF), F)), shape=(nF, n))],
@@ -206,10 +208,10 @@ def test_active_set_unconstrained_matches_linear_solve():
     assert rep.active_plus == 0 and rep.active_minus == 0
     n = sysi.n
     C = sysi.c_matrix().toarray()
-    MU, MW = sysi.heat_blocks()
+    MU = np.diag(np.where(sysi.dirichlet, 0.0, sysi.lam * sysi.M_rho))
     K = np.block([[C, -np.diag(sysi.lam * sysi.M_rho)],
-                  [MU.toarray(), MW.toarray()]])
-    sol = np.linalg.solve(K, np.concatenate([sysi.g, sysi.f]))
+                  [MU, sysi.MW.toarray()]])
+    sol = np.linalg.solve(K, np.concatenate([sysi.g, sysi.f_rhs(sysi.M_rho)]))
     assert np.abs(U - sol[:n]).max() <= 1e-10
     assert np.abs(W - sol[n:]).max() <= 1e-10
 
@@ -340,6 +342,64 @@ def test_newton_residual_below_tolerance():
     sys, params, cfg = small_setup(n=8, pot=pot)
     U, W, rep = newton_smooth_step(sys, cfg)
     assert rep.converged and rep.residual < cfg.newton_tol
+
+
+def _bmat_newton(sys, cfg):
+    """Reference copy of the Newton iteration that rebuilt both heat
+    blocks and assembled the Jacobian with ``sp.bmat`` at every iteration."""
+    n = sys.n
+    sh = sys._shape
+    U = sys.phi_prev.copy()
+    W = sys.w_prev.copy()
+    B = sys.b_matrix_at(U)
+    r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
+    rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
+    iterations = 0
+    for _it in range(cfg.newton_max_iter):
+        if rnorm < cfg.newton_tol:
+            break
+        drho = sh.rho_plus_deriv_clamped(U)
+        J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
+               - sp.diags(sys.lam * sys.M * drho * W)).tocsr()
+        J12 = sp.diags(-sys.lam * m_rho)
+        u = sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev))
+        J21 = sp.diags(np.where(sys.dirichlet, 0.0, u), format="csr")
+        J22 = (sys.theta * sp.diags(sys.M) + sys.tau * sys.A_diff).tocsr()
+        J22.data[np.repeat(sys.dirichlet, np.diff(J22.indptr))] = 0.0
+        J22 = J22 + sp.diags(sys.dirichlet.astype(float))
+        K = sp.bmat([[J11, J12], [J21, J22]], format="csc")
+        delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
+        t = 1.0
+        for _ls in range(20):
+            U_t = U + t * delta[:n]
+            W_t = W + t * delta[n:]
+            B_t = sys.b_matrix_at(U_t)
+            r_phi_t, r_w_t, m_rho_t, C_t = _smooth_residual(sys, U_t, W_t, B_t)
+            rn_t = max(np.abs(r_phi_t).max(), np.abs(r_w_t).max())
+            if rn_t < (1.0 - 1e-4 * t) * rnorm:
+                break
+            t *= 0.5
+        U, W, B = U_t, W_t, B_t
+        r_phi, r_w, m_rho, C = r_phi_t, r_w_t, m_rho_t, C_t
+        rnorm = rn_t
+        iterations += 1
+    W[sys.dirichlet] = sys.u_D
+    return U, W, iterations, rnorm
+
+
+@pytest.mark.parametrize("theta,bc,u_D", [(1.0, "mixed", -2.0),
+                                          (0.0, "dirichlet", -2.0),
+                                          (1.0, "neumann", 0.0)])
+def test_newton_matches_bmat_reference_bitwise(theta, bc, u_D):
+    pot = PotentialSpec("quartic")
+    sh = ShapeSpec("quartic-shape", "for-negative-uD")
+    sys, params, cfg = small_setup(n=8, theta=theta, bc=bc, u_D=u_D, pot=pot,
+                                   shape=sh, tau=1e-2)
+    U, W, rep = newton_smooth_step(sys, cfg)
+    U_ref, W_ref, iterations, rnorm = _bmat_newton(sys, cfg)
+    assert rep.outer_iterations == iterations >= 2
+    assert rep.residual == rnorm
+    assert np.array_equal(U, U_ref) and np.array_equal(W, W_ref)
 
 
 def _picard_oracle(sys, omega=0.5, tol=1e-10, iters=5000):

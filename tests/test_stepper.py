@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anisopf.anisotropy import MobilitySpec, make_regularized_l1
+from anisopf.assembly import assemble_step_system, lumped_mass
 from anisopf.config import RunConfig
 from anisopf.errors import InterfaceTooWide, MeshChanged, NotApplicable
 from anisopf.mesh import NodalField, build_uniform_mesh
@@ -115,8 +116,10 @@ def test_stability_stationary_state(mesh):
     phi = initial_phase(mesh, params.R0, params.eps)
     w = NodalField(np.full(mesh.n_vertices, params.u_D), mesh)
     s = SimulationState(0.0, mesh, phi, w)
-    rep = verify_stability(s, s, params, pot, sh, aniso, mob)
-    assert rep.ineq_stab2_holds and rep.ineq_stab3_holds
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi.values,
+                               w.values)
+    rep = verify_stability(s, s, params, pot, sh, aniso, sys)
+    assert rep.stab2_holds and rep.stab3_holds
     assert rep.diffusive >= 0.0 and rep.kinetic == 0.0
     assert rep.stab2_slack <= 1e-12 and rep.stab3_slack <= 1e-12
 
@@ -130,8 +133,10 @@ def test_stability_rejects_mesh_change(mesh):
     b = SimulationState(
         0.0, other, NodalField(np.ones(other.n_vertices), other),
         NodalField(np.zeros(other.n_vertices), other))
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob,
+                               a.phi.values, a.w.values)
     with pytest.raises(MeshChanged):
-        verify_stability(a, b, params, pot, sh, aniso, mob)
+        verify_stability(a, b, params, pot, sh, aniso, sys)
 
 
 def base_config(tmp_path, **kw):
@@ -289,13 +294,42 @@ def test_stability_with_carried_energy_is_unchanged(mesh):
                     -1.0, 1.0)
     prev = SimulationState(0.0, mesh, phi, w)
     new = SimulationState(params.tau, mesh, NodalField(phi_n, mesh), w)
-    plain = verify_stability(prev, new, params, pot, sh, aniso, mob)
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi.values,
+                               w.values)
+    plain = verify_stability(prev, new, params, pot, sh, aniso, sys)
+    assert plain.t == new.t and plain.phi_within_split_bound
     carried = discrete_energy(mesh, phi.values, w.values, params, pot, sh,
                               aniso)
-    assert verify_stability(prev, new, params, pot, sh, aniso, mob,
+    assert verify_stability(prev, new, params, pot, sh, aniso, sys,
                             prev_energy=carried) == plain
     assert (plain.E_h, plain.F_h) == discrete_energy(
         mesh, phi_n, w.values, params, pot, sh, aniso)
+
+
+def test_stability_work_term_weighs_new_phase_implicitly(mesh):
+    # with the quartic shape the supercooling work weighs dphi with
+    # rho-(old) + rho+(new); it is what separates the two slacks
+    params, pot, _, aniso, mob = _model()
+    sh = ShapeSpec("quartic-shape", "for-negative-uD")
+    phi = initial_phase(mesh, params.R0, params.eps)
+    w = NodalField(np.full(mesh.n_vertices, params.u_D), mesh)
+    rng = np.random.default_rng(6)
+    phi_n = np.clip(phi.values + 0.05 * rng.normal(size=mesh.n_vertices),
+                    -1.0, 1.0)
+    prev = SimulationState(0.0, mesh, phi, w)
+    new = SimulationState(params.tau, mesh, NodalField(phi_n, mesh), w)
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi.values,
+                               w.values)
+    row = verify_stability(prev, new, params, pot, sh, aniso, sys)
+    E_o, F_o = discrete_energy(mesh, phi.values, w.values, params, pot, sh,
+                               aniso)
+    work = row.stab2_slack - row.stab3_slack - (row.E_h - row.F_h) + (E_o - F_o)
+    dphi = phi_n - phi.values
+    weight = sh.rho_minus(phi.values) + sh.rho_plus(phi_n)
+    want = -params.u_D * params.lam * float(
+        np.sum(lumped_mass(mesh) * weight * dphi))
+    assert abs(want) > 1e-6
+    assert work == pytest.approx(want, abs=1e-12)
 
 
 def _count_energy_calls(monkeypatch):
