@@ -115,7 +115,9 @@ class SystemMatrices:
 
     ``MW`` is the heat W-block theta M + tau A_diff with identity Dirichlet
     rows, the one both solvers factor; ``A_diff`` and ``B_stiff`` are kept
-    raw (energy evaluations need the unmodified stiffness).  ``M_rho`` is
+    raw (energy evaluations need the unmodified stiffness).  ``A_diff`` and
+    ``MW`` are shared with the other steps on the same mesh while the
+    conductivities stay the same, so they are read-only.  ``M_rho`` is
     the rho-hat weighted coupling diagonal at the previous phase.
     """
 
@@ -194,12 +196,20 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
 
     b_vertex = diffusivity_b(phi_prev, params.Kplus, params.Kminus)
     b_elem = b_vertex[mesh.elements].mean(axis=1)
-    A_diff = stiffness(mesh, b_elem)
-
     dirichlet = mesh.dirichlet_mask.copy()
-    MW = (params.theta * sp.diags(M) + tau * A_diff).tocsr()
-    MW.data[np.repeat(dirichlet, np.diff(MW.indptr))] = 0.0
-    MW = (MW + sp.diags(dirichlet.astype(float))).tocsc()
+    # the heat block sees the phase only through b_elem, which is constant
+    # when K+ = K-: the last one stays in the mesh cache (which a refinement
+    # drops) and serves every step with the same theta, tau and b_elem
+    c = mesh._finalize()
+    heat = c.get("heat_block")
+    if (heat is None or heat[:2] != (params.theta, tau)
+            or not np.array_equal(heat[2], b_elem)):
+        A_diff = stiffness(mesh, b_elem)
+        MW = (params.theta * sp.diags(M) + tau * A_diff).tocsr()
+        MW.data[np.repeat(dirichlet, np.diff(MW.indptr))] = 0.0
+        MW = (MW + sp.diags(dirichlet.astype(float))).tocsc()
+        heat = c["heat_block"] = (params.theta, tau, b_elem, A_diff, MW)
+    A_diff, MW = heat[3:]
 
     B = anisotropic_stiffness(mesh, aniso, phi_prev, phi_prev)
 

@@ -24,22 +24,31 @@ def _lines(fmt, rows):
     return "".join(map(fmt.format, *np.asarray(rows).T.tolist()))
 
 
+def _vtk_mesh_block(mesh):
+    """Header, POINTS, CELLS and CELL_TYPES text of a mesh, kept in its
+    cache (which a refinement drops), since every snapshot repeats it."""
+    c = mesh._finalize(geometry=False)
+    if "vtk_mesh" not in c:
+        elems = c["elements"]
+        nv, d = c["vertices"].shape
+        ne = len(elems)
+        points = np.zeros((nv, 3))
+        points[:, :d] = c["vertices"]
+        c["vtk_mesh"] = "".join([
+            "# vtk DataFile Version 3.0\nanisotropic phase field state\n"
+            f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
+            _lines("{:.17g} {:.17g} {:.17g}\n", points),
+            f"CELLS {ne} {ne * (d + 2)}\n",
+            _lines(f"{d + 1}" + " {}" * (d + 1) + "\n", elems),
+            f"CELL_TYPES {ne}\n" + f"{_CELL_TYPE[d]}\n" * ne
+            + f"POINT_DATA {nv}\n",
+        ])
+    return c["vtk_mesh"]
+
+
 def write_vtk(state, path):
     """Write phi and w as point data on the mesh, legacy ASCII format."""
-    mesh = state.mesh
-    elems = mesh.elements
-    nv, d = mesh.vertices.shape
-    ne = len(elems)
-    points = np.zeros((nv, 3))
-    points[:, :d] = mesh.vertices
-    parts = [
-        "# vtk DataFile Version 3.0\nanisotropic phase field state\n"
-        f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
-        _lines("{:.17g} {:.17g} {:.17g}\n", points),
-        f"CELLS {ne} {ne * (d + 2)}\n",
-        _lines(f"{d + 1}" + " {}" * (d + 1) + "\n", elems),
-        f"CELL_TYPES {ne}\n" + f"{_CELL_TYPE[d]}\n" * ne + f"POINT_DATA {nv}\n",
-    ]
+    parts = [_vtk_mesh_block(state.mesh)]
     for name, vals in (("phi", state.phi.values), ("w", state.w.values)):
         parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n",
                   _lines("{:.17g}\n", np.asarray(vals, dtype=float)[:, None])]

@@ -26,7 +26,7 @@ All factorizations run in a fixed order, so identical inputs produce
 bit-identical outputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,7 +87,6 @@ class StepReport:
     residual: float = float("nan")
     relaxation: float = float("nan")
     converged: bool = False
-    active_history: list = field(default_factory=list)
 
 
 def choose_method(cfg, aniso):
@@ -189,7 +188,6 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
             plus, minus = pred > 1.0, pred < -1.0
         U_new, W_new = _solve_free(sys, C, m_rho, f, plus, minus)
         report.outer_iterations += 1
-        report.active_history.append((int(plus.sum()), int(minus.sum())))
         if W is None:
             diff = np.inf
         else:
@@ -217,9 +215,12 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
 def active_set_step(sys, cfg, u0=None, w0="prev"):
     """One obstacle step via the primal-dual active-set iteration.
 
-    ``u0``/``w0`` seed the iteration (defaults: the previous state).  Pass
-    ``w0=None`` when no temperature guess exists; the initial active sets
-    are then read off ``u0``.
+    ``u0``/``w0`` seed the iteration (defaults: the previous state); ``u0``
+    is clipped to [-1, 1].  Pass ``w0=None`` when no temperature guess
+    exists; the initial active sets are then read off ``u0``.  The start
+    moves the iteration count, not the answer (to the bit when the
+    coefficients do not depend on the iterate, else to ``cfg.tol``);
+    ``run_simulation`` passes ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
     """
     report = StepReport(method="active-set")
     U0 = sys.phi_prev if u0 is None else u0

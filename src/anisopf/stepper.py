@@ -221,6 +221,14 @@ def run_simulation(cfg, out_dir=None, strict=False):
     partial outputs are written, the report's ``error`` field names the
     step, and the original exception is re-raised with the step index set
     as its ``step`` attribute.
+
+    Active-set steps start from the linear extrapolation ``2 U_n - U_{n-1}``
+    of the last two phase fields, and from ``2 W_n - W_{n-1}`` once both
+    temperatures are solved ones (with theta = 0 the initial W is only a
+    placeholder); on adaptive runs the older state is moved to each new
+    mesh with the same transfer map.  The start changes how many
+    iterations a step takes, not its answer.  Lagged and Newton steps
+    start from the previous state.
     """
     params = cfg.physical_params()
     pot, sh, aniso, mobility = cfg.model_objects()
@@ -251,6 +259,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
 
     n = 0
     energy = None      # (E_h, F_h) of ``state`` once known
+    older = None       # (phi, w) one step before ``state``, on its mesh
     try:
         for n in range(1, n_steps + 1):
             if cfg.adaptive and n > 1:
@@ -261,6 +270,8 @@ def run_simulation(cfg, out_dir=None, strict=False):
                     transfer_field(state.phi, tmap),
                     transfer_field(state.w, tmap),
                     state.ledger, state.reports)
+                if older is not None:
+                    older = tuple(transfer_field(f, tmap) for f in older)
                 energy = None   # the transfer changed the fields
             sys = assemble_step_system(
                 state.mesh, params, pot, sh, aniso, mobility,
@@ -273,8 +284,14 @@ def run_simulation(cfg, out_dir=None, strict=False):
             elif method == "lagged":
                 U, W, rep = lagged_step(sys, scfg, w0=w_guess)
             else:
+                u0, w0 = None, w_guess
+                if older is not None:
+                    u0 = 2.0 * state.phi.values - older[0].values
+                    # with theta = 0 the initial W is only a placeholder
+                    if n > 2 or params.theta > 0.0:
+                        w0 = 2.0 * state.w.values - older[1].values
                 try:
-                    U, W, rep = active_set_step(sys, scfg, w0=w_guess)
+                    U, W, rep = active_set_step(sys, scfg, u0=u0, w0=w0)
                 except NonConvergence:
                     if scfg.method != "auto":
                         raise
@@ -288,6 +305,8 @@ def run_simulation(cfg, out_dir=None, strict=False):
             energy = (row.E_h, row.F_h)
             new_state.ledger.append(row)
             new_state.reports.append(rep)
+            if method == "active-set":
+                older = (state.phi, state.w)
             state = new_state
             if strict and not (row.stab2_holds and row.stab3_holds):
                 raise StabilityViolation(

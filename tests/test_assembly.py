@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -206,6 +208,65 @@ def test_heat_blocks_match_product_expressions(bc, theta):
     want = _product_heat_block(sys)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sys.MW, name), getattr(want, name)), name
+
+
+def _same_csr(K, ref):
+    return K.format == ref.format and all(
+        np.array_equal(getattr(K, name), getattr(ref, name))
+        for name in ("indptr", "indices", "data"))
+
+
+def _heat_setup(refine=None, **kw):
+    mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    if refine is not None:
+        mesh.refine(refine, 4)
+    return (mesh,) + _default_setup(mesh, theta=1.5, **kw)
+
+
+def _cold_heat_block(params, phi, w, refine=None):
+    """A_diff and MW assembled on a fresh mesh, whose cache is empty."""
+    mesh, _, pot, sh, aniso, mob = _heat_setup(refine)
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi, w)
+    return sys.A_diff, sys.MW
+
+
+def test_heat_block_is_reused_while_conductivities_hold():
+    mesh, params, pot, sh, aniso, mob = _heat_setup()
+    rng = np.random.default_rng(21)
+    phi0, phi1 = rng.uniform(-1, 1, (2, mesh.n_vertices))
+    w = rng.normal(size=mesh.n_vertices)
+    s0 = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi0, w)
+    s1 = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi1, w)
+    # K+ = K-: the conductivity does not see the phase
+    assert s1.A_diff is s0.A_diff and s1.MW is s0.MW
+    A, MW = _cold_heat_block(params, phi1, w)
+    assert _same_csr(s1.A_diff, A) and _same_csr(s1.MW, MW)
+
+
+def test_heat_block_follows_phase_step_size_and_mesh():
+    mesh, params, pot, sh, aniso, mob = _heat_setup(Kplus=2.0)
+    rng = np.random.default_rng(22)
+    phi0, phi1 = rng.uniform(-1, 1, (2, mesh.n_vertices))
+    w = rng.normal(size=mesh.n_vertices)
+    s0 = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi0, w)
+    # K+ != K-: a new phase gives new conductivities, never the stale block
+    s1 = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi1, w)
+    A, MW = _cold_heat_block(params, phi1, w)
+    assert _same_csr(s1.A_diff, A) and _same_csr(s1.MW, MW)
+    assert not _same_csr(s1.MW, s0.MW)
+    # another tau or theta misses the cache
+    for changed in (replace(params, tau=2e-3), replace(params, theta=0.0)):
+        s = assemble_step_system(mesh, changed, pot, sh, aniso, mob, phi1, w)
+        assert s.MW is not s1.MW
+        assert _same_csr(s.MW, _cold_heat_block(changed, phi1, w)[1])
+    # a refinement drops the cached block with the rest of the mesh cache
+    mesh.refine([5], 4)
+    assert "heat_block" not in mesh._finalize()
+    phi = rng.uniform(-1, 1, mesh.n_vertices)
+    w = rng.normal(size=mesh.n_vertices)
+    s = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi, w)
+    A, MW = _cold_heat_block(params, phi, w, refine=[5])
+    assert _same_csr(s.A_diff, A) and _same_csr(s.MW, MW)
 
 
 def test_gamma_mobility_evaluates_gamma_once(monkeypatch):

@@ -197,6 +197,31 @@ def test_vtk_matches_per_value_writer(tmp_path, dim, N):
     assert b"\n-0\n" in new
 
 
+def _random_state(mesh, seed):
+    rng = np.random.default_rng(seed)
+    return SimulationState(
+        0.0, mesh, NodalField(rng.uniform(-1.0, 1.0, mesh.n_vertices), mesh),
+        NodalField(rng.normal(size=mesh.n_vertices), mesh))
+
+
+@pytest.mark.parametrize("dim,N", [(2, 8), (3, 2)])
+def test_vtk_mesh_block_cache_writes_cold_bytes(tmp_path, dim, N):
+    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    write_vtk(_random_state(mesh, 1), tmp_path / "first.vtk")
+    # the second snapshot reuses the mesh block of the first
+    write_vtk(_random_state(mesh, 2), tmp_path / "second.vtk")
+    fresh = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    write_vtk(_random_state(fresh, 2), tmp_path / "cold.vtk")
+    assert (tmp_path / "second.vtk").read_bytes() == (
+        tmp_path / "cold.vtk").read_bytes()
+    # a refinement rebuilds the block
+    mesh.refine([0], 2 * dim)
+    write_vtk(_random_state(mesh, 3), tmp_path / "refined.vtk")
+    _per_value_vtk(_random_state(mesh, 3), tmp_path / "ref.vtk")
+    assert (tmp_path / "refined.vtk").read_bytes() == (
+        tmp_path / "ref.vtk").read_bytes()
+
+
 def test_energy_csv(tmp_path):
     path = tmp_path / "e.csv"
     write_energy_csv([], path)

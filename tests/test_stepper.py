@@ -285,6 +285,50 @@ def test_run_obstacle_quartic_shape_large_step(tmp_path):
     assert state.phi.values.min() >= -1.0 and state.phi.values.max() <= 1.0
 
 
+# the physics of the shipped demo on a coarse mesh: the interface moves
+# enough per step for the start to matter
+_DEMO = dict(rho=0.01, alpha=0.03, u_D=-2.0, H=2.0, R0=0.5,
+             eps=1.0 / (4.0 * math.pi), anisotropy="hex2d-rot:0.1",
+             tau=1e-3, T_end=5e-3, N_f=32, N_c=16)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(_DEMO, theta=0.0), dict(_DEMO, theta=1.0),
+    dict(_DEMO, adaptive=True, T_end=3e-3),
+], ids=["theta0", "theta1", "adaptive"])
+def test_warm_start_changes_iterations_not_answer(tmp_path, monkeypatch, kw):
+    from anisopf import solver, stepper
+
+    starts, last, outer = [], [], {"warm": 0, "cold": 0}
+
+    def from_both_starts(sys, scfg, u0=None, w0="prev"):
+        extrapolated = not isinstance(w0, (str, type(None)))
+        if last and not kw.get("adaptive"):
+            assert np.array_equal(u0, 2.0 * sys.phi_prev - last[0])
+            if extrapolated:
+                assert np.array_equal(w0, 2.0 * sys.w_prev - last[1])
+        last[:] = sys.phi_prev, sys.w_prev
+        U, W, rep = solver.active_set_step(sys, scfg, u0=u0, w0=w0)
+        # the start without extrapolation: the previous state
+        U_c, W_c, rep_c = solver.active_set_step(
+            sys, scfg, w0=None if w0 is None else "prev")
+        assert np.array_equal(U, U_c) and np.array_equal(W, W_c)
+        starts.append((u0 is not None, extrapolated))
+        outer["warm"] += rep.outer_iterations
+        outer["cold"] += rep_c.outer_iterations
+        return U, W, rep
+
+    monkeypatch.setattr(stepper, "active_set_step", from_both_starts)
+    cfg = base_config(tmp_path, **kw)
+    state = run_simulation(cfg, strict=True)
+    n = len(state.ledger)
+    assert n >= 3
+    # U is extrapolated from step 2 on, W once two solved temperatures exist
+    first_w = 2 if cfg.theta > 0.0 else 3
+    assert starts == [(k >= 2, k >= first_w) for k in range(1, n + 1)]
+    assert outer["warm"] <= outer["cold"]
+
+
 def test_stability_with_carried_energy_is_unchanged(mesh):
     params, pot, sh, aniso, mob = _model()
     phi = initial_phase(mesh, params.R0, params.eps)
