@@ -5,12 +5,14 @@ The density is built from a family of symmetric positive definite matrices
 
     gamma(p) = ( sum_l (p . G_l p)^(r/2) )^(1/r)
 
-which is a strictly convex norm, absolutely one-homogeneous.  The module
-provides gamma, its gradient, the operator ``A'(p) = gamma(p) gamma'(p)``,
-the matrix linearization ``B_r(q, p)`` used by the stable schemes, the
-orientation-dependent mobility ``mu``, constructors for the named presets,
-and a randomized checker for the monotonicity/stability inequalities the
-time-discrete schemes rely on.
+which is a strictly convex norm, absolutely one-homogeneous.  Everything
+derives from the components ``gamma_l(p) = sqrt(p . G_l p)`` and gamma,
+evaluated in one place: the matrix linearization ``B_r(q, p)`` used by the
+stable schemes, ``A'(p) = B_r(p, p) p`` for ``A = gamma^2 / 2`` and
+``gamma'(p) = A'(p) / gamma(p)``.  The module also provides the
+orientation-dependent mobility ``mu`` (identically one for ``beta =
+gamma``), constructors for the named presets, and a randomized checker for
+the monotonicity/stability inequalities the time-discrete schemes rely on.
 """
 
 from dataclasses import dataclass, field
@@ -91,64 +93,50 @@ class AnisotropyDensity:
         quad = quad.T.reshape(p.shape[:-1] + (self.nmat,))
         return np.sqrt(np.maximum(quad, 0.0))
 
-    def gamma(self, p):
-        """gamma(p); zero exactly when p = 0."""
+    def _components(self, p):
+        """(gamma_l(p), gamma(p)); gamma is zero exactly when p = 0."""
         gl = self.gamma_l(p)
         r = self.exponent
         if r == 1.0:
-            return gl.sum(axis=-1)
-        return (gl**r).sum(axis=-1) ** (1.0 / r)
+            return gl, gl.sum(axis=-1)
+        return gl, (gl**r).sum(axis=-1) ** (1.0 / r)
 
-    def _weights(self, p):
-        """(gamma_l(p)/gamma(p))^(r-1) with the value 1 at p = 0."""
-        if self.exponent == 1.0:
-            return np.ones(np.shape(p)[:-1] + (self.nmat,))
-        gl = self.gamma_l(p)
-        g = (gl**self.exponent).sum(axis=-1) ** (1.0 / self.exponent)
-        g = np.asarray(g)
-        ratio = np.where(g[..., None] > 0.0, gl / np.where(g[..., None] > 0.0, g[..., None], 1.0), 1.0)
-        return ratio ** (self.exponent - 1.0)
+    def gamma(self, p):
+        """gamma(p); zero exactly when p = 0."""
+        return self._components(p)[1]
 
     def gamma_grad(self, p):
-        """Gradient of gamma; undefined (raises ZeroDirection) at p = 0."""
+        """gamma'(p) = A'(p) / gamma(p); raises ZeroDirection at p = 0."""
         p = np.asarray(p, dtype=float)
         if np.any(np.all(p == 0.0, axis=-1)):
             raise ZeroDirection("gamma is not differentiable at p = 0")
-        gl = self.gamma_l(p)
-        w = self._weights(p)
-        Gp = np.einsum("lij,...j->...li", self.matrices, p)
-        return np.einsum("...l,...li->...i", w / gl, Gp)
+        return self.a_prime(p) / self.gamma(p)[..., None]
 
     def a_prime(self, p):
-        """A'(p) = gamma(p) gamma'(p), extended by zero at p = 0."""
+        """A'(p) = gamma(p) gamma'(p) = B_r(p, p) p, which is 0 at p = 0."""
         p = np.asarray(p, dtype=float)
-        gl = self.gamma_l(p)
-        g = (gl**self.exponent).sum(axis=-1) ** (1.0 / self.exponent)
-        w = self._weights(p)
-        Gp = np.einsum("lij,...j->...li", self.matrices, p)
-        # gamma(p) * w_l / gamma_l(p); the factor is 0 where p = 0
-        coef = np.where(gl > 0.0, np.asarray(g)[..., None] * w / np.where(gl > 0.0, gl, 1.0), 0.0)
-        return np.einsum("...l,...li->...i", coef, Gp)
+        return (self.b_matrix(p, p) @ p[..., None])[..., 0]
 
     def b_matrix(self, q, p):
         """Linearization B_r(q, p), shape (..., d, d); SPD for every pair.
 
-        For q != 0 this is gamma(q) sum_l w_l(p) G_l / gamma_l(q); at q = 0
-        the prefactor degenerates to L^(1/r).  The weight ratio at p = 0 is
-        taken as one.
+        For q != 0 this is gamma(q) sum_l w_l(p) G_l / gamma_l(q) with the
+        weights w_l(p) = (gamma_l(p) / gamma(p))^(r-1), all one when r = 1
+        or p = 0; at q = 0 the prefactor degenerates to L^(1/r).
         """
-        q = np.asarray(q, dtype=float)
-        w = self._weights(p)
-        gl_q = self.gamma_l(q)
+        gl_q, g_q = self._components(q)
         r = self.exponent
-        g_q = (gl_q**r).sum(axis=-1) ** (1.0 / r)
-        g_q = np.asarray(g_q)
-        qzero = g_q == 0.0
         # coefficient of G_l: gamma(q)/gamma_l(q) for q != 0, else L^(1/r)
         safe_gl = np.where(gl_q > 0.0, gl_q, 1.0)
-        coef = np.where(qzero[..., None], self.nmat ** (1.0 / r), g_q[..., None] / safe_gl)
+        coef = np.where((g_q == 0.0)[..., None], self.nmat ** (1.0 / r),
+                        g_q[..., None] / safe_gl)
+        if r != 1.0:
+            gl_p, g_p = self._components(p)
+            pos = g_p[..., None] > 0.0
+            coef = coef * np.where(pos, gl_p / np.where(pos, g_p[..., None], 1.0),
+                                   1.0) ** (r - 1.0)
         L, d = self.nmat, self.dim
-        B = (coef * w) @ self.matrices.reshape(L, d * d)
+        B = coef @ self.matrices.reshape(L, d * d)
         return B.reshape(B.shape[:-1] + (d, d))
 
 
@@ -156,16 +144,15 @@ class AnisotropyDensity:
 class MobilitySpec:
     """Kinetic mobility beta and the derived coefficient mu = gamma/beta.
 
-    ``kind`` is one of ``gamma`` (beta = gamma), ``flat`` / ``tall``
-    (axis-weighted Euclidean mobilities with weight 10^(-2*level) on the
-    last coordinate, resp. on all but the last).  ``mu_bar`` is the
-    fallback value of mu at p = 0; it must lie between inf and sup of
-    gamma/beta, which holds automatically when it is a value of that ratio.
+    ``kind`` is one of ``gamma`` (beta = gamma, so mu is identically one),
+    ``flat`` / ``tall`` (axis-weighted Euclidean mobilities with weight
+    10^(-2*level) on the last coordinate, resp. on all but the last).  At
+    p = 0 mu takes the value gamma(e1)/beta(e1), which lies between inf and
+    sup of gamma/beta.
     """
 
     kind: str = "gamma"
     level: int = 0
-    mu_bar: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("gamma", "flat", "tall"):
@@ -185,9 +172,7 @@ class MobilitySpec:
         return np.sqrt((w * p * p).sum(axis=-1))
 
     def fallback(self, a):
-        """mu at p = 0: configured value or gamma(e1)/beta(e1)."""
-        if self.mu_bar is not None:
-            return self.mu_bar
+        """mu at p = 0: gamma(e1)/beta(e1)."""
         e1 = np.zeros(a.dim)
         e1[0] = 1.0
         return float(a.gamma(e1) / self.beta(a, e1))
@@ -195,8 +180,9 @@ class MobilitySpec:
     def mu(self, a, p):
         """mu(p) = gamma(p)/beta(p) for p != 0, the fallback at p = 0."""
         p = np.asarray(p, dtype=float)
-        g = a.gamma(p)
-        b = g if self.kind == "gamma" else self.beta(a, p)
+        if self.kind == "gamma":
+            return 1.0 if p.ndim == 1 else np.ones(p.shape[:-1])
+        g, b = a.gamma(p), self.beta(a, p)
         bar = self.fallback(a)
         if p.ndim == 1:
             return float(g / b) if b > 0.0 else bar
@@ -252,83 +238,56 @@ def make_rotated_family(delta, rotations, exponent=1.0):
     return AnisotropyDensity(np.array(mats), exponent)
 
 
-def _rot2d(angle):
+def _rot_z(angle, dim):
+    """Rotation by ``angle`` in the (x, y) plane."""
+    R = np.eye(dim)
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _rot3d_z(angle):
-    R = np.eye(3)
-    R[:2, :2] = _rot2d(angle)
+    R[:2, :2] = [[c, -s], [s, c]]
     return R
 
 
-def _hex2d(delta, extra_angle=0.0):
-    angles = [extra_angle + k * np.pi / 3 for k in range(3)]
-    return make_rotated_family(delta, [_rot2d(t) for t in angles], 1.0)
-
-
-def _cube3d(delta, exponent):
-    rots = []
-    for axis in range(3):
-        if axis == 0:
-            rots.append(np.eye(3))
-        elif axis == 1:
-            rots.append(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-        else:
-            rots.append(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    return make_rotated_family(delta, rots, exponent)
-
-
-def _hexprism3d(delta, extra_angle=0.0):
-    rots = [_rot3d_z(extra_angle + k * np.pi / 3) for k in range(3)]
-    # fourth member aligned with the prism axis: map e1 -> e3
-    rots.append(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    return make_rotated_family(delta, rots, 1.0)
+# number of ``:``-separated arguments of each preset
+_PRESET_ARGS = {"iso": 0, "ani1": 1, "hex2d": 1, "hex2d-rot": 1,
+                "cube3d": 2, "hexprism3d": 1}
+# cyclic axis permutation with first row e3: it aligns a family member's
+# profile axis with z, its transpose with y
+_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def anisotropy_from_name(name, dim=2):
     """Resolve a preset string.
 
     Recognized names: ``iso``, ``ani1:<delta>``, ``hex2d:<delta>``,
-    ``hex2d-rot:<delta>``, ``cube3d:<delta>:<r>``, ``hexprism3d:<delta>``,
-    each optionally suffixed ``:rot`` for an extra in-plane rotation by
-    pi/12.
+    ``hex2d-rot:<delta>`` (hex2d turned by pi/12), ``cube3d:<delta>:<r>``
+    and ``hexprism3d:<delta>``.  All but ``iso`` and ``ani1`` take a
+    ``:rot`` suffix for an extra rotation by pi/12 about the z axis.
     """
     parts = name.split(":")
-    rotated = parts[-1] == "rot"
+    rotated = len(parts) > 1 and parts[-1] == "rot"
     if rotated:
         parts = parts[:-1]
     base, args = parts[0], parts[1:]
-    extra = np.pi / 12 if rotated else 0.0
+    if base not in _PRESET_ARGS:
+        raise ValueError(f"unknown anisotropy preset {name!r}")
+    if len(args) != _PRESET_ARGS[base] or (rotated and base in ("iso", "ani1")):
+        raise ValueError(f"malformed preset {name!r}")
     if base == "iso":
-        if rotated or args:
-            raise ValueError(f"malformed preset {name!r}")
         return make_isotropic(dim)
+    delta = float(args[0])
     if base == "ani1":
-        if len(args) != 1 or rotated:
-            raise ValueError(f"malformed preset {name!r}")
-        return make_regularized_l1(float(args[0]), dim)
-    if base == "hex2d" or base == "hex2d-rot":
-        if len(args) != 1:
-            raise ValueError(f"malformed preset {name!r}")
-        if base == "hex2d-rot":
-            extra += np.pi / 12
-        return _hex2d(float(args[0]), extra)
+        return make_regularized_l1(delta, dim)
+    extra = np.pi / 12 * (rotated + (base == "hex2d-rot"))
     if base == "cube3d":
-        if len(args) != 2:
-            raise ValueError(f"malformed preset {name!r}")
-        a = _cube3d(float(args[0]), float(args[1]))
-        if rotated:
-            R = _rot3d_z(np.pi / 12)
-            mats = np.array([R.T @ G @ R for G in a.matrices])
-            return AnisotropyDensity(mats, a.exponent)
-        return a
+        R = _rot_z(extra, 3)
+        return make_rotated_family(
+            delta, [R, _CYCLE.T @ R, _CYCLE @ R], float(args[1]))
+    # hexagonal: three members 60 degrees apart in the (x, y) plane, plus
+    # one along the z axis for the prism
+    rots = [_rot_z(extra + k * np.pi / 3, 2 if base != "hexprism3d" else 3)
+            for k in range(3)]
     if base == "hexprism3d":
-        if len(args) != 1:
-            raise ValueError(f"malformed preset {name!r}")
-        return _hexprism3d(float(args[0]), extra)
-    raise ValueError(f"unknown anisotropy preset {name!r}")
+        rots.append(_CYCLE)
+    return make_rotated_family(delta, rots, 1.0)
 
 
 def mobility_from_name(name):
@@ -399,8 +358,7 @@ def verify_anisotropy_inequalities(a, samples, seed=0):
 
     r = a.exponent
     L = a.nmat
-    gl_p = a.gamma_l(P)
-    g_p = (gl_p**r).sum(axis=-1) ** (1.0 / r)
+    gl_p, g_p = a._components(P)
     g_q = a.gamma(Q)
     A_p = 0.5 * g_p**2
     A_q = 0.5 * g_q**2

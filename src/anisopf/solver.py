@@ -85,7 +85,6 @@ class StepReport:
     active_plus: int = 0
     active_minus: int = 0
     residual: float = float("nan")
-    relaxation: float = float("nan")
     converged: bool = False
 
 
@@ -241,7 +240,7 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
     omega = cfg.omega
     last_exc = None
     for _attempt in range(5):
-        report = StepReport(method="lagged", relaxation=omega)
+        report = StepReport(method="lagged")
         try:
             U, W = _lagged_once(sys, cfg, U0, W0, omega, report)
             return U, W, report

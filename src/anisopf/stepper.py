@@ -26,7 +26,6 @@ from .errors import (
     InterfaceTooWide,
     MeshChanged,
     NonConvergence,
-    NotApplicable,
     StabilityViolation,
 )
 from .mesh import NodalField, adapt_to_interface, build_uniform_mesh, transfer_field
@@ -131,10 +130,8 @@ def initial_phase(mesh, R0, eps):
     return NodalField(vals, mesh)
 
 
-def initial_temperature(mesh, u_D, R0, H, theta=1.0):
+def initial_temperature(mesh, u_D, R0, H):
     """Radial initial temperature: zero in the seed, u_D at the far field."""
-    if theta == 0.0:
-        raise NotApplicable("initial temperature is only used when theta > 0")
     r = np.linalg.norm(mesh.vertices, axis=1)
     vals = np.where(
         r <= R0,
@@ -245,8 +242,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
         phi = transfer_field(phi, tmap)
         mesh = mesh2
     if params.theta > 0.0:
-        w = initial_temperature(mesh, params.u_D, params.R0, params.H,
-                                params.theta)
+        w = initial_temperature(mesh, params.u_D, params.R0, params.H)
     else:
         w = NodalField(np.full(mesh.n_vertices, params.u_D), mesh)
     state = SimulationState(0.0, mesh, phi, w)

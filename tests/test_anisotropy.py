@@ -242,6 +242,69 @@ def test_preset_registry_names():
         mobility_from_name("nope")
 
 
+# Test-local copies of the former per-preset constructors, kept to pin the
+# matrices of every preset spelling bit for bit.
+
+def _rot2d_ref(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _rot3d_z_ref(angle):
+    R = np.eye(3)
+    R[:2, :2] = _rot2d_ref(angle)
+    return R
+
+
+_E1_TO_E3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _hex2d_ref(delta, extra_angle=0.0):
+    angles = [extra_angle + k * np.pi / 3 for k in range(3)]
+    return make_rotated_family(delta, [_rot2d_ref(t) for t in angles], 1.0)
+
+
+def _cube3d_ref(delta, exponent, rotated=False):
+    rots = [np.eye(3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+            _E1_TO_E3]
+    a = make_rotated_family(delta, rots, exponent)
+    if rotated:
+        R = _rot3d_z_ref(np.pi / 12)
+        return AnisotropyDensity(np.array([R.T @ G @ R for G in a.matrices]),
+                                 a.exponent)
+    return a
+
+
+def _hexprism3d_ref(delta, extra_angle=0.0):
+    rots = [_rot3d_z_ref(extra_angle + k * np.pi / 3) for k in range(3)]
+    return make_rotated_family(delta, rots + [_E1_TO_E3], 1.0)
+
+
+def test_presets_match_parent_constructors():
+    t = np.pi / 12
+    cases = [
+        ("iso", 2, make_isotropic(2)), ("iso", 3, make_isotropic(3)),
+        ("ani1:0.3", 2, make_regularized_l1(0.3, 2)),
+        ("ani1:0.3", 3, make_regularized_l1(0.3, 3)),
+        ("hex2d:0.1", 2, _hex2d_ref(0.1)),
+        ("hex2d-rot:0.1", 2, _hex2d_ref(0.1, 0.0 + t)),
+        ("hex2d:0.1:rot", 2, _hex2d_ref(0.1, t)),
+        ("hex2d-rot:0.1:rot", 2, _hex2d_ref(0.1, t + t)),
+        ("cube3d:0.3:9", 3, _cube3d_ref(0.3, 9.0)),
+        ("cube3d:0.3:2:rot", 3, _cube3d_ref(0.3, 2.0, rotated=True)),
+        ("hexprism3d:0.2", 3, _hexprism3d_ref(0.2)),
+        ("hexprism3d:0.2:rot", 3, _hexprism3d_ref(0.2, t)),
+    ]
+    for name, dim, ref in cases:
+        a = anisotropy_from_name(name, dim)
+        assert np.array_equal(a.matrices, ref.matrices), name
+        assert a.exponent == ref.exponent, name
+    for name in ("iso:rot", "ani1:0.3:rot", "hex2d", "cube3d:0.3", "hex2d:0.1:0.2",
+                 "rot"):
+        with pytest.raises(ValueError):
+            anisotropy_from_name(name)
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         AnisotropyDensity(np.array([[[1.0, 0.5], [0.4, 1.0]]]))  # asymmetric

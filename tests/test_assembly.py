@@ -16,7 +16,7 @@ from anisopf.assembly import (
     lumped_mass,
     stiffness,
 )
-from anisopf.errors import InconsistentDimensions
+from anisopf.errors import InconsistentDimensions, ZeroDirection
 from anisopf.mesh import SimplicialMesh, adapt_to_interface, build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.stepper import PhysicalParams, initial_phase
@@ -269,27 +269,28 @@ def test_heat_block_follows_phase_step_size_and_mesh():
     assert _same_csr(s.A_diff, A) and _same_csr(s.MW, MW)
 
 
-def test_gamma_mobility_evaluates_gamma_once(monkeypatch):
+def test_gamma_mobility_is_exactly_one(monkeypatch):
     aniso = make_regularized_l1(0.3, 2)
+    mob = MobilitySpec("gamma")
     rng = np.random.default_rng(14)
     p = rng.normal(size=(40, 2))
     p[::5] = 0.0
-    for mob in (MobilitySpec("gamma"), MobilitySpec("gamma", mu_bar=0.7)):
-        g, b = aniso.gamma(p), mob.beta(aniso, p)
-        want = np.where(b > 0.0, g / np.where(b > 0.0, b, 1.0), mob.fallback(aniso))
-        calls = []
+    # the former evaluation: gamma / beta with beta = gamma, and the value
+    # gamma(e1) / beta(e1) where p = 0
+    g = b = aniso.gamma(p)
+    want = np.where(b > 0.0, g / np.where(b > 0.0, b, 1.0), mob.fallback(aniso))
+    calls = []
 
-        def counting_gamma(q, gamma=aniso.gamma):
-            calls.append(np.ndim(q))
-            return gamma(q)
+    def counting_gamma(q, gamma=aniso.gamma):
+        calls.append(np.ndim(q))
+        return gamma(q)
 
-        monkeypatch.setattr(aniso, "gamma", counting_gamma)
-        got = mob.mu(aniso, p)
-        monkeypatch.undo()
-        assert calls.count(2) == 1
-        assert np.array_equal(got, want)
-        assert mob.mu(aniso, p[1]) == 1.0
-        assert mob.mu(aniso, p[0]) == mob.fallback(aniso)
+    monkeypatch.setattr(aniso, "gamma", counting_gamma)
+    got = mob.mu(aniso, p)
+    single = (mob.mu(aniso, p[1]), mob.mu(aniso, p[0]))
+    assert calls == []
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert single == (1.0, 1.0)
 
 
 def test_weight_length_validation(unit_mesh):
@@ -375,6 +376,28 @@ def _einsum_b_matrix(a, q, p):
     return np.einsum("...l,lij->...ij", coef * w, a.matrices)
 
 
+def _einsum_a_prime(a, p):
+    r = a.exponent
+    gl = _einsum_gamma_l(a, p)
+    g = (gl**r).sum(axis=-1) ** (1.0 / r)
+    w = np.ones_like(gl)
+    if r != 1.0:
+        pos = g[..., None] > 0.0
+        w = np.where(pos, gl / np.where(pos, g[..., None], 1.0), 1.0) ** (r - 1.0)
+    Gp = np.einsum("lij,...j->...li", a.matrices, p)
+    coef = np.where(gl > 0.0, g[..., None] * w / np.where(gl > 0.0, gl, 1.0), 0.0)
+    return np.einsum("...l,...li->...i", coef, Gp)
+
+
+def _einsum_gamma_grad(a, p):
+    r = a.exponent
+    gl = _einsum_gamma_l(a, p)
+    g = (gl**r).sum(axis=-1) ** (1.0 / r)
+    w = (gl / g[..., None]) ** (r - 1.0)
+    Gp = np.einsum("lij,...j->...li", a.matrices, p)
+    return np.einsum("...l,...li->...i", w / gl, Gp)
+
+
 def _add_at_lumped_mass(mesh, weight=None):
     d1 = mesh.dim + 1
     vol = mesh.volumes if weight is None else mesh.volumes * weight
@@ -432,6 +455,18 @@ def test_gamma_l_and_b_matrix_match_einsum_reference(name, dim):
         B = a.b_matrix(q, p)
         assert B.shape == ref.shape
         assert np.abs(B - ref).max() <= 1e-13 * np.abs(ref).max()
+    for p in (P, P[5], P.reshape(20, 10, dim)):
+        ref = _einsum_a_prime(a, p)
+        assert a.a_prime(p).shape == ref.shape
+        assert np.abs(a.a_prime(p) - ref).max() <= 1e-13 * np.abs(ref).max()
+    for p in (P[3:], P[5], P[10:].reshape(19, 10, dim)):
+        ref = _einsum_gamma_grad(a, p)
+        assert a.gamma_grad(p).shape == ref.shape
+        assert np.abs(a.gamma_grad(p) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.all(a.a_prime(P[0]) == 0.0)
+    assert np.all(a.a_prime(P)[[0, 2]] == 0.0)
+    with pytest.raises(ZeroDirection):
+        a.gamma_grad(P)
 
 
 @pytest.mark.parametrize("dim,N", KERNEL_MESHES)

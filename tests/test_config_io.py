@@ -288,8 +288,10 @@ def test_cli_check_threshold(tmp_path, capsys):
     layer_dir = tmp_path / "layer"
     layer_dir.mkdir()
     layer = _write_cfg(layer_dir)
-    text = open(layer).read().replace("u_D = -64", "u_D = -65")
-    open(layer, "w").write(text)
+    with open(layer) as f:
+        text = f.read().replace("u_D = -64", "u_D = -65")
+    with open(layer, "w") as f:
+        f.write(text)
     assert main(["check-threshold", layer]) == 0
     out = capsys.readouterr().out
     assert "layer-forms" in out.splitlines()[-1]
@@ -316,7 +318,9 @@ def test_cli_solver_failure_exits_one(tmp_path, capsys):
     path = _write_cfg(
         tmp_path,
         extra="[solver]\nmethod = active-set\nmax_outer = 1\n")
-    text = open(path).read().replace("u_D = -64", "u_D = -100")
-    open(path, "w").write(text)
+    with open(path) as f:
+        text = f.read().replace("u_D = -64", "u_D = -100")
+    with open(path, "w") as f:
+        f.write(text)
     assert main(["simulate", path]) == 1
     assert "NonConvergence" in capsys.readouterr().err

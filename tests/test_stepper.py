@@ -8,7 +8,7 @@ import pytest
 from anisopf.anisotropy import MobilitySpec, make_regularized_l1
 from anisopf.assembly import assemble_step_system, lumped_mass
 from anisopf.config import RunConfig
-from anisopf.errors import InterfaceTooWide, MeshChanged, NotApplicable
+from anisopf.errors import InterfaceTooWide, MeshChanged
 from anisopf.mesh import NodalField, build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.stepper import (
@@ -49,7 +49,7 @@ def test_initial_phase_rejects_wide_interface(mesh):
 
 def test_initial_temperature_profile(mesh):
     u_D, R0, H = -2.0, 0.25, 0.5
-    f = initial_temperature(mesh, u_D, R0, H, theta=1.0)
+    f = initial_temperature(mesh, u_D, R0, H)
     r = np.linalg.norm(mesh.vertices, axis=1)
     inner = r <= R0
     assert np.all(f.values[inner] == 0.0)
@@ -59,13 +59,8 @@ def test_initial_temperature_profile(mesh):
     mid = (r > R0) & (r < H)
     expect = u_D * (1.0 - np.exp(R0 - r[mid])) / (1.0 - math.exp(R0 - H))
     assert np.allclose(f.values[mid], expect)
-    zero = initial_temperature(mesh, 0.0, R0, H, theta=1.0)
+    zero = initial_temperature(mesh, 0.0, R0, H)
     assert np.all(zero.values == 0.0)
-
-
-def test_initial_temperature_requires_theta(mesh):
-    with pytest.raises(NotApplicable):
-        initial_temperature(mesh, -1.0, 0.25, 0.5, theta=0.0)
 
 
 def _model(u_D=-1.0):
