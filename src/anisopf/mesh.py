@@ -305,9 +305,13 @@ class SimplicialMesh:
 
     def interpolate(self, values, points):
         """Evaluate the P1 interpolant of nodal ``values`` at ``points``."""
-        vert_ids, lam = self._transfer_weights(points)
-        vals = np.asarray(values, dtype=float)[vert_ids]
-        return (lam[:, None, :] @ vals[:, :, None])[:, 0, 0]
+        return _weighted(values, *self._transfer_weights(points))
+
+
+def _weighted(values, vert_ids, weights):
+    """Nodal ``values`` combined with per-point vertex ids and weights."""
+    vals = np.asarray(values, dtype=float)[vert_ids]
+    return (weights[:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -373,11 +377,16 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
     gen_cap = max(0, 2 * levels * d)
     target = math.sqrt(d) * (2.0 * mesh.H / N_f) * (1.0 + 1e-9)
 
+    # transfer weights of the new vertices, located once as they appear
+    vert_ids = np.empty((0, d + 1), dtype=np.int64)
+    weights = np.empty((0, d + 1))
     phi_at = np.empty(0)
     for _round in range(8 * (levels + 1) * d + 8):
         if len(phi_at) < new.n_vertices:
-            phi_at = np.concatenate([phi_at, mesh.interpolate(
-                phi.values, new.vertices[len(phi_at):])])
+            ids, lam = mesh._transfer_weights(new.vertices[len(phi_at):])
+            vert_ids = np.concatenate([vert_ids, ids])
+            weights = np.concatenate([weights, lam])
+            phi_at = np.concatenate([phi_at, _weighted(phi.values, ids, lam)])
         cache = new._finalize(geometry=False)
         elems = cache["elements"]
         coarse = cache["diameters"] > target
@@ -392,7 +401,6 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
     else:
         raise RefinementDepthExceeded("marking loop did not terminate")
 
-    vert_ids, weights = mesh._transfer_weights(new.vertices)
     return new, TransferMap(mesh, new, vert_ids, weights)
 
 

@@ -88,6 +88,7 @@ def write_report_json(cfg, state, path, error=None):
                 "method": r.method,
                 "outer": r.outer_iterations,
                 "inner": r.inner_iterations,
+                "lu": r.factorizations,
                 "active_plus": r.active_plus,
                 "active_minus": r.active_minus,
                 "converged": r.converged,

@@ -8,10 +8,14 @@ that is linear in (U, W) and a variational inequality for U over the box
   Newton method of Hintermueller, Ito and Kunisch).  With the phase-row
   residual ``res = C U - lam M_rho W - g``, the nodes where the predictor
   ``U - res / diag(C)`` leaves [-1, 1] are pinned at the bound they cross;
-  a sparse LU factorization of the saddle system on the free phase nodes
-  and all temperature nodes gives the next iterate.  The iteration stops
+  the saddle system on the free phase nodes and all temperature nodes
+  gives the next iterate.  While the coefficients stay frozen, the step
+  makes one sparse LU factorization: later iterations border it with the
+  nodes whose state changed and solve through a small dense Schur
+  complement, refactoring only after a large change.  The iteration stops
   when the sign conditions of the inequality hold and, if the
-  coefficients depend on the iterate, the increment has stalled.
+  coefficients depend on the iterate (each iteration then factors
+  afresh), the increment has stalled.
 * ``lagged_step``: an outer fixed point that freezes the iterate-dependent
   coefficients (the rho-hat weighted coupling and, for r > 1, the
   anisotropic stiffness), solves the resulting linear-coefficient problem
@@ -86,6 +90,7 @@ class StepReport:
     active_minus: int = 0
     residual: float = float("nan")
     converged: bool = False
+    factorizations: int = 0       # sparse LUs of the returned solve
 
 
 def choose_method(cfg, aniso):
@@ -135,34 +140,139 @@ def _saddle_matrix(C_FF, top, bottom, MW, F):
     return sp.csc_matrix((data, indices, up + lo), shape=(nF + n, nF + n))
 
 
+# largest active-set change (newly free plus newly pinned nodes) that a
+# frozen-coefficient iteration solves from the factorization in hand
+_BORDER_CAP = 32
+
+
+def _pinned(sys, plus, minus):
+    """Phase values with the active nodes at their bounds, zero elsewhere."""
+    if (plus | minus).all() and sys.theta == 0.0 and not sys.dirichlet.any():
+        raise SingularSystem(
+            "all nodes active under pure Neumann conditions with theta = 0")
+    return np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
+
+
 def _solve_free(sys, C, m_rho, f, plus, minus):
     """Solve for the free phase nodes and W with the active nodes pinned.
 
     The unknowns are U on the free set F and all of W; the saddle system
     is [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values moved
-    to the right-hand side.
+    to the right-hand side.  Returns U, W and the LU of the saddle matrix.
     """
-    free = ~(plus | minus)
-    if not free.any() and sys.theta == 0.0 and not sys.dirichlet.any():
-        raise SingularSystem(
-            "all nodes active under pure Neumann conditions with theta = 0")
-    F = np.flatnonzero(free)
+    U = _pinned(sys, plus, minus)
+    F = np.flatnonzero(~(plus | minus))
     nF = F.size
-    U = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
     coup = sys.lam * m_rho
     heat_u = np.where(sys.dirichlet, 0.0, coup)
     C_F = C[F]
     K = _saddle_matrix(C_F[:, F].tocsc(), -coup, heat_u, sys.MW, F)
-    sol = _factor(K).solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
+    lu = _factor(K)
+    sol = lu.solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
     U[F] = sol[:nF]
     W = sol[nF:].copy()
     W[sys.dirichlet] = sys.u_D
-    return U, W
+    return U, W, lu
+
+
+class _FrozenSolver:
+    """Free-node solves of one step system with frozen coefficients.
+
+    The first solve factors the saddle matrix K0 of its free set F0.  A
+    later free set F differs from F0 by the newly free nodes A (in F, not
+    in F0) and the newly pinned nodes R (in F0, not in F).  Its system is
+    K0 bordered by the rows and columns of U_A and by one multiplier per
+    node of R, which takes up that node's phase row while the node's
+    correction to its pinned value is held at zero.  The bordered system
+    is solved from the LU of K0 through its k x k Schur complement,
+    k = |A| + |R| (Gill, Murray, Saunders and Wright, "A Schur-complement
+    method for sparse quadratic programming", 1990):
+
+        Z = K0^-1 [B_A, E_R],  S = D - [B_A'; E_R'] Z,  x = z0 - Z y,
+
+    where z0 = K0^-1 b0 and S y is the border rows' residual at z0.  The
+    columns of Z are kept per node for the later solves.  A change of more
+    than ``_BORDER_CAP`` nodes, or a Schur matrix LAPACK finds singular, is
+    factored afresh, and that factorization becomes K0.
+    """
+
+    def __init__(self, sys, C, m_rho, f, report):
+        self.sys, self.C, self.m_rho, self.f = sys, C, m_rho, f
+        self.report = report
+        self.coup = sys.lam * m_rho
+        self.heat_u = np.where(sys.dirichlet, 0.0, self.coup)
+        self.lu = None
+
+    def solve(self, plus, minus):
+        """U and W with the nodes of ``plus``/``minus`` pinned at +1/-1."""
+        free = ~(plus | minus)
+        if self.lu is not None:
+            A = np.flatnonzero(free & (self.pos < 0))
+            R = np.flatnonzero(~free & (self.pos >= 0))
+            if A.size + R.size <= _BORDER_CAP:
+                out = self._bordered(_pinned(self.sys, plus, minus), free, A, R)
+                if out is not None:
+                    return out
+        # the superseded LU and its columns go before the next factorization
+        self.lu = self.cols = None
+        U, W, self.lu = _solve_free(self.sys, self.C, self.m_rho, self.f,
+                                    plus, minus)
+        self.report.factorizations += 1
+        self.F0 = np.flatnonzero(free)
+        self.pos = np.full(self.sys.n, -1)
+        self.pos[self.F0] = np.arange(self.F0.size)
+        self.cols = {}
+        return U, W
+
+    def _bordered(self, U, free, A, R):
+        sys, C, F0, pos = self.sys, self.C, self.F0, self.pos
+        nF0, nA = F0.size, A.size
+        res = sys.g - C @ U
+        # one solve for the right-hand side and the border columns not yet
+        # computed: column a holds C_F0,a and the heat entry of U_a, column
+        # r the unit vector of U_r
+        new_A = [a for a in A if a not in self.cols]
+        new_R = [r for r in R if r not in self.cols]
+        rhs = np.zeros((nF0 + sys.n, 1 + len(new_A) + len(new_R)))
+        rhs[:nF0, 0] = res[F0]
+        rhs[nF0:, 0] = self.f - self.heat_u * U
+        if new_A:
+            j = np.arange(1, 1 + len(new_A))
+            rhs[:nF0, j] = C[:, new_A].toarray()[F0]
+            rhs[nF0 + np.array(new_A), j] = self.heat_u[new_A]
+        rhs[pos[new_R], np.arange(1 + len(new_A), rhs.shape[1])] = 1.0
+        sol = self.lu.solve(rhs)
+        for j, node in enumerate(new_A + new_R, start=1):
+            self.cols[node] = sol[:, j]
+        x = sol[:, 0]
+        if nA + R.size:
+            Zx = np.column_stack([x] + [self.cols[v] for v in np.r_[A, R]])
+            # the border rows times [z0, Z]: phase rows of A, then E_R'
+            C_A = C[A].toarray()
+            T = np.vstack([
+                C_A[:, F0] @ Zx[:nF0] - self.coup[A, None] * Zx[nF0 + A],
+                Zx[pos[R]]])
+            S = -T[:, 1:]
+            S[:nA, :nA] += C_A[:, A]
+            r = -T[:, 0]
+            r[:nA] += res[A]
+            try:
+                y = np.linalg.solve(S, r)
+            except np.linalg.LinAlgError:
+                return None
+            x = x - Zx[:, 1:] @ y
+            U[A] = y[:nA]
+        kept = F0[free[F0]]
+        U[kept] = x[pos[kept]]
+        W = x[nF0:].copy()
+        W[sys.dirichlet] = sys.u_D
+        return U, W
 
 
 def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
     """Primal-dual active-set iteration; ``rebuild`` refreshes coefficients
-    at the iterates."""
+    at the iterates.  While they stay frozen, each iteration after the
+    first is solved from the factorization in hand (``_FrozenSolver``)."""
     U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
     W = None if W0 is None else np.asarray(W0, dtype=float).copy()
     moving = rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero)
@@ -177,6 +287,7 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
         return C, d, m_rho, sys.f_rhs(m_rho)
 
     C, d, m_rho, f = mats(U)
+    solver = _FrozenSolver(sys, C, m_rho, f, report)
     res = None if W is None else C @ U - sys.lam * m_rho * W - sys.g
     for _ in range(cfg.max_outer):
         if res is None:
@@ -185,7 +296,7 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
         else:
             pred = U - res / d
             plus, minus = pred > 1.0, pred < -1.0
-        U_new, W_new = _solve_free(sys, C, m_rho, f, plus, minus)
+        U_new, W_new = solver.solve(plus, minus)
         report.outer_iterations += 1
         if W is None:
             diff = np.inf
@@ -194,6 +305,7 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
         U, W = U_new, W_new
         if moving:
             C, d, m_rho, f = mats(np.clip(U, -1.0, 1.0))
+            solver = _FrozenSolver(sys, C, m_rho, f, report)
         res = C @ U - sys.lam * m_rho * W - sys.g
         # at a marginally stable state the sets flip at round-off level,
         # so acceptance rests on the sign conditions, not on set repetition
@@ -217,8 +329,9 @@ def active_set_step(sys, cfg, u0=None, w0="prev"):
     ``u0``/``w0`` seed the iteration (defaults: the previous state); ``u0``
     is clipped to [-1, 1].  Pass ``w0=None`` when no temperature guess
     exists; the initial active sets are then read off ``u0``.  The start
-    moves the iteration count, not the answer (to the bit when the
-    coefficients do not depend on the iterate, else to ``cfg.tol``);
+    moves the iteration count, not the answer (up to round-off when the
+    coefficients do not depend on the iterate, since the iterations are
+    solved from different factorizations, else to ``cfg.tol``);
     ``run_simulation`` passes ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
     """
     report = StepReport(method="active-set")
@@ -258,6 +371,7 @@ def _lagged_once(sys, cfg, U0, W0, omega, report):
         sub = StepReport(method="active-set")
         U_half, W_half = _pdas_solve(sys, cfg, U, W, rebuild=False, report=sub)
         report.inner_iterations += sub.outer_iterations
+        report.factorizations += sub.factorizations
         if W is None:
             U_new, W_new = U_half, W_half
             diff = np.inf
@@ -271,6 +385,7 @@ def _lagged_once(sys, cfg, U0, W0, omega, report):
             sub = StepReport(method="active-set")
             U, W = _pdas_solve(sys, cfg, U, W, rebuild=False, report=sub)
             report.inner_iterations += sub.outer_iterations
+            report.factorizations += sub.factorizations
             report.active_plus = sub.active_plus
             report.active_minus = sub.active_minus
             report.residual = diff
@@ -321,6 +436,7 @@ def newton_smooth_step(sys, cfg):
         # quartic shape) stay out of the pattern the LU orders and fills
         K.eliminate_zeros()
         delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
+        report.factorizations += 1
         t = 1.0
         for _ls in range(20):
             U_t = U + t * delta[:n]

@@ -224,8 +224,8 @@ def run_simulation(cfg, out_dir=None, strict=False):
     temperatures are solved ones (with theta = 0 the initial W is only a
     placeholder); on adaptive runs the older state is moved to each new
     mesh with the same transfer map.  The start changes how many
-    iterations a step takes, not its answer.  Lagged and Newton steps
-    start from the previous state.
+    iterations a step takes, not its answer beyond round-off.  Lagged and
+    Newton steps start from the previous state.
     """
     params = cfg.physical_params()
     pot, sh, aniso, mobility = cfg.model_objects()

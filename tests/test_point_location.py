@@ -144,6 +144,29 @@ def test_locate_and_transfer_match_reference_3d():
     assert np.array_equal(tmap.weights, weights)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_adapt_locates_each_new_vertex_once(dim, monkeypatch):
+    # the transfer map reuses the weights of the marking rounds: the same
+    # map as locating all new vertices at the end, for one locate per vertex
+    eps = 1.0 / (16 * np.pi) if dim == 2 else 1.0 / (8 * np.pi)
+    N_f, N_c = (64, 8) if dim == 2 else (8, 4)
+    m = build_uniform_mesh(0.5, N_f, dim, "dirichlet")
+    m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), N_f, N_c)
+    located = []
+    locate = type(m1).locate
+
+    def counted(self, points):
+        located.append(len(points))
+        return locate(self, points)
+
+    monkeypatch.setattr(type(m1), "locate", counted)
+    new, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), N_f, N_c)
+    assert sum(located) == new.n_vertices
+    vert_ids, weights = m1._transfer_weights(new.vertices)
+    assert np.array_equal(tmap.vert_ids, vert_ids)
+    assert np.array_equal(tmap.weights, weights)
+
+
 @pytest.mark.parametrize("dim,N", [(2, 6), (3, 4)])
 def test_uniform_mesh_numbering(dim, N):
     H = 0.75

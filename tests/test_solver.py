@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from anisopf import solver
 from anisopf.anisotropy import MobilitySpec, make_isotropic, make_regularized_l1
 from anisopf.assembly import assemble_step_system
 from anisopf.errors import (
@@ -14,9 +15,13 @@ from anisopf.errors import (
 from anisopf.mesh import build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.solver import (
+    _BORDER_CAP,
     SolverConfig,
+    StepReport,
     _factor,
+    _FrozenSolver,
     _saddle_matrix,
+    _solve_free,
     _smooth_residual,
     active_set_step,
     choose_method,
@@ -33,13 +38,13 @@ CFG = SolverConfig()
 def small_setup(n=8, theta=0.0, rho=0.01, u_D=-2.0, bc="dirichlet",
                 shape=ShapeSpec("lin-minus", "for-negative-uD"),
                 pot=PotentialSpec("obstacle"), aniso=None, eps=None,
-                tau=1e-3):
-    aniso = aniso or make_regularized_l1(0.3, 2)
+                tau=1e-3, dim=2):
+    aniso = aniso or make_regularized_l1(0.3, dim)
     eps = eps or 1.0 / (4.0 * np.pi)
     params = PhysicalParams(theta=theta, rho=rho, alpha=0.03, eps=eps,
                             u_D=u_D, H=0.5, bc_case=bc, R0=0.25,
                             T_end=1e-3, tau=tau)
-    mesh = build_uniform_mesh(params.H, n, 2, bc)
+    mesh = build_uniform_mesh(params.H, n, dim, bc)
     phi = initial_phase(mesh, params.R0, params.eps).values
     w = np.full(mesh.n_vertices, params.u_D if theta == 0.0 else 0.0)
     mob = MobilitySpec("gamma")
@@ -72,6 +77,88 @@ def test_saddle_matrix_matches_bmat(bc, theta, free_set):
     if bc != "neumann" and free_set == "all":
         # Dirichlet phase nodes in F give explicit zeros in the coupling
         assert (K.data == 0.0).any()
+
+
+def _counted_factor(monkeypatch):
+    calls = []
+
+    def counted(K):
+        calls.append(K.shape[0])
+        return _factor(K)
+
+    monkeypatch.setattr(solver, "_factor", counted)
+    return calls
+
+
+def _change_sets(sys, plus, minus, change, k, rng):
+    """Copies of the active sets with ``k`` nodes changed: ``free`` releases
+    active nodes (Dirichlet boundary nodes first), ``pin`` pins free nodes
+    at alternating bounds, ``both`` does half of each."""
+    plus, minus = plus.copy(), minus.copy()
+    n_free = {"free": k, "pin": 0, "both": k // 2}[change]
+    active = np.flatnonzero(plus | minus)
+    edge = active[sys.dirichlet[active]][:n_free // 2]
+    release = np.r_[edge, rng.choice(np.setdiff1d(active, edge),
+                                     n_free - edge.size, replace=False)]
+    pin = rng.choice(np.flatnonzero(~(plus | minus)), k - n_free,
+                     replace=False)
+    plus[release] = minus[release] = False
+    plus[pin[::2]] = True
+    minus[pin[1::2]] = True
+    return plus, minus
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("theta,bc", [(0.0, "dirichlet"), (1.0, "mixed"),
+                                      (1.0, "neumann")])
+@pytest.mark.parametrize("change,k", [
+    ("free", 12), ("pin", 12), ("both", 20), ("both", _BORDER_CAP + 8)])
+def test_bordered_solve_matches_fresh_factorization(
+        dim, n, theta, bc, change, k, monkeypatch):
+    sys, params, cfg = small_setup(n=n, dim=dim, theta=theta, bc=bc)
+    C = sys.c_matrix()
+    m_rho = sys.m_rho_diag(sys.phi_prev)
+    f = sys.f_rhs(m_rho)
+    plus0, minus0 = sys.phi_prev == 1.0, sys.phi_prev == -1.0
+    plus1, minus1 = _change_sets(sys, plus0, minus0, change, k,
+                                 np.random.default_rng(dim + k))
+    assert ((plus0 | minus0) != (plus1 | minus1)).sum() == k
+    if change != "pin" and bc != "neumann":
+        # some released nodes carry Dirichlet heat rows
+        assert (sys.dirichlet & (plus0 | minus0) & ~(plus1 | minus1)).any()
+    refs = [_solve_free(sys, C, m_rho, f, p, m)[:2]
+            for p, m in ((plus0, minus0), (plus1, minus1))]
+    calls = _counted_factor(monkeypatch)
+    frozen = _FrozenSolver(sys, C, m_rho, f, StepReport("active-set"))
+    # the base, the change, then the base again (no border) and the change
+    # again (from the kept columns)
+    for (p, m), (U_ref, W_ref) in zip(
+            [(plus0, minus0), (plus1, minus1)] * 2, refs * 2):
+        U, W = frozen.solve(p, m)
+        assert np.array_equal(U[p], np.ones(p.sum()))
+        assert np.array_equal(U[m], -np.ones(m.sum()))
+        ref = np.r_[U_ref, W_ref]
+        assert np.abs(np.r_[U, W] - ref).max() <= 1e-12 * np.abs(ref).max()
+    # beyond the cap each change is factored afresh
+    assert len(calls) == (1 if k <= _BORDER_CAP else 4)
+    assert frozen.report.factorizations == len(calls)
+
+
+def test_bordered_update_to_all_active_is_singular(monkeypatch):
+    # pure Neumann, theta = 0: pinning the last free nodes leaves W
+    # undetermined, also when the update is bordered onto a factorization
+    sys, params, cfg = small_setup(n=4, theta=0.0, bc="neumann")
+    C = sys.c_matrix()
+    m_rho = sys.m_rho_diag(sys.phi_prev)
+    plus, minus = sys.phi_prev == 1.0, sys.phi_prev == -1.0
+    assert 0 < (~(plus | minus)).sum() <= _BORDER_CAP
+    calls = _counted_factor(monkeypatch)
+    frozen = _FrozenSolver(sys, C, m_rho, sys.f_rhs(m_rho),
+                           StepReport("active-set"))
+    frozen.solve(plus, minus)
+    with pytest.raises(SingularSystem):
+        frozen.solve(~minus, minus)
+    assert len(calls) == 1
 
 
 def test_pgs_rejects_zero_diagonal():
