@@ -153,28 +153,6 @@ def _pinned(sys, plus, minus):
     return np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
 
 
-def _solve_free(sys, C, m_rho, f, plus, minus):
-    """Solve for the free phase nodes and W with the active nodes pinned.
-
-    The unknowns are U on the free set F and all of W; the saddle system
-    is [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values moved
-    to the right-hand side.  Returns U, W and the LU of the saddle matrix.
-    """
-    U = _pinned(sys, plus, minus)
-    F = np.flatnonzero(~(plus | minus))
-    nF = F.size
-    coup = sys.lam * m_rho
-    heat_u = np.where(sys.dirichlet, 0.0, coup)
-    C_F = C[F]
-    K = _saddle_matrix(C_F[:, F].tocsc(), -coup, heat_u, sys.MW, F)
-    lu = _factor(K)
-    sol = lu.solve(np.concatenate([sys.g[F] - C_F @ U, f - heat_u * U]))
-    U[F] = sol[:nF]
-    W = sol[nF:].copy()
-    W[sys.dirichlet] = sys.u_D
-    return U, W, lu
-
-
 class _FrozenSolver:
     """Free-node solves of one step system with frozen coefficients.
 
@@ -197,7 +175,7 @@ class _FrozenSolver:
     """
 
     def __init__(self, sys, C, m_rho, f, report):
-        self.sys, self.C, self.m_rho, self.f = sys, C, m_rho, f
+        self.sys, self.C, self.f = sys, C, f
         self.report = report
         self.coup = sys.lam * m_rho
         self.heat_u = np.where(sys.dirichlet, 0.0, self.coup)
@@ -205,23 +183,42 @@ class _FrozenSolver:
 
     def solve(self, plus, minus):
         """U and W with the nodes of ``plus``/``minus`` pinned at +1/-1."""
-        free = ~(plus | minus)
+        U, free = _pinned(self.sys, plus, minus), ~(plus | minus)
         if self.lu is not None:
             A = np.flatnonzero(free & (self.pos < 0))
             R = np.flatnonzero(~free & (self.pos >= 0))
             if A.size + R.size <= _BORDER_CAP:
-                out = self._bordered(_pinned(self.sys, plus, minus), free, A, R)
+                # U is left as it was if the Schur matrix is singular
+                out = self._bordered(U, free, A, R)
                 if out is not None:
                     return out
+        return self._fresh(U, free)
+
+    def _fresh(self, U, free):
+        """Factor the saddle system of the free set F afresh and solve it.
+
+        The unknowns are U on F and all of W; the system is
+        [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values of
+        ``U`` moved to the right-hand side.  F becomes F0.
+        """
+        sys = self.sys
         # the superseded LU and its columns go before the next factorization
         self.lu = self.cols = None
-        U, W, self.lu = _solve_free(self.sys, self.C, self.m_rho, self.f,
-                                    plus, minus)
+        F = np.flatnonzero(free)
+        nF = F.size
+        C_F = self.C[F]
+        K = _saddle_matrix(C_F[:, F].tocsc(), -self.coup, self.heat_u,
+                           sys.MW, F)
+        self.lu = _factor(K)
         self.report.factorizations += 1
-        self.F0 = np.flatnonzero(free)
-        self.pos = np.full(self.sys.n, -1)
-        self.pos[self.F0] = np.arange(self.F0.size)
-        self.cols = {}
+        sol = self.lu.solve(np.concatenate([sys.g[F] - C_F @ U,
+                                            self.f - self.heat_u * U]))
+        self.F0, self.cols = F, {}
+        self.pos = np.full(sys.n, -1)
+        self.pos[F] = np.arange(nF)
+        U[F] = sol[:nF]
+        W = sol[nF:].copy()
+        W[sys.dirichlet] = sys.u_D
         return U, W
 
     def _bordered(self, U, free, A, R):
