@@ -148,6 +148,12 @@ class SystemMatrices:
     def n(self):
         return self.M.shape[0]
 
+    @property
+    def coefficients_move(self):
+        """Whether C or M_rho depend on the new phase: r > 1 or an implicit
+        shape part (quartic shape)."""
+        return self.b_depends_on_iterate or self.rho_plus_nonzero
+
     def c_matrix(self, B=None):
         """C = c_mu * diag(M_mu) + c_B * B."""
         if B is None:

@@ -5,22 +5,22 @@ that is linear in (U, W) and a variational inequality for U over the box
 [-1, 1]^J.  Two solution methods are provided.
 
 * ``active_set_step``: a primal-dual active-set iteration (the semismooth
-  Newton method of Hintermueller, Ito and Kunisch).  With the phase-row
+  Newton method of Hintermueller, Ito and Kunisch) for steps whose
+  coefficients do not depend on the new phase.  With the phase-row
   residual ``res = C U - lam M_rho W - g``, the nodes where the predictor
   ``U - res / diag(C)`` leaves [-1, 1] are pinned at the bound they cross;
   the saddle system on the free phase nodes and all temperature nodes
-  gives the next iterate.  While the coefficients stay frozen, the step
-  makes one sparse LU factorization: later iterations border it with the
-  nodes whose state changed and solve through a small dense Schur
-  complement, refactoring only after a large change.  The iteration stops
-  when the sign conditions of the inequality hold and, if the
-  coefficients depend on the iterate (each iteration then factors
-  afresh), the increment has stalled.
-* ``lagged_step``: an outer fixed point that freezes the iterate-dependent
-  coefficients (the rho-hat weighted coupling and, for r > 1, the
-  anisotropic stiffness), solves the resulting linear-coefficient problem
-  with the same active-set iteration, and relaxes with a factor omega.
-  This is the robust choice for strongly nonlinear exponents.
+  gives the next iterate.  The step makes one sparse LU factorization:
+  later iterations border it with the nodes whose state changed and solve
+  through a small dense Schur complement, refactoring only after a large
+  change.  The iteration stops when the sign conditions of the inequality
+  hold.
+* ``lagged_step``: for steps whose coefficients move with the new phase
+  (the rho-hat weighted coupling of the quartic shape split and, for
+  r > 1, the anisotropic stiffness), a fixed point over the same
+  active-set iteration with the coefficients frozen at the iterate,
+  accelerated by Anderson mixing (Walker and Ni, SIAM J. Numer. Anal.
+  2011) and damped by omega.
 
 The smooth (quartic) scheme is solved by ``newton_smooth_step``, a damped
 Newton method with an analytic Jacobian in which the direction argument of
@@ -64,7 +64,7 @@ class SolverConfig:
     method: str = "auto"          # active-set | lagged | auto
     tol: float = 1e-8
     max_outer: int = 200
-    omega: float = 0.5            # lagged relaxation, in (0, 1]
+    omega: float = 0.5            # lagged Anderson damping, in (0, 1]
     newton_tol: float = 1e-8
     newton_max_iter: int = 30
 
@@ -74,7 +74,7 @@ class SolverConfig:
         if self.tol <= 0.0 or self.newton_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.omega <= 1.0:
-            raise ValueError("relaxation omega must lie in (0, 1]")
+            raise ValueError("damping omega must lie in (0, 1]")
         if self.max_outer < 1 or self.newton_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
 
@@ -90,14 +90,15 @@ class StepReport:
     active_minus: int = 0
     residual: float = float("nan")
     converged: bool = False
-    factorizations: int = 0       # sparse LUs of the returned solve
+    factorizations: int = 0       # sparse LUs of the step
 
 
-def choose_method(cfg, aniso):
-    """Resolve ``auto``: active-set up to r = 3, lagged beyond."""
+def choose_method(cfg, sys):
+    """Resolve ``auto``: lagged when the step coefficients move with the new
+    phase, active-set otherwise."""
     if cfg.method != "auto":
         return cfg.method
-    return "active-set" if aniso.exponent <= 3.0 else "lagged"
+    return "lagged" if sys.coefficients_move else "active-set"
 
 
 def _factor(K):
@@ -139,6 +140,9 @@ def _saddle_matrix(C_FF, top, bottom, MW, F):
     indices[pos], data[pos] = rows, vals
     return sp.csc_matrix((data, indices, up + lo), shape=(nF + n, nF + n))
 
+
+# iterates mixed by the Anderson step of ``lagged_step``
+_AA_DEPTH = 5
 
 # largest active-set change (newly free plus newly pinned nodes) that a
 # frozen-coefficient iteration solves from the factorization in hand
@@ -266,25 +270,19 @@ class _FrozenSolver:
         return U, W
 
 
-def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
-    """Primal-dual active-set iteration; ``rebuild`` refreshes coefficients
-    at the iterates.  While they stay frozen, each iteration after the
-    first is solved from the factorization in hand (``_FrozenSolver``)."""
+def _pdas_solve(sys, cfg, U0, W0, report):
+    """Primal-dual active-set iteration with the coefficients frozen at the
+    clipped start ``U0``; each iteration after the first is solved from the
+    factorization in hand (``_FrozenSolver``)."""
     U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
     W = None if W0 is None else np.asarray(W0, dtype=float).copy()
-    moving = rebuild and (sys.b_depends_on_iterate or sys.rho_plus_nonzero)
     kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
-
-    def mats(Uk):
-        C = sys.c_matrix(sys.b_matrix_at(Uk))
-        d = C.diagonal()
-        if np.any(d <= 0.0):
-            raise ZeroDiagonal("system diagonal must be positive")
-        m_rho = sys.m_rho_diag(Uk)
-        return C, d, m_rho, sys.f_rhs(m_rho)
-
-    C, d, m_rho, f = mats(U)
-    solver = _FrozenSolver(sys, C, m_rho, f, report)
+    C = sys.c_matrix(sys.b_matrix_at(U))
+    d = C.diagonal()
+    if np.any(d <= 0.0):
+        raise ZeroDiagonal("system diagonal must be positive")
+    m_rho = sys.m_rho_diag(U)
+    solver = _FrozenSolver(sys, C, m_rho, sys.f_rhs(m_rho), report)
     res = None if W is None else C @ U - sys.lam * m_rho * W - sys.g
     for _ in range(cfg.max_outer):
         if res is None:
@@ -300,15 +298,11 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
         else:
             diff = max(np.abs(U_new - U).max(), np.abs(W_new - W).max())
         U, W = U_new, W_new
-        if moving:
-            C, d, m_rho, f = mats(np.clip(U, -1.0, 1.0))
-            solver = _FrozenSolver(sys, C, m_rho, f, report)
         res = C @ U - sys.lam * m_rho * W - sys.g
         # at a marginally stable state the sets flip at round-off level,
         # so acceptance rests on the sign conditions, not on set repetition
         if (np.all(res[plus] <= kkt_tol) and np.all(res[minus] >= -kkt_tol)
-                and np.all(np.abs(U[~(plus | minus)]) <= 1.0 + cfg.tol)
-                and (not moving or diff < cfg.tol)):
+                and np.all(np.abs(U[~(plus | minus)]) <= 1.0 + cfg.tol)):
             report.converged = True
             break
     else:
@@ -323,74 +317,73 @@ def _pdas_solve(sys, cfg, U0, W0, rebuild, report):
 def active_set_step(sys, cfg, u0=None, w0="prev"):
     """One obstacle step via the primal-dual active-set iteration.
 
+    Only for systems whose coefficients do not move with the new phase
+    (``NotApplicable`` otherwise; ``lagged_step`` solves those).
     ``u0``/``w0`` seed the iteration (defaults: the previous state); ``u0``
     is clipped to [-1, 1].  Pass ``w0=None`` when no temperature guess
     exists; the initial active sets are then read off ``u0``.  The start
-    moves the iteration count, not the answer (up to round-off when the
-    coefficients do not depend on the iterate, since the iterations are
-    solved from different factorizations, else to ``cfg.tol``);
+    moves the iteration count, not the answer beyond round-off (the
+    iterations are solved from different factorizations);
     ``run_simulation`` passes ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
     """
+    if sys.coefficients_move:
+        raise NotApplicable(
+            "the step coefficients depend on the new phase (r > 1 or the "
+            "quartic shape split); use lagged_step")
     report = StepReport(method="active-set")
     U0 = sys.phi_prev if u0 is None else u0
     W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
-    U, W = _pdas_solve(sys, cfg, U0, W0, rebuild=True, report=report)
+    U, W = _pdas_solve(sys, cfg, U0, W0, report)
     return U, W, report
 
 
 def lagged_step(sys, cfg, u0=None, w0="prev"):
-    """One obstacle step via the lagged (frozen-coefficient) fixed point.
+    """One obstacle step via the lagged fixed point, Anderson-accelerated.
 
-    Each outer iteration solves the problem with coefficients frozen at the
-    current iterate, then relaxes with factor omega.  On non-convergence
-    omega is halved, up to four times.
+    The map G(U, W) solves the step by the active-set iteration with the
+    coefficients frozen at the clipped U.  Each new iterate mixes the last
+    ``_AA_DEPTH`` iterates by the least-squares weights of their residuals
+    G(x) - x, damped by omega, and has its U clipped to the box; once
+    |G(x) - x| < tol in the max norm, G(x) is the answer.  With frozen
+    coefficients G does not depend on x, so the first solve is returned.
+    Without a temperature guess (``w0=None``) the first solve is the first
+    iterate.
     """
-    U0 = np.clip(sys.phi_prev if u0 is None else np.asarray(u0, float), -1, 1)
-    W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
-    omega = cfg.omega
-    last_exc = None
-    for _attempt in range(5):
-        report = StepReport(method="lagged")
-        try:
-            U, W = _lagged_once(sys, cfg, U0, W0, omega, report)
-            return U, W, report
-        except NonConvergence as exc:
-            last_exc = exc
-            omega *= 0.5
-    raise NonConvergence(
-        f"lagged iteration failed down to omega={omega * 2:g}: {last_exc}")
-
-
-def _lagged_once(sys, cfg, U0, W0, omega, report):
-    U = U0.copy()
-    W = None if W0 is None else np.asarray(W0, float).copy()
+    report = StepReport(method="lagged")
+    n, omega = sys.n, cfg.omega
+    U = np.clip(sys.phi_prev if u0 is None else np.asarray(u0, float), -1, 1)
+    W = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
+    x = None if W is None else np.concatenate([U, W])
+    xs, fs = [], []     # the last iterates and their residuals G(x) - x
     for _ in range(cfg.max_outer):
         sub = StepReport(method="active-set")
-        U_half, W_half = _pdas_solve(sys, cfg, U, W, rebuild=False, report=sub)
+        U, W = _pdas_solve(sys, cfg, U, W, sub)
+        report.outer_iterations += 1
         report.inner_iterations += sub.outer_iterations
         report.factorizations += sub.factorizations
-        if W is None:
-            U_new, W_new = U_half, W_half
-            diff = np.inf
-        else:
-            U_new = (1.0 - omega) * U + omega * U_half
-            W_new = (1.0 - omega) * W + omega * W_half
-            diff = max(np.abs(U_new - U).max(), np.abs(W_new - W).max())
-        U, W = U_new, W_new
-        report.outer_iterations += 1
-        if diff < cfg.tol:
-            sub = StepReport(method="active-set")
-            U, W = _pdas_solve(sys, cfg, U, W, rebuild=False, report=sub)
-            report.inner_iterations += sub.outer_iterations
-            report.factorizations += sub.factorizations
+        g = np.concatenate([U, W])
+        report.residual = np.inf if x is None else np.abs(g - x).max()
+        if report.residual < cfg.tol or not sys.coefficients_move:
             report.active_plus = sub.active_plus
             report.active_minus = sub.active_minus
-            report.residual = diff
             report.converged = True
-            return U, W
+            return U, W, report
+        if x is None:
+            x = g
+        else:
+            keep = 1 - _AA_DEPTH
+            xs, fs = xs[keep:] + [x], fs[keep:] + [g - x]
+            x = x + omega * fs[-1]
+            if len(xs) > 1:
+                dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+                # an explicit rcond means the same in numpy 1.x and 2.x
+                gam = np.linalg.lstsq(dF, fs[-1], rcond=1e-12)[0]
+                x -= (dX + omega * dF) @ gam
+            x[:n] = np.clip(x[:n], -1.0, 1.0)
+        U, W = x[:n], x[n:]
     raise NonConvergence(
-        f"lagged fixed point stalled after {cfg.max_outer} iterations "
-        f"(omega={omega:g})")
+        f"lagged fixed point not within tol after {cfg.max_outer} "
+        f"iterations (residual {report.residual:.3e}, omega={omega:g})")
 
 
 def _smooth_residual(sys, U, W, B):

@@ -25,7 +25,6 @@ from .assembly import assemble_step_system, lumped_mass
 from .errors import (
     InterfaceTooWide,
     MeshChanged,
-    NonConvergence,
     StabilityViolation,
 )
 from .mesh import NodalField, adapt_to_interface, build_uniform_mesh, transfer_field
@@ -249,9 +248,6 @@ def run_simulation(cfg, out_dir=None, strict=False):
 
     n_steps = int(math.floor(params.T_end / params.tau + 1e-9))
     out.vtk_snapshot(state, 0)
-    method = None
-    if pot.kind == "obstacle":
-        method = choose_method(scfg, aniso)
 
     n = 0
     energy = None      # (E_h, F_h) of ``state`` once known
@@ -277,7 +273,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
             w_guess = None if (n == 1 and params.theta == 0.0) else "prev"
             if pot.kind == "quartic":
                 U, W, rep = newton_smooth_step(sys, scfg)
-            elif method == "lagged":
+            elif choose_method(scfg, sys) == "lagged":
                 U, W, rep = lagged_step(sys, scfg, w0=w_guess)
             else:
                 u0, w0 = None, w_guess
@@ -286,12 +282,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
                     # with theta = 0 the initial W is only a placeholder
                     if n > 2 or params.theta > 0.0:
                         w0 = 2.0 * state.w.values - older[1].values
-                try:
-                    U, W, rep = active_set_step(sys, scfg, u0=u0, w0=w0)
-                except NonConvergence:
-                    if scfg.method != "auto":
-                        raise
-                    U, W, rep = lagged_step(sys, scfg, w0=w_guess)
+                U, W, rep = active_set_step(sys, scfg, u0=u0, w0=w0)
             new_state = SimulationState(
                 state.t + params.tau, state.mesh,
                 NodalField(U, state.mesh), NodalField(W, state.mesh),
@@ -301,7 +292,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
             energy = (row.E_h, row.F_h)
             new_state.ledger.append(row)
             new_state.reports.append(rep)
-            if method == "active-set":
+            if rep.method == "active-set":
                 older = (state.phi, state.w)
             state = new_state
             if strict and not (row.stab2_holds and row.stab3_holds):

@@ -5,7 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from anisopf import solver
-from anisopf.anisotropy import MobilitySpec, make_isotropic, make_regularized_l1
+from anisopf.anisotropy import (
+    MobilitySpec,
+    anisotropy_from_name,
+    make_isotropic,
+    make_regularized_l1,
+)
 from anisopf.assembly import assemble_step_system
 from anisopf.errors import (
     NotApplicable,
@@ -385,13 +390,69 @@ def test_omega_zero_rejected():
 
 
 def test_choose_method_rule():
-    from anisopf.anisotropy import anisotropy_from_name
+    frozen, _, _ = small_setup(n=4)
+    r2, _, _ = small_setup(n=4, dim=3,
+                           aniso=anisotropy_from_name("cube3d:0.3:2", dim=3))
+    quartic, _, _ = small_setup(
+        n=4, shape=ShapeSpec("quartic-shape", "for-negative-uD"))
+    auto = SolverConfig(method="auto")
+    assert not frozen.coefficients_move
+    assert choose_method(auto, frozen) == "active-set"
+    # r = 2 moves the stiffness, the r = 1 quartic shape split the coupling
+    assert choose_method(auto, r2) == "lagged"
+    assert choose_method(auto, quartic) == "lagged"
+    for method in ("active-set", "lagged"):
+        for sys in (frozen, r2, quartic):
+            assert choose_method(SolverConfig(method=method), sys) == method
 
-    cfg = SolverConfig(method="auto")
-    assert choose_method(cfg, make_regularized_l1(0.3, 2)) == "active-set"
-    assert choose_method(cfg, anisotropy_from_name("cube3d:0.3:9")) == "lagged"
-    assert choose_method(SolverConfig(method="lagged"),
-                         make_regularized_l1(0.3, 2)) == "lagged"
+
+def _moving_system(case):
+    if case == "cube3d-r2":
+        return small_setup(n=8, dim=3,
+                           aniso=anisotropy_from_name("cube3d:0.3:2", dim=3))
+    return small_setup(n=8, tau=1e-2,
+                       shape=ShapeSpec("quartic-shape", "for-negative-uD"))
+
+
+@pytest.mark.parametrize("case", ["cube3d-r2", "quartic-shape"])
+def test_active_set_rejects_moving_coefficients(case):
+    sys, params, cfg = _moving_system(case)
+    assert sys.coefficients_move
+    with pytest.raises(NotApplicable):
+        active_set_step(sys, cfg)
+
+
+@pytest.mark.parametrize("w0", [None, "prev"])
+def test_lagged_frozen_system_solves_once(w0, monkeypatch):
+    sys, params, cfg = small_setup(n=8)
+    calls = []
+    pdas = solver._pdas_solve
+
+    def counted(*args):
+        calls.append(args)
+        return pdas(*args)
+
+    monkeypatch.setattr(solver, "_pdas_solve", counted)
+    U, W, rep = lagged_step(sys, cfg, w0=w0)
+    assert len(calls) == 1 and rep.outer_iterations == 1 and rep.converged
+    U_a, W_a, rep_a = active_set_step(sys, cfg, w0=w0)
+    assert np.array_equal(U, U_a) and np.array_equal(W, W_a)
+    assert rep.inner_iterations == rep_a.outer_iterations
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+@pytest.mark.parametrize("case", ["cube3d-r2", "quartic-shape"])
+def test_lagged_converges_on_moving_coefficients(case, omega):
+    sys, params, cfg = _moving_system(case)
+    cfg = dataclasses.replace(cfg, omega=omega)
+    U, W, rep = lagged_step(sys, cfg)
+    assert rep.converged and rep.residual < cfg.tol and rep.outer_iterations > 1
+    assert U.max() <= 1.0 and U.min() >= -1.0
+    audit = residual_audit(sys, U, W)
+    bound = 10 * cfg.tol * (1 + np.abs(sys.g).max())
+    assert max(audit.values()) <= bound, audit
+    U_t, W_t, _ = lagged_step(sys, dataclasses.replace(cfg, tol=1e-12))
+    assert max(np.abs(U - U_t).max(), np.abs(W - W_t).max()) <= 1e-7
 
 
 def test_singular_system_detected():

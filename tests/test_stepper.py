@@ -242,6 +242,15 @@ def test_run_aborts_cleanly_with_partial_outputs(tmp_path):
     assert doc["error"] is not None and "step 1" in doc["error"]
 
 
+def test_forced_active_set_rejects_moving_coefficients(tmp_path):
+    from anisopf.errors import NotApplicable
+
+    cfg = base_config(tmp_path, method="active-set", shape="quartic-shape")
+    with pytest.raises(NotApplicable) as err:
+        run_simulation(cfg)
+    assert err.value.step == 1
+
+
 def test_run_failure_keeps_exception_type_and_attributes(tmp_path, monkeypatch):
     from anisopf import output
 
@@ -266,14 +275,16 @@ def test_run_failure_keeps_exception_type_and_attributes(tmp_path, monkeypatch):
     assert doc["error"].startswith("step 2: ")
 
 
+# the nonlinear coupling of the quartic shape split with tau = 1e-2
+_QUARTIC_LARGE_STEP = dict(
+    theta=0.0, rho=0.01, alpha=0.03, u_D=-2.0, H=2.0,
+    eps=1.0 / (4.0 * math.pi), R0=0.5, bc="dirichlet", potential="obstacle",
+    shape="quartic-shape", anisotropy="hex2d:0.1", initial="seed",
+    T_end=2e-2, tau=1e-2, N_f=32, N_c=16, vtk_every=0)
+
+
 def test_run_obstacle_quartic_shape_large_step(tmp_path):
-    # the nonlinear coupling of the quartic shape split with tau = 1e-2
-    cfg = RunConfig(theta=0.0, rho=0.01, alpha=0.03, u_D=-2.0, H=2.0,
-                    eps=1.0 / (4.0 * math.pi), R0=0.5, bc="dirichlet",
-                    potential="obstacle", shape="quartic-shape",
-                    anisotropy="hex2d:0.1", initial="seed", T_end=2e-2,
-                    tau=1e-2, N_f=32, N_c=16, vtk_every=0,
-                    out_dir=str(tmp_path))
+    cfg = RunConfig(**_QUARTIC_LARGE_STEP, out_dir=str(tmp_path))
     state = run_simulation(cfg, strict=True)
     assert len(state.ledger) == 2
     assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
@@ -337,14 +348,51 @@ def test_report_counts_every_factorization(tmp_path, monkeypatch):
         return factor(K)
 
     monkeypatch.setattr(solver, "_factor", counted)
-    cfg = base_config(tmp_path, **dict(_DEMO, theta=0.0))
-    state = run_simulation(cfg)
-    doc = json.loads((tmp_path / "report.json").read_text())
-    lu = [row["lu"] for row in doc["solver"]]
-    assert lu == [rep.factorizations for rep in state.reports]
-    assert sum(lu) == len(calls)
-    # follow-up iterations are bordered onto the step's factorization
-    assert sum(lu) < sum(row["outer"] for row in doc["solver"])
+    for kw, method in [(dict(_DEMO, theta=0.0), "active-set"),
+                       (_QUARTIC_LARGE_STEP, "lagged")]:
+        calls.clear()
+        out = tmp_path / method
+        state = run_simulation(base_config(out, **kw))
+        doc = json.loads((out / "report.json").read_text())
+        assert {row["method"] for row in doc["solver"]} == {method}
+        lu = [row["lu"] for row in doc["solver"]]
+        assert lu == [rep.factorizations for rep in state.reports]
+        assert sum(lu) == len(calls)
+        # follow-up iterations are bordered onto the step's factorization
+        iterations = "outer" if method == "active-set" else "inner"
+        assert sum(lu) < sum(row[iterations] for row in doc["solver"])
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+@pytest.mark.parametrize("shape", ["linear", "quartic-shape"])
+@pytest.mark.parametrize("potential", ["obstacle", "quartic"])
+@pytest.mark.parametrize("tau", [1e-2, 1.0, 10.0])
+def test_any_step_size_keeps_both_inequalities(tmp_path, monkeypatch, tau,
+                                               potential, shape, theta):
+    # the paper's estimates hold for every step size; strict mode raises
+    # on the first violated inequality
+    from anisopf import stepper
+
+    phases = []
+    verify = stepper.verify_stability
+
+    def recorded(prev, new, *args, **kw):
+        phases.append(new.phi.values)
+        return verify(prev, new, *args, **kw)
+
+    monkeypatch.setattr(stepper, "verify_stability", recorded)
+    cfg = base_config(tmp_path, potential=potential, shape=shape,
+                      theta=theta, tau=tau, T_end=2.0 * tau, N_f=16)
+    state = run_simulation(cfg, strict=True)
+    assert len(state.ledger) == len(phases) == 2
+    assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
+    methods = {rep.method for rep in state.reports}
+    if potential == "quartic":
+        assert methods == {"newton"}
+    else:
+        assert methods == {"lagged" if shape == "quartic-shape"
+                           else "active-set"}
+        assert all(phi.min() >= -1.0 and phi.max() <= 1.0 for phi in phases)
 
 
 def test_stability_with_carried_energy_is_unchanged(mesh):
