@@ -33,8 +33,6 @@ def _build_parser():
     sim = sub.add_parser("simulate", help="run a configured simulation")
     sim.add_argument("config")
     sim.add_argument("--out", default=None, help="output directory override")
-    sim.add_argument("--vtk-every", type=int, default=None,
-                     help="snapshot stride override")
 
     chk = sub.add_parser("check-anisotropy",
                          help="randomized inequality verification")
@@ -68,8 +66,6 @@ def _load(path):
 
 def _cmd_simulate(args, strict=False):
     cfg = _load(args.config)
-    if getattr(args, "vtk_every", None) is not None:
-        cfg = replace(cfg, vtk_every=args.vtk_every)
     state = run_simulation(cfg, out_dir=args.out, strict=strict)
     rows = state.ledger
     bad2 = sum(1 for r in rows if not r.stab2_holds)

@@ -8,9 +8,8 @@ bad names fail before any mesh is built.  ``serialize`` emits a canonical
 form that parses back to an equal config.
 """
 
-import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .anisotropy import anisotropy_from_name, mobility_from_name
 from .errors import ParseError, ValidationError
@@ -21,45 +20,49 @@ from .stepper import PhysicalParams
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config"]
 
 
+def _key(section, default, key=None, param=None):
+    """A run parameter under ``[section]``.  ``key`` is its spelling in
+    config files and ``param`` its PhysicalParams field, where either
+    differs from the RunConfig field name."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "param": param})
+
+
 @dataclass
 class RunConfig:
-    # [physics]
-    theta: float = 0.0
-    lam: float = 1.0
-    a: float = 1.0
-    alpha: float = 1.0
-    rho: float = 0.0
-    K_plus: float = 1.0
-    K_minus: float = 1.0
-    eps: float = 1.0 / (16.0 * math.pi)
-    u_D: float = 0.0
-    H: float = 0.5
-    R0: float = 0.1
-    T_end: float = 1e-3
-    tau: float = 1e-5
-    bc: str = "dirichlet"
-    # [model]
-    potential: str = "obstacle"
-    shape: str = "linear"
-    anisotropy: str = "iso"
-    mobility: str = "gamma"
-    initial: str = "seed"
-    m_cutoff: float = 2.0
-    # [solver]
-    method: str = "auto"
-    tol: float = 1e-8
-    omega: float = 0.5
-    max_outer: int = 200
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 30
-    # [mesh]
-    N_f: int = 128
-    N_c: int = 16
-    dim: int = 2
-    adaptive: bool = False
-    # [output]
-    out_dir: str = ""
-    vtk_every: int = 10
+    """The run parameters in canonical config order; the physics and solver
+    defaults are read from PhysicalParams and SolverConfig."""
+
+    theta: float = _key("physics", PhysicalParams.theta)
+    lam: float = _key("physics", PhysicalParams.lam, key="lambda")
+    a: float = _key("physics", PhysicalParams.a)
+    alpha: float = _key("physics", PhysicalParams.alpha)
+    rho: float = _key("physics", PhysicalParams.rho)
+    K_plus: float = _key("physics", PhysicalParams.Kplus, param="Kplus")
+    K_minus: float = _key("physics", PhysicalParams.Kminus, param="Kminus")
+    eps: float = _key("physics", PhysicalParams.eps)
+    u_D: float = _key("physics", PhysicalParams.u_D)
+    H: float = _key("physics", PhysicalParams.H)
+    R0: float = _key("physics", PhysicalParams.R0)
+    T_end: float = _key("physics", PhysicalParams.T_end)
+    tau: float = _key("physics", PhysicalParams.tau)
+    bc: str = _key("physics", PhysicalParams.bc_case, param="bc_case")
+    potential: str = _key("model", "obstacle")
+    shape: str = _key("model", "linear")
+    anisotropy: str = _key("model", "iso")
+    mobility: str = _key("model", "gamma")
+    initial: str = _key("model", "seed")
+    m_cutoff: float = _key("model", 2.0)
+    method: str = _key("solver", SolverConfig.method)
+    tol: float = _key("solver", SolverConfig.tol)
+    omega: float = _key("solver", SolverConfig.omega)
+    max_outer: int = _key("solver", SolverConfig.max_outer)
+    N_f: int = _key("mesh", 128)
+    N_c: int = _key("mesh", 16)
+    dim: int = _key("mesh", 2)
+    adaptive: bool = _key("mesh", False)
+    out_dir: str = _key("output", "", key="dir")
+    vtk_every: int = _key("output", 10)
 
     def __post_init__(self):
         if not self.out_dir:
@@ -99,12 +102,12 @@ class RunConfig:
 
     # -- materialized model objects --------------------------------------
 
+    def _section(self, section, cls):
+        return cls(**{f.metadata["param"] or f.name: getattr(self, f.name)
+                      for f in fields(self) if f.metadata["section"] == section})
+
     def physical_params(self):
-        return PhysicalParams(
-            theta=self.theta, lam=self.lam, a=self.a, alpha=self.alpha,
-            rho=self.rho, Kplus=self.K_plus, Kminus=self.K_minus,
-            eps=self.eps, u_D=self.u_D, H=self.H, bc_case=self.bc,
-            R0=self.R0, T_end=self.T_end, tau=self.tau)
+        return self._section("physics", PhysicalParams)
 
     def model_objects(self):
         pot = PotentialSpec(self.potential)
@@ -117,16 +120,17 @@ class RunConfig:
         return pot, sh, aniso, mob
 
     def solver_config(self):
-        return SolverConfig(
-            method=self.method, tol=self.tol, max_outer=self.max_outer,
-            omega=self.omega, newton_tol=self.newton_tol,
-            newton_max_iter=self.newton_max_iter)
+        return self._section("solver", SolverConfig)
 
     def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
-# section -> config key -> (attribute, converter)
+# section -> config key -> RunConfig field, in canonical order
+_KEYS = {}
+for _f in fields(RunConfig):
+    _KEYS.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f
+
 _BOOL = {"true": True, "false": False}
 
 
@@ -137,55 +141,10 @@ def _to_bool(text):
         raise ValueError(f"expected true/false, got {text!r}") from None
 
 
-_SCHEMA = {
-    "physics": {
-        "theta": ("theta", float),
-        "lambda": ("lam", float),
-        "a": ("a", float),
-        "alpha": ("alpha", float),
-        "rho": ("rho", float),
-        "K_plus": ("K_plus", float),
-        "K_minus": ("K_minus", float),
-        "eps": ("eps", float),
-        "eps_inv": ("eps", lambda s: 1.0 / float(s)),
-        "u_D": ("u_D", float),
-        "H": ("H", float),
-        "R0": ("R0", float),
-        "T_end": ("T_end", float),
-        "tau": ("tau", float),
-        "bc": ("bc", str),
-    },
-    "model": {
-        "potential": ("potential", str),
-        "shape": ("shape", str),
-        "anisotropy": ("anisotropy", str),
-        "mobility": ("mobility", str),
-        "initial": ("initial", str),
-        "m_cutoff": ("m_cutoff", float),
-    },
-    "solver": {
-        "method": ("method", str),
-        "tol": ("tol", float),
-        "omega": ("omega", float),
-        "max_outer": ("max_outer", int),
-        "newton_tol": ("newton_tol", float),
-        "newton_max_iter": ("newton_max_iter", int),
-    },
-    "mesh": {
-        "N_f": ("N_f", int),
-        "N_c": ("N_c", int),
-        "dim": ("dim", int),
-        "adaptive": ("adaptive", _to_bool),
-    },
-    "output": {
-        "dir": ("out_dir", str),
-        "vtk_every": ("vtk_every", int),
-    },
-}
-
-
 def parse_config(text):
-    """Parse configuration text into a validated RunConfig."""
+    """Parse configuration text into a validated RunConfig.
+
+    ``[physics] eps_inv`` is accepted as input for ``1 / eps``."""
     values = {}
     section = None
     seen_eps = []
@@ -195,7 +154,7 @@ def parse_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise ParseError(line_no, f"unknown section [{section}]")
             continue
         if "=" not in line:
@@ -204,31 +163,30 @@ def parse_config(text):
             raise ParseError(line_no, "key outside of any [section]")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        entry = _SCHEMA[section].get(key)
-        if entry is None:
+        f = _KEYS[section].get("eps" if key == "eps_inv" else key)
+        if f is None:
             raise ParseError(line_no, f"unknown key {key!r} in [{section}]")
-        attr, conv = entry
-        if key in ("eps", "eps_inv"):
+        if f.name == "eps":
             seen_eps.append(key)
             if len(set(seen_eps)) > 1:
                 raise ParseError(line_no, "give either eps or eps_inv, not both")
         try:
-            values[attr] = conv(val)
+            values[f.name] = (_to_bool if f.type is bool else f.type)(val)
         except ValueError as exc:
             raise ParseError(line_no, f"bad value for {key}: {exc}") from None
+        if key == "eps_inv":
+            values["eps"] = 1.0 / values["eps"]
     return RunConfig(**values)
 
 
 def serialize_config(cfg):
-    """Canonical text form in schema order (``eps`` written, not its
+    """Canonical text form in field order (``eps`` written, not its
     ``eps_inv`` alias); floats keep 17 significant digits."""
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
-        for key, (attr, _) in keys.items():
-            if key == "eps_inv":
-                continue
-            val = getattr(cfg, attr)
+        for key, f in keys.items():
+            val = getattr(cfg, f.name)
             if isinstance(val, bool):
                 text = "true" if val else "false"
             elif isinstance(val, float):

@@ -24,7 +24,8 @@ that is linear in (U, W) and a variational inequality for U over the box
 
 The smooth (quartic) scheme is solved by ``newton_smooth_step``, a damped
 Newton method with an analytic Jacobian in which the direction argument of
-the anisotropic linearization is frozen per iteration.
+the anisotropic linearization is frozen per iteration; it stops once the
+max-norm residual is below ``tol``.
 
 All factorizations run in a fixed order, so identical inputs produce
 bit-identical outputs.
@@ -65,18 +66,16 @@ class SolverConfig:
     tol: float = 1e-8
     max_outer: int = 200
     omega: float = 0.5            # lagged Anderson damping, in (0, 1]
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 30
 
     def __post_init__(self):
         if self.method not in ("active-set", "lagged", "auto"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0.0 or self.newton_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0.0:
+            raise ValueError("tol must be > 0")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("damping omega must lie in (0, 1]")
-        if self.max_outer < 1 or self.newton_max_iter < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 @dataclass
@@ -143,6 +142,9 @@ def _saddle_matrix(C_FF, top, bottom, MW, F):
 
 # iterates mixed by the Anderson step of ``lagged_step``
 _AA_DEPTH = 5
+
+# Newton iterations of one smooth step
+_NEWTON_MAX_ITER = 30
 
 # largest active-set change (newly free plus newly pinned nodes) that a
 # frozen-coefficient iteration solves from the factorization in hand
@@ -402,7 +404,9 @@ def newton_smooth_step(sys, cfg):
 
     The implicit cubic and the clamped implicit shape part are linearized
     exactly; the direction argument of the anisotropic stiffness is frozen
-    within each linearization and refreshed between iterations.
+    within each linearization and refreshed between iterations.  The step
+    stops once the max-norm residual is below ``cfg.tol`` and raises
+    ``NonConvergence`` after ``_NEWTON_MAX_ITER`` iterations.
     """
     report = StepReport(method="newton")
     n = sys.n
@@ -412,8 +416,8 @@ def newton_smooth_step(sys, cfg):
     B = sys.b_matrix_at(U)
     r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
     rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
-    for _it in range(cfg.newton_max_iter):
-        if rnorm < cfg.newton_tol:
+    for _it in range(_NEWTON_MAX_ITER):
+        if rnorm < cfg.tol:
             report.converged = True
             break
         drho = sh.rho_plus_deriv_clamped(U)
@@ -445,9 +449,9 @@ def newton_smooth_step(sys, cfg):
         rnorm = rn_t
         report.outer_iterations += 1
     else:
-        if rnorm >= cfg.newton_tol:
+        if rnorm >= cfg.tol:
             raise NonConvergence(
-                f"Newton reached {cfg.newton_max_iter} iterations at "
+                f"Newton reached {_NEWTON_MAX_ITER} iterations at "
                 f"residual {rnorm:.3e}")
         report.converged = True
     report.residual = rnorm

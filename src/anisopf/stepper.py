@@ -27,7 +27,13 @@ from .errors import (
     MeshChanged,
     StabilityViolation,
 )
-from .mesh import NodalField, adapt_to_interface, build_uniform_mesh, transfer_field
+from .mesh import (
+    _BC_CASES,
+    NodalField,
+    adapt_to_interface,
+    build_uniform_mesh,
+    transfer_field,
+)
 from .solver import (
     active_set_step,
     choose_method,
@@ -79,8 +85,7 @@ class PhysicalParams:
             (0.0 < self.R0 < self.H, "R0 must lie in (0, H)"),
             (self.T_end > 0.0, "T_end must be > 0"),
             (self.tau > 0.0, "tau must be > 0"),
-            (self.bc_case in ("dirichlet", "neumann", "mixed"),
-             "unknown boundary case"),
+            (self.bc_case in _BC_CASES, "unknown boundary case"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -7,11 +7,24 @@ import numpy as np
 import pytest
 
 from anisopf.cli import main
-from anisopf.config import _SCHEMA, RunConfig, parse_config, serialize_config
+from anisopf.config import RunConfig, parse_config, serialize_config
 from anisopf.errors import ParseError, ValidationError
 from anisopf.mesh import NodalField, build_uniform_mesh
 from anisopf.output import write_energy_csv, write_vtk
-from anisopf.stepper import EnergyRow, SimulationState
+from anisopf.solver import SolverConfig
+from anisopf.stepper import EnergyRow, PhysicalParams, SimulationState
+
+# sections and keys of the canonical config text, in order (the eps_inv
+# alias is input-only)
+CANONICAL = {
+    "physics": ["theta", "lambda", "a", "alpha", "rho", "K_plus", "K_minus",
+                "eps", "u_D", "H", "R0", "T_end", "tau", "bc"],
+    "model": ["potential", "shape", "anisotropy", "mobility", "initial",
+              "m_cutoff"],
+    "solver": ["method", "tol", "omega", "max_outer"],
+    "mesh": ["N_f", "N_c", "dim", "adaptive"],
+    "output": ["dir", "vtk_every"],
+}
 
 
 def test_empty_config_gives_defaults():
@@ -31,11 +44,27 @@ def test_roundtrip_equality():
                     vtk_every=7, out_dir="somewhere")
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
-    # every schema key is written once; eps stands for its eps_inv alias
+    # every key is written once; eps stands for its eps_inv alias
     written = re.findall(r"^(\w+) = ", text, flags=re.M)
-    keys = [k for section in _SCHEMA.values() for k in section if k != "eps_inv"]
-    assert sorted(written) == sorted(keys)
-    assert "eps_inv" not in written
+    assert written == [k for keys in CANONICAL.values() for k in keys]
+
+
+def test_default_config_layout():
+    expected = [item for section, keys in CANONICAL.items()
+                for item in [f"[{section}]"] + keys]
+    text = serialize_config(RunConfig())
+    assert [line.split(" = ")[0] for line in text.splitlines() if line] == expected
+
+
+def test_defaults_are_the_solver_and_physics_defaults():
+    cfg = RunConfig()
+    assert cfg.physical_params() == PhysicalParams()
+    assert cfg.solver_config() == SolverConfig()
+    assert list(cfg.to_dict()) == [
+        "theta", "lam", "a", "alpha", "rho", "K_plus", "K_minus", "eps", "u_D",
+        "H", "R0", "T_end", "tau", "bc", "potential", "shape", "anisotropy",
+        "mobility", "initial", "m_cutoff", "method", "tol", "omega",
+        "max_outer", "N_f", "N_c", "dim", "adaptive", "out_dir", "vtk_every"]
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -57,8 +86,11 @@ def test_readme_config_parses():
 
 
 def test_output_seed_key_is_rejected():
-    with pytest.raises(ParseError):
-        parse_config("[output]\nseed = 0\n")
+    # like the removed Newton-only solver keys
+    for text in ("[output]\nseed = 0\n", "[solver]\nnewton_tol = 1e-8\n",
+                 "[solver]\nnewton_max_iter = 30\n"):
+        with pytest.raises(ParseError):
+            parse_config(text)
 
 
 def test_eps_inv_key():

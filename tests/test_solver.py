@@ -13,6 +13,7 @@ from anisopf.anisotropy import (
 )
 from anisopf.assembly import assemble_step_system
 from anisopf.errors import (
+    NonConvergence,
     NotApplicable,
     SingularSystem,
     ZeroDiagonal,
@@ -21,6 +22,7 @@ from anisopf.mesh import build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.solver import (
     _BORDER_CAP,
+    _NEWTON_MAX_ITER,
     SolverConfig,
     StepReport,
     _factor,
@@ -455,6 +457,28 @@ def test_lagged_converges_on_moving_coefficients(case, omega):
     assert max(np.abs(U - U_t).max(), np.abs(W - W_t).max()) <= 1e-7
 
 
+# The two tests below record open defects (ROADMAP item 3): the step raises
+# NonConvergence where another start or more damping converges.
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="frozen-coefficient active-set iteration cycles "
+                          "from the placeholder temperature w_prev")
+@pytest.mark.parametrize("n", [4, 6])
+def test_lagged_cube3d_r2_from_previous_temperature(n):
+    sys, params, cfg = small_setup(
+        n=n, dim=3, aniso=anisotropy_from_name("cube3d:0.3:2", dim=3))
+    lagged_step(sys, cfg)
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="the undamped first iterate melts the seed and the "
+                          "active-set solve at it cycles")
+def test_lagged_undamped_quartic_shape_without_temperature_guess():
+    sys, params, cfg = _moving_system("quartic-shape")
+    lagged_step(sys, dataclasses.replace(cfg, omega=1.0), w0=None)
+
+
 def test_singular_system_detected():
     # all nodes active, theta = 0, pure Neumann: W is undetermined
     params = PhysicalParams(theta=0.0, rho=0.0, eps=0.04, u_D=0.0, H=0.5,
@@ -489,7 +513,7 @@ def test_newton_residual_below_tolerance():
     pot = PotentialSpec("quartic")
     sys, params, cfg = small_setup(n=8, pot=pot)
     U, W, rep = newton_smooth_step(sys, cfg)
-    assert rep.converged and rep.residual < cfg.newton_tol
+    assert rep.converged and rep.residual < cfg.tol
 
 
 def _bmat_newton(sys, cfg):
@@ -503,8 +527,8 @@ def _bmat_newton(sys, cfg):
     r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
     rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
     iterations = 0
-    for _it in range(cfg.newton_max_iter):
-        if rnorm < cfg.newton_tol:
+    for _it in range(_NEWTON_MAX_ITER):
+        if rnorm < cfg.tol:
             break
         drho = sh.rho_plus_deriv_clamped(U)
         J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
