@@ -52,7 +52,6 @@ class RunConfig:
     anisotropy: str = _key("model", "iso")
     mobility: str = _key("model", "gamma")
     initial: str = _key("model", "seed")
-    m_cutoff: float = _key("model", 2.0)
     method: str = _key("solver", SolverConfig.method)
     tol: float = _key("solver", SolverConfig.tol)
     omega: float = _key("solver", SolverConfig.omega)
@@ -111,7 +110,7 @@ class RunConfig:
 
     def model_objects(self):
         pot = PotentialSpec(self.potential)
-        sh = shape_from_name(self.shape, u_D=self.u_D, m=self.m_cutoff)
+        sh = shape_from_name(self.shape, u_D=self.u_D)
         aniso = anisotropy_from_name(self.anisotropy, dim=self.dim)
         if aniso.dim != self.dim:
             raise ValueError(
@@ -172,10 +171,10 @@ def parse_config(text):
                 raise ParseError(line_no, "give either eps or eps_inv, not both")
         try:
             values[f.name] = (_to_bool if f.type is bool else f.type)(val)
-        except ValueError as exc:
+            if key == "eps_inv":
+                values["eps"] = 1.0 / values["eps"]
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(line_no, f"bad value for {key}: {exc}") from None
-        if key == "eps_inv":
-            values["eps"] = 1.0 / values["eps"]
     return RunConfig(**values)
 
 

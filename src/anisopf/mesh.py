@@ -408,5 +408,5 @@ def transfer_field(field, tmap):
     """Interpolate a nodal field through a transfer map."""
     if field.mesh is not tmap.source:
         raise MeshMismatch("field does not live on the map's source mesh")
-    vals = field.values[tmap.vert_ids]
-    return NodalField((tmap.weights * vals).sum(axis=1), tmap.target)
+    return NodalField(_weighted(field.values, tmap.vert_ids, tmap.weights),
+                      tmap.target)

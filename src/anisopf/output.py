@@ -91,7 +91,6 @@ def write_report_json(cfg, state, path, error=None):
                 "lu": r.factorizations,
                 "active_plus": r.active_plus,
                 "active_minus": r.active_minus,
-                "converged": r.converged,
             }
             for r in reports
         ],

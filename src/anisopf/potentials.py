@@ -50,6 +50,10 @@ class PotentialSpec:
 
 _SHAPE_KINDS = ("const", "lin-minus", "lin-plus", "quartic-shape")
 
+# clamp bound m of the implicit shape part; m >= 2, so the clamp only acts
+# in the smooth scheme
+_M_CUTOFF = 2.0
+
 
 @dataclass(frozen=True)
 class ShapeSpec:
@@ -57,21 +61,17 @@ class ShapeSpec:
 
     ``split_sign`` selects the split family: ``for-negative-uD`` keeps the
     implicit part nondecreasing (valid for u_D <= 0), ``for-positive-uD``
-    the mirrored variant.  ``m`` is the clamp bound of the implicit part
-    (m >= 2, so the clamp only acts in the smooth scheme).
+    the mirrored variant.  The implicit part is clamped at ``_M_CUTOFF``.
     """
 
     kind: str = "lin-minus"
     split_sign: str = "for-negative-uD"
-    m: float = 2.0
 
     def __post_init__(self):
         if self.kind not in _SHAPE_KINDS:
             raise ValueError(f"unknown shape {self.kind!r}")
         if self.split_sign not in ("for-negative-uD", "for-positive-uD"):
             raise ValueError(f"unknown split_sign {self.split_sign!r}")
-        if self.m < 2.0:
-            raise ValueError("cutoff m must be >= 2")
 
     def rho(self, s):
         s = np.asarray(s, dtype=float)
@@ -111,12 +111,12 @@ class ShapeSpec:
         if self.kind != "quartic-shape":
             return np.zeros_like(s)
         sign = 1.0 if self.split_sign == "for-negative-uD" else -1.0
-        return np.where(np.abs(s) <= self.m, sign * 1.5, 0.0)
+        return np.where(np.abs(s) <= _M_CUTOFF, sign * 1.5, 0.0)
 
     def rho_hat(self, s_old, s_new):
         """Semi-implicit weight rho-(old) + rho+(new), the implicit argument
         clamped to [-m, m] (never active on the obstacle box [-1, 1])."""
-        s_new = np.clip(np.asarray(s_new, dtype=float), -self.m, self.m)
+        s_new = np.clip(np.asarray(s_new, dtype=float), -_M_CUTOFF, _M_CUTOFF)
         return self.rho_minus(s_old) + self.rho_plus(s_new)
 
     @property
@@ -163,14 +163,14 @@ def boundary_layer_check(pot, sh, eps, alpha, a, u_D):
     return BoundaryLayerReport(bool(stable_p), bool(stable_m), critical)
 
 
-def shape_from_name(name, u_D=0.0, m=2.0):
+def shape_from_name(name, u_D=0.0):
     """Resolve a config shape name; ``linear`` picks the branch by sign(u_D)."""
     split = "for-positive-uD" if u_D > 0.0 else "for-negative-uD"
     if name == "const":
-        return ShapeSpec("const", split, m)
+        return ShapeSpec("const", split)
     if name == "linear":
         kind = "lin-plus" if u_D > 0.0 else "lin-minus"
-        return ShapeSpec(kind, split, m)
+        return ShapeSpec(kind, split)
     if name in _SHAPE_KINDS:
-        return ShapeSpec(name, split, m)
+        return ShapeSpec(name, split)
     raise ValueError(f"unknown shape {name!r}")

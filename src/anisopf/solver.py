@@ -88,7 +88,6 @@ class StepReport:
     active_plus: int = 0
     active_minus: int = 0
     residual: float = float("nan")
-    converged: bool = False
     factorizations: int = 0       # sparse LUs of the step
 
 
@@ -305,7 +304,6 @@ def _pdas_solve(sys, cfg, U0, W0, report):
         # so acceptance rests on the sign conditions, not on set repetition
         if (np.all(res[plus] <= kkt_tol) and np.all(res[minus] >= -kkt_tol)
                 and np.all(np.abs(U[~(plus | minus)]) <= 1.0 + cfg.tol)):
-            report.converged = True
             break
     else:
         raise NonConvergence(
@@ -316,26 +314,35 @@ def _pdas_solve(sys, cfg, U0, W0, report):
     return np.clip(U, -1.0, 1.0), W
 
 
+def _start(sys, u0, w0):
+    """The iterate a step solver starts from.
+
+    ``u0=None`` is the previous phase and ``w0="prev"`` the previous
+    temperature; ``w0=None`` means no temperature guess exists.  All three
+    step solvers take this start, and it moves their iteration count, not
+    their answer beyond solver tolerance; ``run_simulation`` passes
+    ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
+    """
+    U0 = sys.phi_prev if u0 is None else np.asarray(u0, dtype=float)
+    W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
+    return U0, W0
+
+
 def active_set_step(sys, cfg, u0=None, w0="prev"):
     """One obstacle step via the primal-dual active-set iteration.
 
     Only for systems whose coefficients do not move with the new phase
     (``NotApplicable`` otherwise; ``lagged_step`` solves those).
-    ``u0``/``w0`` seed the iteration (defaults: the previous state); ``u0``
-    is clipped to [-1, 1].  Pass ``w0=None`` when no temperature guess
-    exists; the initial active sets are then read off ``u0``.  The start
-    moves the iteration count, not the answer beyond round-off (the
-    iterations are solved from different factorizations);
-    ``run_simulation`` passes ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
+    ``u0``/``w0`` seed the iteration (see ``_start``); ``u0`` is clipped
+    to [-1, 1].  Without a temperature guess the initial active sets are
+    read off ``u0``.
     """
     if sys.coefficients_move:
         raise NotApplicable(
             "the step coefficients depend on the new phase (r > 1 or the "
             "quartic shape split); use lagged_step")
     report = StepReport(method="active-set")
-    U0 = sys.phi_prev if u0 is None else u0
-    W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
-    U, W = _pdas_solve(sys, cfg, U0, W0, report)
+    U, W = _pdas_solve(sys, cfg, *_start(sys, u0, w0), report)
     return U, W, report
 
 
@@ -348,13 +355,13 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
     G(x) - x, damped by omega, and has its U clipped to the box; once
     |G(x) - x| < tol in the max norm, G(x) is the answer.  With frozen
     coefficients G does not depend on x, so the first solve is returned.
-    Without a temperature guess (``w0=None``) the first solve is the first
-    iterate.
+    ``u0``/``w0`` give the start (see ``_start``); without a temperature
+    guess the first solve is the first iterate.
     """
     report = StepReport(method="lagged")
     n, omega = sys.n, cfg.omega
-    U = np.clip(sys.phi_prev if u0 is None else np.asarray(u0, float), -1, 1)
-    W = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
+    U, W = _start(sys, u0, w0)
+    U = np.clip(U, -1, 1)
     x = None if W is None else np.concatenate([U, W])
     xs, fs = [], []     # the last iterates and their residuals G(x) - x
     for _ in range(cfg.max_outer):
@@ -368,7 +375,6 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
         if report.residual < cfg.tol or not sys.coefficients_move:
             report.active_plus = sub.active_plus
             report.active_minus = sub.active_minus
-            report.converged = True
             return U, W, report
         if x is None:
             x = g
@@ -399,27 +405,31 @@ def _smooth_residual(sys, U, W, B):
     return r_phi, r_w, m_rho, C
 
 
-def newton_smooth_step(sys, cfg):
+def newton_smooth_step(sys, cfg, u0=None, w0="prev"):
     """One smooth-potential step by damped Newton with analytic Jacobian.
 
     The implicit cubic and the clamped implicit shape part are linearized
     exactly; the direction argument of the anisotropic stiffness is frozen
-    within each linearization and refreshed between iterations.  The step
-    stops once the max-norm residual is below ``cfg.tol`` and raises
-    ``NonConvergence`` after ``_NEWTON_MAX_ITER`` iterations.
+    within each linearization and refreshed between iterations.  Newton
+    starts from ``u0``/``w0`` (see ``_start``), with ``w0=None`` read as
+    the previous temperature.  The step stops once the max-norm residual
+    is below ``cfg.tol`` and raises ``NonConvergence`` after
+    ``_NEWTON_MAX_ITER`` iterations.
     """
     report = StepReport(method="newton")
     n = sys.n
     sh = sys._shape
-    U = sys.phi_prev.copy()
-    W = sys.w_prev.copy()
+    U, W = _start(sys, u0, w0)
+    U = np.array(U, dtype=float)
+    W = np.array(sys.w_prev if W is None else W, dtype=float)
     B = sys.b_matrix_at(U)
     r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
     rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
-    for _it in range(_NEWTON_MAX_ITER):
-        if rnorm < cfg.tol:
-            report.converged = True
-            break
+    while rnorm >= cfg.tol:
+        if report.outer_iterations == _NEWTON_MAX_ITER:
+            raise NonConvergence(
+                f"Newton reached {_NEWTON_MAX_ITER} iterations at "
+                f"residual {rnorm:.3e}")
         drho = sh.rho_plus_deriv_clamped(U)
         J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
                - sp.diags(sys.lam * sys.M * drho * W)).tocsc()
@@ -448,12 +458,6 @@ def newton_smooth_step(sys, cfg):
         r_phi, r_w, m_rho, C = r_phi_t, r_w_t, m_rho_t, C_t
         rnorm = rn_t
         report.outer_iterations += 1
-    else:
-        if rnorm >= cfg.tol:
-            raise NonConvergence(
-                f"Newton reached {_NEWTON_MAX_ITER} iterations at "
-                f"residual {rnorm:.3e}")
-        report.converged = True
     report.residual = rnorm
     W[sys.dirichlet] = sys.u_D
     return U, W, report

@@ -223,13 +223,12 @@ def run_simulation(cfg, out_dir=None, strict=False):
     step, and the original exception is re-raised with the step index set
     as its ``step`` attribute.
 
-    Active-set steps start from the linear extrapolation ``2 U_n - U_{n-1}``
-    of the last two phase fields, and from ``2 W_n - W_{n-1}`` once both
-    temperatures are solved ones (with theta = 0 the initial W is only a
+    Every step starts from the linear extrapolation ``2 U_n - U_{n-1}`` of
+    the last two phase fields, and from ``2 W_n - W_{n-1}`` once two solved
+    temperatures exist (with theta = 0 the initial W is only a
     placeholder); on adaptive runs the older state is moved to each new
     mesh with the same transfer map.  The start changes how many
-    iterations a step takes, not its answer beyond round-off.  Lagged and
-    Newton steps start from the previous state.
+    iterations a step takes, not its answer beyond solver tolerance.
     """
     params = cfg.physical_params()
     pot, sh, aniso, mobility = cfg.model_objects()
@@ -257,6 +256,9 @@ def run_simulation(cfg, out_dir=None, strict=False):
     n = 0
     energy = None      # (E_h, F_h) of ``state`` once known
     older = None       # (phi, w) one step before ``state``, on its mesh
+    # solved temperatures so far; with theta = 0 the initial W is only a
+    # placeholder, so the first step has no temperature guess
+    solved_w = int(params.theta > 0.0)
     try:
         for n in range(1, n_steps + 1):
             if cfg.adaptive and n > 1:
@@ -273,21 +275,16 @@ def run_simulation(cfg, out_dir=None, strict=False):
             sys = assemble_step_system(
                 state.mesh, params, pot, sh, aniso, mobility,
                 state.phi.values, state.w.values)
-            # on the first step of theta = 0 runs the stored W is only a
-            # placeholder, so the half-step rule for a missing guess applies
-            w_guess = None if (n == 1 and params.theta == 0.0) else "prev"
+            u0 = None if older is None else 2.0 * state.phi.values - older[0].values
+            w0 = (2.0 * state.w.values - older[1].values if solved_w > 1
+                  else "prev" if solved_w else None)
             if pot.kind == "quartic":
-                U, W, rep = newton_smooth_step(sys, scfg)
+                step = newton_smooth_step
             elif choose_method(scfg, sys) == "lagged":
-                U, W, rep = lagged_step(sys, scfg, w0=w_guess)
+                step = lagged_step
             else:
-                u0, w0 = None, w_guess
-                if older is not None:
-                    u0 = 2.0 * state.phi.values - older[0].values
-                    # with theta = 0 the initial W is only a placeholder
-                    if n > 2 or params.theta > 0.0:
-                        w0 = 2.0 * state.w.values - older[1].values
-                U, W, rep = active_set_step(sys, scfg, u0=u0, w0=w0)
+                step = active_set_step
+            U, W, rep = step(sys, scfg, u0=u0, w0=w0)
             new_state = SimulationState(
                 state.t + params.tau, state.mesh,
                 NodalField(U, state.mesh), NodalField(W, state.mesh),
@@ -297,8 +294,8 @@ def run_simulation(cfg, out_dir=None, strict=False):
             energy = (row.E_h, row.F_h)
             new_state.ledger.append(row)
             new_state.reports.append(rep)
-            if rep.method == "active-set":
-                older = (state.phi, state.w)
+            older = (state.phi, state.w)
+            solved_w += 1
             state = new_state
             if strict and not (row.stab2_holds and row.stab3_holds):
                 raise StabilityViolation(

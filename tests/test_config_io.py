@@ -19,8 +19,7 @@ from anisopf.stepper import EnergyRow, PhysicalParams, SimulationState
 CANONICAL = {
     "physics": ["theta", "lambda", "a", "alpha", "rho", "K_plus", "K_minus",
                 "eps", "u_D", "H", "R0", "T_end", "tau", "bc"],
-    "model": ["potential", "shape", "anisotropy", "mobility", "initial",
-              "m_cutoff"],
+    "model": ["potential", "shape", "anisotropy", "mobility", "initial"],
     "solver": ["method", "tol", "omega", "max_outer"],
     "mesh": ["N_f", "N_c", "dim", "adaptive"],
     "output": ["dir", "vtk_every"],
@@ -63,7 +62,7 @@ def test_defaults_are_the_solver_and_physics_defaults():
     assert list(cfg.to_dict()) == [
         "theta", "lam", "a", "alpha", "rho", "K_plus", "K_minus", "eps", "u_D",
         "H", "R0", "T_end", "tau", "bc", "potential", "shape", "anisotropy",
-        "mobility", "initial", "m_cutoff", "method", "tol", "omega",
+        "mobility", "initial", "method", "tol", "omega",
         "max_outer", "N_f", "N_c", "dim", "adaptive", "out_dir", "vtk_every"]
 
 
@@ -86,9 +85,10 @@ def test_readme_config_parses():
 
 
 def test_output_seed_key_is_rejected():
-    # like the removed Newton-only solver keys
+    # like the removed Newton-only solver keys and the shape cutoff
     for text in ("[output]\nseed = 0\n", "[solver]\nnewton_tol = 1e-8\n",
-                 "[solver]\nnewton_max_iter = 30\n"):
+                 "[solver]\nnewton_max_iter = 30\n",
+                 "[model]\nm_cutoff = 2.0\n"):
         with pytest.raises(ParseError):
             parse_config(text)
 
@@ -98,6 +98,9 @@ def test_eps_inv_key():
     assert cfg.eps == pytest.approx(1.0 / 16.0)
     with pytest.raises(ParseError):
         parse_config("[physics]\neps = 0.1\neps_inv = 16.0\n")
+    with pytest.raises(ParseError) as err:
+        parse_config("[physics]\ntheta = 1\neps_inv = 0\n")
+    assert err.value.line_no == 3
 
 
 def test_validation_errors():
@@ -292,10 +295,15 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["simulate", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_cli_bad_config_is_usage_error(tmp_path):
+def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[physics]\nrho = -1\n")
     assert main(["simulate", str(bad)]) == 2
+    capsys.readouterr()
+    bad.write_text("[physics]\neps_inv = 0\n")
+    assert main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "line 2" in err
 
 
 def test_cli_usage_error_exit_code():

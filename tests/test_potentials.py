@@ -75,7 +75,7 @@ def test_split_monotonicity_for_positive_uD():
 
 
 def test_shape_cutoff_clamps():
-    sh = ShapeSpec("quartic-shape", "for-negative-uD", m=2.0)
+    sh = ShapeSpec("quartic-shape", "for-negative-uD")
     # rho+ at the clamp: (3/2) * 2
     assert sh.rho_hat(0.3, 5.0) == pytest.approx(float(sh.rho_minus(0.3)) + 3.0)
     assert sh.rho_hat(0.3, -5.0) == pytest.approx(
@@ -88,11 +88,6 @@ def test_shape_cutoff_trivial_for_zero_plus():
     sh = ShapeSpec("lin-minus")
     for s_new in (-7.0, 0.0, 9.0):
         assert sh.rho_hat(0.25, s_new) == pytest.approx(float(sh.rho(0.25)))
-
-
-def test_cutoff_requires_m_at_least_two():
-    with pytest.raises(ValueError):
-        ShapeSpec("quartic-shape", m=1.0)
 
 
 def test_diffusivity_values():

@@ -298,13 +298,22 @@ _DEMO = dict(rho=0.01, alpha=0.03, u_D=-2.0, H=2.0, R0=0.5,
              tau=1e-3, T_end=5e-3, N_f=32, N_c=16)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(_DEMO, theta=0.0), dict(_DEMO, theta=1.0),
-    dict(_DEMO, adaptive=True, T_end=3e-3),
-], ids=["theta0", "theta1", "adaptive"])
-def test_warm_start_changes_iterations_not_answer(tmp_path, monkeypatch, kw):
+# the answer of a step does not depend on its start; the bound is the
+# solver's: a frozen active-set solve reaches it up to round-off, a lagged
+# fixed point within its tolerance, and Newton within its residual tolerance
+@pytest.mark.parametrize("kw,step_name,bound", [
+    (dict(_DEMO, theta=0.0), "active_set_step", 1e-12),
+    (dict(_DEMO, theta=1.0), "active_set_step", 1e-12),
+    (dict(_DEMO, adaptive=True, T_end=3e-3), "active_set_step", 1e-12),
+    (dict(_DEMO, theta=0.0, shape="quartic-shape", anisotropy="hex2d:0.1"),
+     "lagged_step", 1e-7),
+    (dict(_DEMO, theta=1.0, potential="quartic"), "newton_smooth_step", 1e-6),
+], ids=["theta0", "theta1", "adaptive", "lagged", "newton"])
+def test_warm_start_changes_iterations_not_answer(tmp_path, monkeypatch, kw,
+                                                  step_name, bound):
     from anisopf import solver, stepper
 
+    step = getattr(solver, step_name)
     starts, last, outer = [], [], {"warm": 0, "cold": 0}
 
     def from_both_starts(sys, scfg, u0=None, w0="prev"):
@@ -314,19 +323,16 @@ def test_warm_start_changes_iterations_not_answer(tmp_path, monkeypatch, kw):
             if extrapolated:
                 assert np.array_equal(w0, 2.0 * sys.w_prev - last[1])
         last[:] = sys.phi_prev, sys.w_prev
-        U, W, rep = solver.active_set_step(sys, scfg, u0=u0, w0=w0)
+        U, W, rep = step(sys, scfg, u0=u0, w0=w0)
         # the start without extrapolation: the previous state
-        U_c, W_c, rep_c = solver.active_set_step(
-            sys, scfg, w0=None if w0 is None else "prev")
-        # follow-up iterations are solved from the step's first LU, so the
-        # two starts reach the same answer along different round-off paths
-        assert max(np.abs(U - U_c).max(), np.abs(W - W_c).max()) <= 1e-12
+        U_c, W_c, rep_c = step(sys, scfg, w0=None if w0 is None else "prev")
+        assert max(np.abs(U - U_c).max(), np.abs(W - W_c).max()) <= bound
         starts.append((u0 is not None, extrapolated))
         outer["warm"] += rep.outer_iterations
         outer["cold"] += rep_c.outer_iterations
         return U, W, rep
 
-    monkeypatch.setattr(stepper, "active_set_step", from_both_starts)
+    monkeypatch.setattr(stepper, step_name, from_both_starts)
     cfg = base_config(tmp_path, **kw)
     state = run_simulation(cfg, strict=True)
     n = len(state.ledger)
