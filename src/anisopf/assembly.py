@@ -141,8 +141,6 @@ class SystemMatrices:
     w_prev: np.ndarray = field(repr=False, default=None)
     _shape: object = field(repr=False, default=None)
     _aniso: object = field(repr=False, default=None)
-    b_depends_on_iterate: bool = False
-    rho_plus_nonzero: bool = False
 
     @property
     def n(self):
@@ -152,7 +150,8 @@ class SystemMatrices:
     def coefficients_move(self):
         """Whether C or M_rho depend on the new phase: r > 1 or an implicit
         shape part (quartic shape)."""
-        return self.b_depends_on_iterate or self.rho_plus_nonzero
+        return (self._aniso.exponent > 1.0
+                or not self._shape.implicit_part_is_zero)
 
     def c_matrix(self, B=None):
         """C = c_mu * diag(M_mu) + c_B * B."""
@@ -165,7 +164,7 @@ class SystemMatrices:
         return self.M * self._shape.rho_hat(self.phi_prev, U)
 
     def b_matrix_at(self, U):
-        if not self.b_depends_on_iterate:
+        if self._aniso.exponent == 1.0:
             return self.B_stiff
         return anisotropic_stiffness(self.mesh, self._aniso, self.phi_prev, U)
 
@@ -230,8 +229,6 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
         tau=tau, u_D=params.u_D,
         phi_prev=phi_prev, w_prev=w_prev,
         _shape=shape, _aniso=aniso,
-        b_depends_on_iterate=aniso.exponent > 1.0,
-        rho_plus_nonzero=not shape.implicit_part_is_zero,
     )
     sys.M_rho = sys.m_rho_diag(phi_prev)
     return sys

@@ -52,10 +52,8 @@ class RunConfig:
     anisotropy: str = _key("model", "iso")
     mobility: str = _key("model", "gamma")
     initial: str = _key("model", "seed")
-    method: str = _key("solver", SolverConfig.method)
     tol: float = _key("solver", SolverConfig.tol)
     omega: float = _key("solver", SolverConfig.omega)
-    max_outer: int = _key("solver", SolverConfig.max_outer)
     N_f: int = _key("mesh", 128)
     N_c: int = _key("mesh", 16)
     dim: int = _key("mesh", 2)
@@ -77,6 +75,9 @@ class RunConfig:
             self.solver_config()
         except ValueError as exc:
             raise ValidationError("solver", str(exc)) from None
+        # before the model, whose presets are built for this dimension
+        if self.dim not in (2, 3):
+            raise ValidationError("dim", "must be 2 or 3")
         try:
             self.model_objects()
         except ValueError as exc:
@@ -94,8 +95,6 @@ class RunConfig:
                     or ratio & (ratio - 1) != 0):
                 raise ValidationError(
                     "N_f", "must be a power-of-two multiple of N_c")
-        if self.dim not in (2, 3):
-            raise ValidationError("dim", "must be 2 or 3")
         if self.vtk_every < 0:
             raise ValidationError("vtk_every", "must be >= 0")
 
@@ -143,7 +142,9 @@ def _to_bool(text):
 def parse_config(text):
     """Parse configuration text into a validated RunConfig.
 
-    ``[physics] eps_inv`` is accepted as input for ``1 / eps``."""
+    ``[physics] eps_inv`` is accepted as input for ``1 / eps``.  The model
+    picks the step solver, so ``[solver] method`` is read only as ``auto``,
+    the one value older configs hold."""
     values = {}
     section = None
     seen_eps = []
@@ -162,6 +163,11 @@ def parse_config(text):
             raise ParseError(line_no, "key outside of any [section]")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if section == "solver" and key == "method":
+            if val != "auto":
+                raise ParseError(line_no, f"method {val!r}: the model picks "
+                                 "the step solver; only 'auto' is read")
+            continue
         f = _KEYS[section].get("eps" if key == "eps_inv" else key)
         if f is None:
             raise ParseError(line_no, f"unknown key {key!r} in [{section}]")

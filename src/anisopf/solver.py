@@ -2,7 +2,9 @@
 
 The obstacle scheme leads to a nonsmooth saddle point problem: a heat row
 that is linear in (U, W) and a variational inequality for U over the box
-[-1, 1]^J.  Two solution methods are provided.
+[-1, 1]^J.  The model picks each step's solver (in ``run_simulation``):
+``newton_smooth_step`` for the quartic well, ``lagged_step`` when
+``SystemMatrices.coefficients_move`` and ``active_set_step`` otherwise.
 
 * ``active_set_step``: a primal-dual active-set iteration (the semismooth
   Newton method of Hintermueller, Ito and Kunisch) for steps whose
@@ -22,7 +24,7 @@ that is linear in (U, W) and a variational inequality for U over the box
   accelerated by Anderson mixing (Walker and Ni, SIAM J. Numer. Anal.
   2011) and damped by omega.
 
-The smooth (quartic) scheme is solved by ``newton_smooth_step``, a damped
+``newton_smooth_step`` solves the smooth (quartic) scheme by a damped
 Newton method with an analytic Jacobian in which the direction argument of
 the anisotropic linearization is frozen per iteration; it stops once the
 max-norm residual is below ``tol``.
@@ -54,7 +56,6 @@ __all__ = [
     "newton_smooth_step",
     "conservation_audit",
     "residual_audit",
-    "choose_method",
 ]
 
 
@@ -62,20 +63,14 @@ __all__ = [
 class SolverConfig:
     """Iteration controls for the step solvers."""
 
-    method: str = "auto"          # active-set | lagged | auto
     tol: float = 1e-8
-    max_outer: int = 200
     omega: float = 0.5            # lagged Anderson damping, in (0, 1]
 
     def __post_init__(self):
-        if self.method not in ("active-set", "lagged", "auto"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.tol <= 0.0:
             raise ValueError("tol must be > 0")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("damping omega must lie in (0, 1]")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
 
 
 @dataclass
@@ -89,14 +84,6 @@ class StepReport:
     active_minus: int = 0
     residual: float = float("nan")
     factorizations: int = 0       # sparse LUs of the step
-
-
-def choose_method(cfg, sys):
-    """Resolve ``auto``: lagged when the step coefficients move with the new
-    phase, active-set otherwise."""
-    if cfg.method != "auto":
-        return cfg.method
-    return "lagged" if sys.coefficients_move else "active-set"
 
 
 def _factor(K):
@@ -139,6 +126,9 @@ def _saddle_matrix(C_FF, top, bottom, MW, F):
     return sp.csc_matrix((data, indices, up + lo), shape=(nF + n, nF + n))
 
 
+# iterations of one active-set solve and of one lagged fixed point
+_MAX_OUTER = 200
+
 # iterates mixed by the Anderson step of ``lagged_step``
 _AA_DEPTH = 5
 
@@ -173,10 +163,10 @@ class _FrozenSolver:
 
         Z = K0^-1 [B_A, E_R],  S = D - [B_A'; E_R'] Z,  x = z0 - Z y,
 
-    where z0 = K0^-1 b0 and S y is the border rows' residual at z0.  The
-    columns of Z are kept per node for the later solves.  A change of more
-    than ``_BORDER_CAP`` nodes, or a Schur matrix LAPACK finds singular, is
-    factored afresh, and that factorization becomes K0.
+    where z0 = K0^-1 b0 and S y is the border rows' residual at z0; z0 and
+    Z come from one batched solve.  A change of more than ``_BORDER_CAP``
+    nodes, or a Schur matrix LAPACK finds singular, is factored afresh, and
+    that factorization becomes K0.
     """
 
     def __init__(self, sys, C, m_rho, f, report):
@@ -207,8 +197,8 @@ class _FrozenSolver:
         ``U`` moved to the right-hand side.  F becomes F0.
         """
         sys = self.sys
-        # the superseded LU and its columns go before the next factorization
-        self.lu = self.cols = None
+        # the superseded LU goes before the next factorization
+        self.lu = None
         F = np.flatnonzero(free)
         nF = F.size
         C_F = self.C[F]
@@ -218,7 +208,7 @@ class _FrozenSolver:
         self.report.factorizations += 1
         sol = self.lu.solve(np.concatenate([sys.g[F] - C_F @ U,
                                             self.f - self.heat_u * U]))
-        self.F0, self.cols = F, {}
+        self.F0 = F
         self.pos = np.full(sys.n, -1)
         self.pos[F] = np.arange(nF)
         U[F] = sol[:nF]
@@ -230,25 +220,20 @@ class _FrozenSolver:
         sys, C, F0, pos = self.sys, self.C, self.F0, self.pos
         nF0, nA = F0.size, A.size
         res = sys.g - C @ U
-        # one solve for the right-hand side and the border columns not yet
-        # computed: column a holds C_F0,a and the heat entry of U_a, column
-        # r the unit vector of U_r
-        new_A = [a for a in A if a not in self.cols]
-        new_R = [r for r in R if r not in self.cols]
-        rhs = np.zeros((nF0 + sys.n, 1 + len(new_A) + len(new_R)))
+        # one solve for the right-hand side and the border columns: column
+        # a holds C_F0,a and the heat entry of U_a, column r the unit
+        # vector of U_r
+        rhs = np.zeros((nF0 + sys.n, 1 + nA + R.size))
         rhs[:nF0, 0] = res[F0]
         rhs[nF0:, 0] = self.f - self.heat_u * U
-        if new_A:
-            j = np.arange(1, 1 + len(new_A))
-            rhs[:nF0, j] = C[:, new_A].toarray()[F0]
-            rhs[nF0 + np.array(new_A), j] = self.heat_u[new_A]
-        rhs[pos[new_R], np.arange(1 + len(new_A), rhs.shape[1])] = 1.0
-        sol = self.lu.solve(rhs)
-        for j, node in enumerate(new_A + new_R, start=1):
-            self.cols[node] = sol[:, j]
-        x = sol[:, 0]
+        if nA:
+            j = np.arange(1, 1 + nA)
+            rhs[:nF0, j] = C[:, A].toarray()[F0]
+            rhs[nF0 + A, j] = self.heat_u[A]
+        rhs[pos[R], np.arange(1 + nA, rhs.shape[1])] = 1.0
+        Zx = self.lu.solve(rhs)
+        x = Zx[:, 0]
         if nA + R.size:
-            Zx = np.column_stack([x] + [self.cols[v] for v in np.r_[A, R]])
             # the border rows times [z0, Z]: phase rows of A, then E_R'
             C_A = C[A].toarray()
             T = np.vstack([
@@ -285,7 +270,7 @@ def _pdas_solve(sys, cfg, U0, W0, report):
     m_rho = sys.m_rho_diag(U)
     solver = _FrozenSolver(sys, C, m_rho, sys.f_rhs(m_rho), report)
     res = None if W is None else C @ U - sys.lam * m_rho * W - sys.g
-    for _ in range(cfg.max_outer):
+    for _ in range(_MAX_OUTER):
         if res is None:
             # no temperature guess: read the active sets off the phase
             plus, minus = U == 1.0, U == -1.0
@@ -307,7 +292,7 @@ def _pdas_solve(sys, cfg, U0, W0, report):
             break
     else:
         raise NonConvergence(
-            f"active-set iteration did not converge in {cfg.max_outer} steps")
+            f"active-set iteration did not converge in {_MAX_OUTER} steps")
     report.active_plus = int(plus.sum())
     report.active_minus = int(minus.sum())
     report.residual = diff
@@ -364,7 +349,7 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
     U = np.clip(U, -1, 1)
     x = None if W is None else np.concatenate([U, W])
     xs, fs = [], []     # the last iterates and their residuals G(x) - x
-    for _ in range(cfg.max_outer):
+    for _ in range(_MAX_OUTER):
         sub = StepReport(method="active-set")
         U, W = _pdas_solve(sys, cfg, U, W, sub)
         report.outer_iterations += 1
@@ -390,7 +375,7 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
             x[:n] = np.clip(x[:n], -1.0, 1.0)
         U, W = x[:n], x[n:]
     raise NonConvergence(
-        f"lagged fixed point not within tol after {cfg.max_outer} "
+        f"lagged fixed point not within tol after {_MAX_OUTER} "
         f"iterations (residual {report.residual:.3e}, omega={omega:g})")
 
 

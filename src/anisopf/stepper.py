@@ -34,12 +34,7 @@ from .mesh import (
     build_uniform_mesh,
     transfer_field,
 )
-from .solver import (
-    active_set_step,
-    choose_method,
-    lagged_step,
-    newton_smooth_step,
-)
+from .solver import active_set_step, lagged_step, newton_smooth_step
 
 __all__ = [
     "PhysicalParams",
@@ -280,7 +275,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
                   else "prev" if solved_w else None)
             if pot.kind == "quartic":
                 step = newton_smooth_step
-            elif choose_method(scfg, sys) == "lagged":
+            elif sys.coefficients_move:
                 step = lagged_step
             else:
                 step = active_set_step

@@ -311,7 +311,7 @@ def test_rebuild_tracks_iterate(unit_mesh):
     aniso = make_regularized_l1(0.3, 2)
     mob = MobilitySpec("gamma")
     sys = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
-    assert sys.rho_plus_nonzero
+    assert sys.coefficients_move
     U = rng.uniform(-1, 1, unit_mesh.n_vertices)
     expected = sys.M * (sh.rho_minus(phi) + sh.rho_plus(U))
     assert np.allclose(sys.m_rho_diag(U), expected)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from anisopf import solver
 from anisopf.cli import main
 from anisopf.config import RunConfig, parse_config, serialize_config
 from anisopf.errors import ParseError, ValidationError
@@ -20,7 +21,7 @@ CANONICAL = {
     "physics": ["theta", "lambda", "a", "alpha", "rho", "K_plus", "K_minus",
                 "eps", "u_D", "H", "R0", "T_end", "tau", "bc"],
     "model": ["potential", "shape", "anisotropy", "mobility", "initial"],
-    "solver": ["method", "tol", "omega", "max_outer"],
+    "solver": ["tol", "omega"],
     "mesh": ["N_f", "N_c", "dim", "adaptive"],
     "output": ["dir", "vtk_every"],
 }
@@ -62,8 +63,8 @@ def test_defaults_are_the_solver_and_physics_defaults():
     assert list(cfg.to_dict()) == [
         "theta", "lam", "a", "alpha", "rho", "K_plus", "K_minus", "eps", "u_D",
         "H", "R0", "T_end", "tau", "bc", "potential", "shape", "anisotropy",
-        "mobility", "initial", "method", "tol", "omega",
-        "max_outer", "N_f", "N_c", "dim", "adaptive", "out_dir", "vtk_every"]
+        "mobility", "initial", "tol", "omega", "N_f", "N_c", "dim",
+        "adaptive", "out_dir", "vtk_every"]
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -85,12 +86,22 @@ def test_readme_config_parses():
 
 
 def test_output_seed_key_is_rejected():
-    # like the removed Newton-only solver keys and the shape cutoff
+    # like the removed Newton-only solver keys, the shape cutoff, the
+    # iteration cap and every solver choice but the default
     for text in ("[output]\nseed = 0\n", "[solver]\nnewton_tol = 1e-8\n",
                  "[solver]\nnewton_max_iter = 30\n",
                  "[model]\nm_cutoff = 2.0\n"):
         with pytest.raises(ParseError):
             parse_config(text)
+    for line in ("method = lagged", "method = active-set", "max_outer = 200"):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"# solver\n[solver]\ntol = 1e-8\n{line}\n")
+        assert err.value.line_no == 4
+
+
+def test_solver_method_auto_is_read():
+    # the model picks the step solver; older configs still name the default
+    assert parse_config("[solver]\nmethod = auto\n") == RunConfig()
 
 
 def test_eps_inv_key():
@@ -118,6 +129,13 @@ def test_validation_errors():
         parse_config("[mesh]\nadaptive = true\nN_f = 48\nN_c = 16\n")
     with pytest.raises(ValidationError):
         parse_config("[model]\nanisotropy = cube3d:0.3:9\n")  # 3d preset, 2d run
+    for text, key in (("[mesh]\ndim = 4\n", "dim"),
+                      ("[output]\nvtk_every = -1\n", "vtk_every"),
+                      ("[model]\ninitial = foo\n", "initial"),
+                      ("[solver]\nomega = 2\n", "solver")):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.key == key
 
 
 def test_parse_errors_carry_line_numbers():
@@ -130,6 +148,9 @@ def test_parse_errors_carry_line_numbers():
         parse_config("key = 1\n")  # outside a section
     with pytest.raises(ParseError):
         parse_config("[physics]\ntheta 1\n")
+    with pytest.raises(ParseError) as err:
+        parse_config("[mesh]\nN_f = 16\nadaptive = maybe\n")
+    assert err.value.line_no == 3
 
 
 def test_comments_and_blank_lines():
@@ -354,10 +375,9 @@ def test_env_var_default_out_dir(monkeypatch, tmp_path):
     assert cfg.out_dir == str(tmp_path / "envout")
 
 
-def test_cli_solver_failure_exits_one(tmp_path, capsys):
-    path = _write_cfg(
-        tmp_path,
-        extra="[solver]\nmethod = active-set\nmax_outer = 1\n")
+def test_cli_solver_failure_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_OUTER", 1)
+    path = _write_cfg(tmp_path)
     with open(path) as f:
         text = f.read().replace("u_D = -64", "u_D = -100")
     with open(path, "w") as f:

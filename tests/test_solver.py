@@ -30,7 +30,6 @@ from anisopf.solver import (
     _saddle_matrix,
     _smooth_residual,
     active_set_step,
-    choose_method,
     conservation_audit,
     lagged_step,
     newton_smooth_step,
@@ -384,25 +383,21 @@ def test_omega_zero_rejected():
         SolverConfig(omega=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(method="bogus")
 
 
-def test_choose_method_rule():
+def test_coefficients_move_rule():
     frozen, _, _ = small_setup(n=4)
     r2, _, _ = small_setup(n=4, dim=3,
                            aniso=anisotropy_from_name("cube3d:0.3:2", dim=3))
     quartic, _, _ = small_setup(
         n=4, shape=ShapeSpec("quartic-shape", "for-negative-uD"))
-    auto = SolverConfig(method="auto")
     assert not frozen.coefficients_move
-    assert choose_method(auto, frozen) == "active-set"
     # r = 2 moves the stiffness, the r = 1 quartic shape split the coupling
-    assert choose_method(auto, r2) == "lagged"
-    assert choose_method(auto, quartic) == "lagged"
-    for method in ("active-set", "lagged"):
-        for sys in (frozen, r2, quartic):
-            assert choose_method(SolverConfig(method=method), sys) == method
+    assert r2.coefficients_move and quartic.coefficients_move
+    # the stiffness follows the iterate only for r > 1
+    for sys in (frozen, quartic):
+        assert sys.b_matrix_at(-sys.phi_prev) is sys.B_stiff
+    assert r2.b_matrix_at(r2.phi_prev) is not r2.B_stiff
 
 
 def _moving_system(case):
@@ -604,6 +599,26 @@ def test_newton_matches_picard_oracle():
     pot = PotentialSpec("quartic")
     sys, params, cfg = small_setup(n=8, pot=pot)
     U, W, _ = newton_smooth_step(sys, cfg)
+    U_p, W_p = _picard_oracle(sys)
+    assert np.abs(U - U_p).max() <= 1e-6
+    assert np.abs(W - W_p).max() <= 1e-6
+
+
+def test_newton_line_search_halves_the_step(monkeypatch):
+    sys, params, cfg = small_setup(pot=PotentialSpec("quartic"), tau=1.0)
+    calls = []
+    residual = solver._smooth_residual
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(solver, "_smooth_residual", counted)
+    U, W, rep = newton_smooth_step(sys, cfg)
+    # one evaluation at the start and one per full step: any more are halvings
+    assert len(calls) > rep.outer_iterations + 1
+    assert rep.residual < cfg.tol
+    monkeypatch.undo()
     U_p, W_p = _picard_oracle(sys)
     assert np.abs(U - U_p).max() <= 1e-6
     assert np.abs(W - W_p).max() <= 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -230,10 +231,12 @@ def test_run_outputs_are_byte_identical_across_reruns(tmp_path):
     assert all("wall_time" not in row for row in doc["solver"])
 
 
-def test_run_aborts_cleanly_with_partial_outputs(tmp_path):
+def test_run_aborts_cleanly_with_partial_outputs(tmp_path, monkeypatch):
+    from anisopf import solver
     from anisopf.errors import NonConvergence
 
-    cfg = base_config(tmp_path, method="active-set", max_outer=1, u_D=-2.0)
+    monkeypatch.setattr(solver, "_MAX_OUTER", 1)
+    cfg = base_config(tmp_path, u_D=-2.0)
     with pytest.raises(NonConvergence) as err:
         run_simulation(cfg)
     assert err.value.step == 1
@@ -242,13 +245,63 @@ def test_run_aborts_cleanly_with_partial_outputs(tmp_path):
     assert doc["error"] is not None and "step 1" in doc["error"]
 
 
-def test_forced_active_set_rejects_moving_coefficients(tmp_path):
-    from anisopf.errors import NotApplicable
+def test_strict_run_aborts_on_a_failed_inequality(tmp_path, monkeypatch,
+                                                 capsys):
+    from anisopf import stepper
+    from anisopf.cli import main
+    from anisopf.config import serialize_config
+    from anisopf.errors import StabilityViolation
 
-    cfg = base_config(tmp_path, method="active-set", shape="quartic-shape")
-    with pytest.raises(NotApplicable) as err:
-        run_simulation(cfg)
-    assert err.value.step == 1
+    verify = stepper.verify_stability
+
+    def failing_at_step_2(prev, new, *args, **kw):
+        row = verify(prev, new, *args, **kw)
+        # the ledger holds the rows of the earlier steps
+        if len(new.ledger) == 1:
+            row = dataclasses.replace(row, stab2_holds=False)
+        return row
+
+    monkeypatch.setattr(stepper, "verify_stability", failing_at_step_2)
+    cfg = base_config(tmp_path)
+    with pytest.raises(StabilityViolation) as err:
+        run_simulation(cfg, strict=True)
+    assert err.value.step == 2
+    csv = (tmp_path / "energies.csv").read_text().splitlines()
+    assert len(csv) == 1 + 2
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["error"].startswith("step 2:")
+    assert doc["stab2_violations"] == 1
+    assert len(run_simulation(cfg).ledger) == 5
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg))
+    assert main(["verify", str(path)]) == 1
+    assert "step 2: StabilityViolation" in capsys.readouterr().err
+    assert main(["simulate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("name", ["flat:1", "tall:1"])
+def test_axis_weighted_mobility_end_to_end(tmp_path, name):
+    cfg = base_config(tmp_path, mobility=name, rho=0.01)
+    params = cfg.physical_params()
+    pot, sh, aniso, mob = cfg.model_objects()
+    mesh = build_uniform_mesh(params.H, cfg.N_f, cfg.dim, params.bc_case)
+    phi = initial_phase(mesh, params.R0, params.eps).values
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi,
+                               np.full(mesh.n_vertices, params.u_D))
+    grads = mesh.field_gradients(phi)
+    e1 = np.eye(cfg.dim)[0]
+    ref = []
+    for p in grads:
+        q = p if p.any() else e1
+        ref.append(aniso.gamma(q) / mob.beta(aniso, q))
+    # both branches are taken: flat seed regions and the interface
+    assert not grads.any(axis=1).all() and grads.any()
+    assert np.ptp(ref) > 0.0
+    assert np.allclose(sys.M_mu, lumped_mass(mesh, np.array(ref)),
+                       rtol=1e-14, atol=0.0)
+    state = run_simulation(cfg, strict=True)
+    assert len(state.ledger) == 5
+    assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
 
 
 def test_run_failure_keeps_exception_type_and_attributes(tmp_path, monkeypatch):
