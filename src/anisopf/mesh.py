@@ -12,7 +12,10 @@ bookkeeping follows the ordered-vertex bisection rule for Kuhn-type meshes
 The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
 band ``|phi| < 1`` and coarse (spacing 2H/N_c) elsewhere, then transfers
-the nodal fields by piecewise-linear interpolation.
+the nodal fields by piecewise-linear interpolation.  An element is coarse
+while its generation is below d * log2(N_f/N_c), and a new vertex that
+coincides with an old one takes that vertex's values; only the other new
+vertices are located in the old mesh.
 """
 
 import itertools
@@ -138,19 +141,15 @@ class SimplicialMesh:
     # -- finalized views -------------------------------------------------
 
     def _finalize(self, geometry=True):
-        """Active elements and diameters; with ``geometry`` also volumes,
-        P1 gradients and the Dirichlet mask.  Dropped on refinement."""
+        """Active elements; with ``geometry`` also volumes, P1 gradients
+        and the Dirichlet mask.  Dropped on refinement."""
         c = self._cache
         if c is None:
             active = np.flatnonzero(self._child < 0)
-            elements = self._verts[active]
-            i, j = np.triu_indices(self.dim + 1, 1)
-            P = self._coords[elements]
             c = self._cache = {
                 "active": active,
-                "elements": elements,
+                "elements": self._verts[active],
                 "vertices": self._coords,
-                "diameters": np.linalg.norm(P[:, i] - P[:, j], axis=2).max(axis=1),
             }
         if geometry and "volumes" not in c:
             c.update(self._geometry(c["elements"]))
@@ -204,7 +203,9 @@ class SimplicialMesh:
 
     @property
     def diameters(self):
-        return self._finalize(geometry=False)["diameters"]
+        P = self._coords[self.elements]
+        i, j = np.triu_indices(self.dim + 1, 1)
+        return np.linalg.norm(P[:, i] - P[:, j], axis=2).max(axis=1)
 
     @property
     def dirichlet_mask(self):
@@ -329,7 +330,9 @@ class NodalField:
 
 @dataclass
 class TransferMap:
-    """Interpolation data moving nodal fields from ``source`` to ``target``."""
+    """Interpolation data moving nodal fields from ``source`` to ``target``:
+    per target vertex, source vertex ids and convex weights, one-hot where
+    the target vertex coincides with a source vertex."""
 
     source: SimplicialMesh
     target: SimplicialMesh
@@ -365,8 +368,13 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
 
     Starting from the uniform N_c mesh, elements whose interpolated phase
     value is strictly inside (-1, 1) at some vertex, together with one
-    layer of vertex-neighbours, are bisected until their diameter drops to
-    the fine-mesh diameter sqrt(d) * 2H/N_f.  Returns the new mesh and the
+    layer of vertex-neighbours, are bisected until they reach the fine
+    generation d * log2(N_f/N_c): d bisections of a Kuhn simplex give a
+    similar simplex at half the size (Maubach 1995), so an element is
+    coarser than the fine diameter sqrt(d) * 2H/N_f exactly when its
+    generation is lower.  A new vertex that coincides with a vertex of
+    ``mesh`` reads its phase value and a one-hot transfer row from that
+    vertex; only the others are located.  Returns the new mesh and the
     transfer map for moving nodal fields onto it.
     """
     if N_f < N_c or N_f % N_c != 0 or ((N_f // N_c) & (N_f // N_c - 1)) != 0:
@@ -375,21 +383,27 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
     new = build_uniform_mesh(mesh.H, N_c, d, mesh.bc_case)
     levels = int(round(math.log2(N_f // N_c)))
     gen_cap = max(0, 2 * levels * d)
-    target = math.sqrt(d) * (2.0 * mesh.H / N_f) * (1.0 + 1e-9)
+    coincident = _vertex_lookup(mesh, N_f)
 
-    # transfer weights of the new vertices, located once as they appear
+    # transfer weights of the new vertices, found once as they appear
     vert_ids = np.empty((0, d + 1), dtype=np.int64)
     weights = np.empty((0, d + 1))
     phi_at = np.empty(0)
     for _round in range(8 * (levels + 1) * d + 8):
         if len(phi_at) < new.n_vertices:
-            ids, lam = mesh._transfer_weights(new.vertices[len(phi_at):])
+            x = new.vertices[len(phi_at):]
+            ids = np.repeat(coincident(x)[:, None], d + 1, axis=1)
+            lam = np.zeros(ids.shape)
+            lam[:, 0] = 1.0
+            miss = ids[:, 0] < 0
+            if miss.any():
+                ids[miss], lam[miss] = mesh._transfer_weights(x[miss])
             vert_ids = np.concatenate([vert_ids, ids])
             weights = np.concatenate([weights, lam])
             phi_at = np.concatenate([phi_at, _weighted(phi.values, ids, lam)])
         cache = new._finalize(geometry=False)
         elems = cache["elements"]
-        coarse = cache["diameters"] > target
+        coarse = new._gen[cache["active"]] < d * levels
         hit = coarse & (np.abs(phi_at[elems]) < 1.0 - 1e-7).any(axis=1)
         # one layer of vertex neighbours around the elements hit
         touched = np.zeros(new.n_vertices, dtype=bool)
@@ -402,6 +416,28 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
         raise RefinementDepthExceeded("marking loop did not terminate")
 
     return new, TransferMap(mesh, new, vert_ids, weights)
+
+
+def _vertex_lookup(mesh, N_f):
+    """Function giving per point the vertex of ``mesh`` with exactly its
+    coordinates, or -1.  Vertices are keyed by their nearest 2H/N_f
+    lattice node, so a miss only costs a ``locate``."""
+    H, src = mesh.H, mesh.vertices
+    stride = (N_f + 1) ** np.arange(mesh.dim - 1, -1, -1)
+
+    def keys(x):
+        return np.rint((x + H) * (N_f / (2.0 * H))).astype(np.int64) @ stride
+
+    src_keys = keys(src)
+    order = np.argsort(src_keys, kind="stable")
+    sorted_keys = src_keys[order]
+
+    def coincident(x):
+        pos = np.searchsorted(sorted_keys, keys(x))
+        j = order[np.minimum(pos, len(order) - 1)]
+        return np.where((src[j] == x).all(axis=1), j, -1)
+
+    return coincident
 
 
 def transfer_field(field, tmap):

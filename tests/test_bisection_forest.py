@@ -179,3 +179,37 @@ def test_adapt_matches_recursive_closure(monkeypatch, dim, N_f, N_c):
     got = {x.tobytes(): v.tobytes() for x, v in zip(m2._coords, field.values)}
     want = {x.tobytes(): v.tobytes() for x, v in zip(r2._coords, ref_field.values)}
     assert got == want
+
+
+@pytest.mark.parametrize("dim,H", [(2, 0.5), (2, 0.3), (3, 0.5), (3, 1.7)])
+def test_coarse_generation_is_coarse_diameter(dim, H):
+    # d bisections of a Kuhn simplex give a similar one at half the size,
+    # so generation < d * levels means diameter > the fine diameter
+    rng = np.random.default_rng(30 + dim)
+    for N_c in (2, 4, 6):
+        mesh = build_uniform_mesh(H, N_c, dim, "dirichlet")
+        for _ in range(4 * dim):
+            # random elements, and as many of the deepest, so that the
+            # forest grows past the finest level tested
+            active = np.flatnonzero(mesh._child < 0)
+            deep = active[np.argsort(-mesh._gen[active], kind="stable")[:4]]
+            mesh.refine(np.concatenate([rng.choice(active, 4), deep]),
+                        gen_cap=40)
+            gen = mesh._gen[mesh._child < 0]
+            for levels in (1, 2, 3):
+                fine = np.sqrt(dim) * (2.0 * H / (N_c * 2 ** levels))
+                assert np.array_equal(gen < dim * levels,
+                                      mesh.diameters > fine * (1.0 + 1e-9))
+        assert gen.max() > 3 * dim
+
+
+@pytest.mark.parametrize("dim,H,N_f,N_c", [(2, 0.3, 64, 8), (3, 1.7, 8, 2)])
+def test_adapted_vertices_lie_on_the_fine_lattice(dim, H, N_f, N_c):
+    h = 2.0 * H / N_f
+    m = build_uniform_mesh(H, N_f, dim, "neumann")
+    eps = 2.0 * H / (N_f / 4 * np.pi)
+    m1, _ = adapt_to_interface(m, circular_phase(m, 0.4 * H, eps), N_f, N_c)
+    m2, _ = adapt_to_interface(m1, circular_phase(m1, 0.54 * H, eps), N_f, N_c)
+    for mesh in (m1, m2):
+        x = mesh.vertices + H
+        assert np.abs(x - h * np.rint(x / h)).max() <= 1e-14 * H

@@ -152,11 +152,11 @@ def test_adapt_circular_interface_band():
     # the interface band is resolved at the fine diameter
     phi2 = transfer_field(phi, tmap)
     target = np.sqrt(2.0) * (1.0 / 64) * (1 + 1e-9)
-    cache = out._finalize()
+    diameters = out.diameters
     for pos in range(out.n_elements):
-        vals = phi2.values[cache["elements"][pos]]
+        vals = phi2.values[out.elements[pos]]
         if np.any(np.abs(vals) < 1.0 - 1e-7):
-            assert cache["diameters"][pos] <= target
+            assert diameters[pos] <= target
 
 
 def test_adapt_validates_ratio():

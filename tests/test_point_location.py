@@ -2,8 +2,10 @@
 
 The reference walks the bisection forest one point at a time with one
 ``np.linalg.solve`` per element visited; the batched code must reproduce
-its element ids, barycentric coordinates, interpolated values and transfer
-maps bit for bit.
+its element ids, barycentric coordinates and interpolated values bit for
+bit.  A transfer map reads the new vertices that coincide with source
+vertices as one-hot rows and locates the rest: its located rows and its
+transferred values must match the reference bit for bit.
 """
 
 import itertools
@@ -11,7 +13,14 @@ import itertools
 import numpy as np
 import pytest
 
-from anisopf.mesh import NodalField, adapt_to_interface, build_uniform_mesh
+from anisopf.mesh import (
+    NodalField,
+    SimplicialMesh,
+    _weighted,
+    adapt_to_interface,
+    build_uniform_mesh,
+    transfer_field,
+)
 
 
 def reference_barycentric(mesh, eid, x):
@@ -97,6 +106,45 @@ def assert_matches_reference(mesh, points, values):
                           reference_interpolate(mesh, values, points))
 
 
+def coincident_source_vertex(source, points):
+    """Source vertex with exactly the coordinates of each point, or -1."""
+    index = {tuple(x): i for i, x in enumerate(source.vertices.tolist())}
+    return np.array([index.get(tuple(x), -1) for x in points.tolist()])
+
+
+def count_located(monkeypatch):
+    """List that receives the point count of every later ``locate`` call."""
+    located = []
+    locate = SimplicialMesh.locate
+
+    def counted(self, points):
+        located.append(len(points))
+        return locate(self, points)
+
+    monkeypatch.setattr(SimplicialMesh, "locate", counted)
+    return located
+
+
+def assert_transfer_matches_reference(source, tmap, rng):
+    """One-hot rows at coincident vertices, reference rows elsewhere, and
+    transferred random fields equal to the reference's bit for bit."""
+    points = tmap.target.vertices
+    same = coincident_source_vertex(source, points)
+    hit = same >= 0
+    one_hot = np.zeros(source.dim + 1)
+    one_hot[0] = 1.0
+    assert np.all(tmap.vert_ids[hit] == same[hit, None])
+    assert np.all(tmap.weights[hit] == one_hot)
+    vert_ids, weights = reference_transfer(source, points)
+    assert np.array_equal(tmap.vert_ids[~hit], vert_ids[~hit])
+    assert np.array_equal(tmap.weights[~hit], weights[~hit])
+    for _ in range(3):
+        field = NodalField(rng.uniform(-1.0, 1.0, source.n_vertices), source)
+        assert np.array_equal(transfer_field(field, tmap).values,
+                              _weighted(field.values, vert_ids, weights))
+    return hit
+
+
 @pytest.fixture(scope="module")
 def adapted_2d():
     """Twice-adapted 2d mesh, N_c = 8 to N_f = 64 (forest 6 levels deep)."""
@@ -123,10 +171,9 @@ def test_locate_matches_reference_2d(adapted_2d):
 def test_transfer_map_matches_reference_2d(adapted_2d):
     m1, m2 = adapted_2d
     eps = 1.0 / (16 * np.pi)
-    new, tmap = adapt_to_interface(m2, circular_phase(m2, 0.3, eps), 64, 8)
-    vert_ids, weights = reference_transfer(m2, new.vertices)
-    assert np.array_equal(tmap.vert_ids, vert_ids)
-    assert np.array_equal(tmap.weights, weights)
+    _, tmap = adapt_to_interface(m2, circular_phase(m2, 0.3, eps), 64, 8)
+    hit = assert_transfer_matches_reference(m2, tmap, np.random.default_rng(6))
+    assert 0 < (~hit).sum() < hit.sum()
 
 
 def test_locate_and_transfer_match_reference_3d():
@@ -138,33 +185,39 @@ def test_locate_and_transfer_match_reference_3d():
     assert gens.min() < gens.max() == 3
     values = rng.uniform(-1.0, 1.0, m1.n_vertices)
     assert_matches_reference(m1, probe_points(m1, rng, 200), values)
-    new, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), 8, 4)
-    vert_ids, weights = reference_transfer(m1, new.vertices)
-    assert np.array_equal(tmap.vert_ids, vert_ids)
-    assert np.array_equal(tmap.weights, weights)
+    _, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), 8, 4)
+    hit = assert_transfer_matches_reference(m1, tmap, rng)
+    assert 0 < (~hit).sum() < hit.sum()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_adapt_locates_each_new_vertex_once(dim, monkeypatch):
     # the transfer map reuses the weights of the marking rounds: the same
-    # map as locating all new vertices at the end, for one locate per vertex
+    # map as locating all new vertices at the end, for one locate per new
+    # vertex that is not a source vertex
     eps = 1.0 / (16 * np.pi) if dim == 2 else 1.0 / (8 * np.pi)
     N_f, N_c = (64, 8) if dim == 2 else (8, 4)
     m = build_uniform_mesh(0.5, N_f, dim, "dirichlet")
     m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), N_f, N_c)
-    located = []
-    locate = type(m1).locate
-
-    def counted(self, points):
-        located.append(len(points))
-        return locate(self, points)
-
-    monkeypatch.setattr(type(m1), "locate", counted)
+    located = count_located(monkeypatch)
     new, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), N_f, N_c)
-    assert sum(located) == new.n_vertices
-    vert_ids, weights = m1._transfer_weights(new.vertices)
-    assert np.array_equal(tmap.vert_ids, vert_ids)
-    assert np.array_equal(tmap.weights, weights)
+    miss = coincident_source_vertex(m1, new.vertices) < 0
+    assert sum(located) == miss.sum()
+    vert_ids, weights = m1._transfer_weights(new.vertices[miss])
+    assert np.array_equal(tmap.vert_ids[miss], vert_ids)
+    assert np.array_equal(tmap.weights[miss], weights)
+
+
+def test_adapt_locates_vertices_off_the_source_grid(monkeypatch):
+    # a uniform N = 48 source shares with the 2H/64 lattice only the points
+    # of the 2H/16 grid, so most new vertices miss the lookup
+    m = build_uniform_mesh(0.5, 48, 2, "dirichlet")
+    phi = circular_phase(m, 0.2, 1.0 / (16 * np.pi))
+    located = count_located(monkeypatch)
+    _, tmap = adapt_to_interface(m, phi, 64, 8)
+    monkeypatch.undo()
+    hit = assert_transfer_matches_reference(m, tmap, np.random.default_rng(7))
+    assert sum(located) == (~hit).sum() > 2 * hit.sum() > 0
 
 
 @pytest.mark.parametrize("dim,N", [(2, 6), (3, 4)])
