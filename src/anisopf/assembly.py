@@ -23,7 +23,10 @@ coupling block lam * M_rho(U):
 
 with c_mu = lam*eps*rho/(c_psi*a*tau), c_B = lam*alpha*eps/(c_psi*a) and
 c_conc = lam*alpha/(c_psi*a*eps).  Dirichlet rows of the heat block are
-replaced by the identity with value u_D.
+replaced by the identity with value u_D.  B(U) evaluates B_r on the band
+grad Phi_old != 0 (r > 1: or grad U != 0); off it, it copies element
+matrices at B0 = B_r(0, 0) from the mesh cache (which a refinement drops),
+which also keeps the CSR pattern, the lumped mass and the heat block.
 """
 
 from dataclasses import dataclass, field
@@ -47,9 +50,11 @@ def lumped_mass(mesh, weight=None):
     """Diagonal of the lumped mass matrix, optionally weighted.
 
     ``weight`` holds per-element values (a piecewise constant weight); the
-    unweighted diagonal sums to the domain volume.
+    unweighted diagonal sums to the domain volume and is cached read-only.
     """
     c = mesh._finalize()
+    if weight is None and "lumped_mass" in c:
+        return c["lumped_mass"]
     elements, volumes = c["elements"], c["volumes"]
     if weight is not None:
         weight = np.asarray(weight, dtype=float)
@@ -57,8 +62,12 @@ def lumped_mass(mesh, weight=None):
             raise InconsistentDimensions("element weight length mismatch")
         volumes = volumes * weight
     d1 = mesh.dim + 1
-    return np.bincount(elements.ravel(), np.repeat(volumes / d1, d1),
-                       minlength=len(c["vertices"]))
+    M = np.bincount(elements.ravel(), np.repeat(volumes / d1, d1),
+                    minlength=len(c["vertices"]))
+    if weight is None:
+        M.setflags(write=False)
+        c["lumped_mass"] = M
+    return M
 
 
 def stiffness(mesh, coeff=None):
@@ -69,17 +78,26 @@ def stiffness(mesh, coeff=None):
     c = mesh._finalize()
     volumes, grads = c["volumes"], c["grads"]
     ne, _, d = grads.shape
-    gradsT = np.swapaxes(grads, 1, 2)
     coeff = 1.0 if coeff is None else np.asarray(coeff, dtype=float)
     if np.ndim(coeff) <= 1:
         if np.ndim(coeff) == 1 and coeff.shape[0] != ne:
             raise InconsistentDimensions("element coefficient length mismatch")
-        local = (volumes * coeff)[:, None, None] * (grads @ gradsT)
+        local = (volumes * coeff)[:, None, None] * (grads @ np.swapaxes(grads, 1, 2))
     else:
         if coeff.shape != (ne, d, d):
             raise InconsistentDimensions("matrix coefficient shape mismatch")
-        local = volumes[:, None, None] * (grads @ coeff @ gradsT)
-    slot, indices, indptr = _csr_pattern(c)
+        local = _local_matrices(volumes, grads, coeff)
+    return _assemble(c, local)
+
+
+def _local_matrices(volumes, grads, coeff):
+    """Element matrices vol * grads @ coeff @ grads^T."""
+    return volumes[:, None, None] * (grads @ coeff @ np.swapaxes(grads, 1, 2))
+
+
+def _assemble(c, local):
+    """CSR matrix summed from the element matrices ``local`` (ne, d+1, d+1)."""
+    slot, indices, indptr, _ = _csr_pattern(c)
     nv = len(c["vertices"])
     data = np.bincount(slot, local.ravel(), minlength=len(indices))
     # copied, so that no caller can alter the cached structure
@@ -87,9 +105,8 @@ def stiffness(mesh, coeff=None):
 
 
 def _csr_pattern(c):
-    """CSR structure of the P1 stiffness of a finalized mesh and the slot of
-    every local entry in it, kept in the mesh cache (which a refinement
-    drops)."""
+    """CSR structure of the P1 stiffness of a finalized mesh with the slots
+    of all local and of the diagonal entries, kept in the mesh cache."""
     if "csr_pattern" not in c:
         elements = c["elements"]
         nv = len(c["vertices"])
@@ -98,15 +115,30 @@ def _csr_pattern(c):
         cols = np.tile(elements, (1, d1)).ravel()
         keys, slot = np.unique(rows * nv + cols, return_inverse=True)
         indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
-        c["csr_pattern"] = (slot, keys % nv, indptr)
+        diag = np.searchsorted(keys, np.arange(nv) * (nv + 1))
+        c["csr_pattern"] = (slot, keys % nv, indptr, diag)
     return c["csr_pattern"]
 
 
-def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur):
-    """Stiffness with element coefficients B_r(grad Phi_old, grad Phi_cur)."""
-    q = mesh.field_gradients(phi_prev)
-    p = mesh.field_gradients(phi_cur)
-    return stiffness(mesh, aniso.b_matrix(q, p))
+def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
+    """Stiffness with coefficients B_r(q, grad Phi_cur), q = grad Phi_old."""
+    c = mesh._finalize()
+    volumes, grads = c["volumes"], c["grads"]
+    q = mesh.field_gradients(phi_prev) if q is None else q
+    p, band = q, q.any(axis=1)
+    if aniso.exponent != 1.0 and phi_cur is not phi_prev:
+        p = mesh.field_gradients(phi_cur)
+        band |= p.any(axis=1)
+    B0 = aniso.b_matrix(*np.zeros((2, mesh.dim)))
+    off_band = c.get("aniso_off_band")
+    if off_band is None or not np.array_equal(off_band[0], B0):
+        off_band = c["aniso_off_band"] = (B0, _local_matrices(volumes, grads, B0))
+    local = off_band[1].copy()
+    # np.take gathers rows several times faster than fancy indexing
+    band = np.flatnonzero(band)
+    B = aniso.b_matrix(q.take(band, axis=0), p.take(band, axis=0))
+    local[band] = _local_matrices(volumes.take(band), grads.take(band, axis=0), B)
+    return _assemble(c, local)
 
 
 @dataclass
@@ -154,10 +186,11 @@ class SystemMatrices:
                 or not self._shape.implicit_part_is_zero)
 
     def c_matrix(self, B=None):
-        """C = c_mu * diag(M_mu) + c_B * B."""
-        if B is None:
-            B = self.B_stiff
-        return (sp.diags(self.c_mu * self.M_mu) + self.c_B * B).tocsr()
+        """C = c_mu * diag(M_mu) + c_B * B on the pattern of B, zeros dropped."""
+        C = self.c_B * (self.B_stiff if B is None else B)
+        C.data[_csr_pattern(self.mesh._finalize())[3]] += self.c_mu * self.M_mu
+        C.eliminate_zeros()
+        return C
 
     def m_rho_diag(self, U):
         """Diagonal of lam-free M_rho(U) (rho-hat weighted lumped mass)."""
@@ -216,7 +249,7 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
         heat = c["heat_block"] = (params.theta, tau, b_elem, A_diff, MW)
     A_diff, MW = heat[3:]
 
-    B = anisotropic_stiffness(mesh, aniso, phi_prev, phi_prev)
+    B = anisotropic_stiffness(mesh, aniso, phi_prev, phi_prev, q=grads_prev)
 
     g = c_mu * M_mu * phi_prev + c_conc * M * phi_prev
 

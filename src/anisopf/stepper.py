@@ -142,12 +142,14 @@ def initial_temperature(mesh, u_D, R0, H):
 
 
 def discrete_energy(mesh, phi, w, params, pot, sh, aniso):
-    """(E_h, F_h) of a nodal pair; gradient term integrated exactly."""
+    """(E_h, F_h) of a nodal pair; gradient term exact, summed on the band."""
     phi = np.asarray(phi, dtype=float)
     w = np.asarray(w, dtype=float)
     M = lumped_mass(mesh)
     grads = mesh.field_gradients(phi)
-    g = aniso.gamma(grads)
+    band = np.flatnonzero(grads.any(axis=1))
+    g = np.zeros(len(grads))
+    g[band] = aniso.gamma(grads.take(band, axis=0))
     grad_term = 0.5 * params.eps * float(np.sum(mesh.volumes * g * g))
     s = np.clip(phi, -1.0, 1.0) if pot.kind == "obstacle" else phi
     psi_term = float(np.sum(M * pot.psi(s))) / params.eps

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from anisopf.anisotropy import (
+    AnisotropyDensity,
     MobilitySpec,
     anisotropy_from_name,
     make_isotropic,
@@ -495,3 +496,118 @@ def test_stiffness_pattern_follows_refinement():
     assert new.n_vertices != mesh.n_vertices
     coeff = rng.uniform(0.5, 2.0, new.n_elements)
     _assert_csr_close(stiffness(new, coeff), _einsum_stiffness(new, coeff))
+
+
+# -- band assembly and the per-mesh caches --------------------------------
+
+def _slab(mesh, shift):
+    """Phase field that is +-1 off a slab crossing the whole box, so that
+    its interface band reaches the boundary."""
+    n = np.array([1.0, 0.3, 0.2][:mesh.dim])
+    return np.clip(5.0 * (mesh.vertices @ n - shift), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("name,dim,r", [("hex2d-rot:0.1", 2, 1.0),
+                                        ("hex2d-rot:0.1", 2, 3.0),
+                                        ("ani1:0.3", 3, 1.0),
+                                        ("cube3d:0.3:2", 3, 2.0)])
+def test_band_assembly_matches_full_assembly(name, dim, r):
+    mesh = build_uniform_mesh(0.5, 8 if dim == 2 else 4, dim, "dirichlet")
+    a = AnisotropyDensity(anisotropy_from_name(name, dim).matrices, r)
+    phi_prev, phi_cur = _slab(mesh, 0.0), _slab(mesh, 0.2)
+    q, p = mesh.field_gradients(phi_prev), mesh.field_gradients(phi_cur)
+    band = q.any(axis=1)
+    # the band reaches the boundary, and the iterate's gradient is nonzero
+    # on elements where the previous one is zero
+    assert not band.all() and mesh.dirichlet_mask[mesh.elements[band]].any()
+    assert (p.any(axis=1) & ~band).any()
+    for cur in (phi_prev, phi_cur, phi_prev.copy()):
+        ref = stiffness(mesh, a.b_matrix(q, mesh.field_gradients(cur)))
+        _assert_csr_close(anisotropic_stiffness(mesh, a, phi_prev, cur), ref)
+    _assert_csr_close(anisotropic_stiffness(mesh, a, phi_prev, phi_cur, q=q),
+                      stiffness(mesh, a.b_matrix(q, p)))
+
+
+def _cold_anisotropic_stiffness(a, phi, refine=None):
+    """anisotropic_stiffness on a fresh mesh, whose cache is empty."""
+    mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    if refine is not None:
+        mesh.refine(refine, 4)
+    return anisotropic_stiffness(mesh, a, phi, phi)
+
+
+def test_off_band_matrices_are_cached_per_density_and_mesh():
+    mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    phi, other = _slab(mesh, 0.0), _slab(mesh, 0.2)
+    a1, a2 = anisotropy_from_name("hex2d-rot:0.1"), make_regularized_l1(0.3, 2)
+    # two densities on one mesh each get their own stiffness, with the
+    # bits of a cold cache
+    for a in (a1, a2, a1):
+        B = anisotropic_stiffness(mesh, a, phi, phi)
+        assert _same_csr(B, _cold_anisotropic_stiffness(a, phi))
+    assert not _same_csr(B, anisotropic_stiffness(mesh, a2, phi, phi))
+    # keyed on the value of B0, not on the density object
+    cached = mesh._finalize()["aniso_off_band"][1]
+    B = anisotropic_stiffness(mesh, AnisotropyDensity(a2.matrices), other, other)
+    assert mesh._finalize()["aniso_off_band"][1] is cached
+    assert _same_csr(B, _cold_anisotropic_stiffness(a2, other))
+    # a refinement drops the cached matrices with the rest of the mesh cache
+    mesh.refine([5], 4)
+    assert "aniso_off_band" not in mesh._finalize()
+    phi = _slab(mesh, 0.0)
+    assert _same_csr(anisotropic_stiffness(mesh, a2, phi, phi),
+                     _cold_anisotropic_stiffness(a2, phi, refine=[5]))
+
+
+def test_c_matrix_is_the_sum_on_the_stiffness_pattern():
+    mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    rng = np.random.default_rng(23)
+    phi = _slab(mesh, 0.0)
+    w = rng.normal(size=mesh.n_vertices)
+    params, pot, sh, aniso, mob = _default_setup(mesh, rho=0.01)
+    sys = assemble_step_system(mesh, params, pot, sh, aniso, mob, phi, w)
+    # B0 is a multiple of the identity for the regularized l1 density, so
+    # off the band the stiffness holds entries that are exactly zero
+    assert sys.c_mu > 0.0 and (sys.B_stiff.data == 0.0).any()
+    before = sys.B_stiff.copy()
+    cur = rng.uniform(-1, 1, mesh.n_vertices)
+    for B in (None, anisotropic_stiffness(mesh, aniso, phi, cur)):
+        want = (sp.diags(sys.c_mu * sys.M_mu)
+                + sys.c_B * (before if B is None else B)).tocsr()
+        assert _same_csr(sys.c_matrix(B), want)
+    assert _same_csr(sys.B_stiff, before)
+
+
+def test_unweighted_lumped_mass_is_cached_read_only(unit_mesh):
+    M = lumped_mass(unit_mesh)
+    assert lumped_mass(unit_mesh) is M and not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0] = 1.0
+    # weighted diagonals are computed per call and stay writable
+    Mw = lumped_mass(unit_mesh, np.ones(unit_mesh.n_elements))
+    assert Mw is not M and Mw.flags.writeable and np.array_equal(Mw, M)
+    assert lumped_mass(unit_mesh) is M
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_step_system_takes_one_phase_gradient(unit_mesh, monkeypatch, r):
+    rng = np.random.default_rng(24)
+    phi = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    w = rng.normal(size=unit_mesh.n_vertices)
+    params, pot, sh, aniso, _ = _default_setup(unit_mesh, rho=0.01)
+    aniso = AnisotropyDensity(aniso.matrices, r)
+    mob = MobilitySpec("flat", 1)
+    want = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
+    calls = []
+    gradients = unit_mesh.field_gradients
+
+    def counting(values):
+        calls.append(values)
+        return gradients(values)
+
+    monkeypatch.setattr(unit_mesh, "field_gradients", counting)
+    sys = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
+    assert len(calls) == 1
+    assert sys.M is lumped_mass(unit_mesh)
+    assert np.array_equal(sys.M_mu, want.M_mu)
+    assert _same_csr(sys.B_stiff, want.B_stiff)

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from anisopf.anisotropy import MobilitySpec, make_regularized_l1
+from anisopf.anisotropy import (
+    AnisotropyDensity,
+    MobilitySpec,
+    anisotropy_from_name,
+    make_regularized_l1,
+)
 from anisopf.assembly import assemble_step_system, lumped_mass
 from anisopf.config import RunConfig
 from anisopf.errors import InterfaceTooWide, MeshChanged
@@ -105,6 +110,37 @@ def test_energy_scales_with_latent_heat(mesh):
     E2, F2 = discrete_energy(mesh, phi, w, params2, pot, sh, aniso)
     assert E2 == pytest.approx(2.0 * E1, rel=1e-12)
     assert F2 == pytest.approx(2.0 * F1, rel=1e-12)
+
+
+def _full_element_energy(mesh, phi, w, params, pot, sh, aniso):
+    """(E_h, F_h) with gamma evaluated on every element."""
+    M = lumped_mass(mesh)
+    g = aniso.gamma(mesh.field_gradients(phi))
+    grad_term = 0.5 * params.eps * float(np.sum(mesh.volumes * g * g))
+    s = np.clip(phi, -1.0, 1.0) if pot.kind == "obstacle" else phi
+    psi_term = float(np.sum(M * pot.psi(s))) / params.eps
+    scale = params.lam * params.alpha / (params.a * pot.c_psi)
+    E = 0.5 * params.theta * float(np.sum(M * (w - params.u_D) ** 2))
+    E += scale * (grad_term + psi_term)
+    return E, E - params.lam * params.u_D * float(np.sum(M * sh.interp(s)))
+
+
+@pytest.mark.parametrize("name,dim,r", [("hex2d-rot:0.1", 2, 1.0),
+                                        ("ani1:0.3", 2, 3.0),
+                                        ("cube3d:0.3:2", 3, 2.0)])
+@pytest.mark.parametrize("potential", ["obstacle", "quartic"])
+def test_energy_on_the_band_is_the_full_element_sum(name, dim, r, potential):
+    mesh = build_uniform_mesh(0.5, 16 if dim == 2 else 4, dim, "dirichlet")
+    params, _, sh, _, _ = _model()
+    pot = PotentialSpec(potential)
+    aniso = AnisotropyDensity(anisotropy_from_name(name, dim).matrices, r)
+    n = np.array([1.0, 0.3, 0.2][:dim])
+    phi = np.clip(5.0 * (mesh.vertices @ n), -1.0, 1.0)
+    w = np.random.default_rng(25).normal(size=mesh.n_vertices)
+    band = mesh.field_gradients(phi).any(axis=1)
+    assert band.any() and not band.all()
+    assert discrete_energy(mesh, phi, w, params, pot, sh, aniso) == \
+        _full_element_energy(mesh, phi, w, params, pot, sh, aniso)
 
 
 def test_stability_stationary_state(mesh):
