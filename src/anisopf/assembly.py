@@ -120,15 +120,20 @@ def _csr_pattern(c):
     return c["csr_pattern"]
 
 
+def _on_band(grads):
+    """``grads.any(axis=1)``, several times faster."""
+    return (grads != 0) @ np.ones(grads.shape[1]) > 0
+
+
 def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
     """Stiffness with coefficients B_r(q, grad Phi_cur), q = grad Phi_old."""
     c = mesh._finalize()
     volumes, grads = c["volumes"], c["grads"]
     q = mesh.field_gradients(phi_prev) if q is None else q
-    p, band = q, q.any(axis=1)
+    p, band = q, _on_band(q)
     if aniso.exponent != 1.0 and phi_cur is not phi_prev:
         p = mesh.field_gradients(phi_cur)
-        band |= p.any(axis=1)
+        band |= _on_band(p)
     B0 = aniso.b_matrix(*np.zeros((2, mesh.dim)))
     off_band = c.get("aniso_off_band")
     if off_band is None or not np.array_equal(off_band[0], B0):
@@ -171,6 +176,7 @@ class SystemMatrices:
     u_D: float
     phi_prev: np.ndarray = field(repr=False, default=None)
     w_prev: np.ndarray = field(repr=False, default=None)
+    grads_prev: np.ndarray = field(repr=False, default=None)  # grad Phi_old
     _shape: object = field(repr=False, default=None)
     _aniso: object = field(repr=False, default=None)
 
@@ -199,7 +205,8 @@ class SystemMatrices:
     def b_matrix_at(self, U):
         if self._aniso.exponent == 1.0:
             return self.B_stiff
-        return anisotropic_stiffness(self.mesh, self._aniso, self.phi_prev, U)
+        return anisotropic_stiffness(self.mesh, self._aniso, self.phi_prev, U,
+                                     q=self.grads_prev)
 
     def f_rhs(self, M_rho):
         """Heat-row rhs for a given coupling diagonal, Dirichlet applied."""
@@ -260,7 +267,7 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
         c_mu=c_mu, c_B=c_B, c_conc=c_conc,
         lam=params.lam, theta=params.theta,
         tau=tau, u_D=params.u_D,
-        phi_prev=phi_prev, w_prev=w_prev,
+        phi_prev=phi_prev, w_prev=w_prev, grads_prev=grads_prev,
         _shape=shape, _aniso=aniso,
     )
     sys.M_rho = sys.m_rho_diag(phi_prev)

@@ -12,11 +12,8 @@ that is linear in (U, W) and a variational inequality for U over the box
   residual ``res = C U - lam M_rho W - g``, the nodes where the predictor
   ``U - res / diag(C)`` leaves [-1, 1] are pinned at the bound they cross;
   the saddle system on the free phase nodes and all temperature nodes
-  gives the next iterate.  The step makes one sparse LU factorization:
-  later iterations border it with the nodes whose state changed and solve
-  through a small dense Schur complement, refactoring only after a large
-  change.  The iteration stops when the sign conditions of the inequality
-  hold.
+  gives the next iterate.  The iteration stops when the sign conditions of
+  the inequality hold.
 * ``lagged_step``: for steps whose coefficients move with the new phase
   (the rho-hat weighted coupling of the quartic shape split and, for
   r > 1, the anisotropic stiffness), a fixed point over the same
@@ -28,6 +25,11 @@ that is linear in (U, W) and a variational inequality for U over the box
 Newton method with an analytic Jacobian in which the direction argument of
 the anisotropic linearization is frozen per iteration; it stops once the
 max-norm residual is below ``tol``.
+
+Every linear solve is one saddle system, a phase block coupled to the
+heat block ``theta M + tau A``, on a set of free phase nodes (all nodes for
+Newton); ``_FrozenSolver`` solves it for any right-hand side and borders a
+changed free set onto the LU in hand.
 
 All factorizations run in a fixed order, so identical inputs produce
 bit-identical outputs.
@@ -103,11 +105,10 @@ def _factor(K):
 def _saddle_matrix(C_FF, top, bottom, MW, F):
     """CSC matrix [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]].
 
-    ``C_FF`` and ``MW`` are CSC.  Both step solvers factor this matrix:
-    the active-set iteration on its free set, Newton with ``F`` = all
-    nodes.  The result holds the entries ``scipy.sparse.bmat`` gives, in
-    the same order and with the explicit zeros of the coupling blocks,
-    without its COO round trip.
+    ``C_FF`` and ``MW`` are CSC; ``_FrozenSolver`` factors the result.  It
+    holds the entries ``scipy.sparse.bmat`` gives, in the same order and
+    with the explicit zeros of the coupling blocks, without its COO round
+    trip.
     """
     nF, n = len(F), MW.shape[0]
     free = np.zeros(n, dtype=np.int64)
@@ -149,17 +150,18 @@ def _pinned(sys, plus, minus):
 
 
 class _FrozenSolver:
-    """Free-node solves of one step system with frozen coefficients.
+    """Solves [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]] [u_F; w] =
+    [r_F; h] for changing free sets F and any (r, h); u is zero off F.
 
     The first solve factors the saddle matrix K0 of its free set F0.  A
     later free set F differs from F0 by the newly free nodes A (in F, not
     in F0) and the newly pinned nodes R (in F0, not in F).  Its system is
-    K0 bordered by the rows and columns of U_A and by one multiplier per
-    node of R, which takes up that node's phase row while the node's
-    correction to its pinned value is held at zero.  The bordered system
-    is solved from the LU of K0 through its k x k Schur complement,
-    k = |A| + |R| (Gill, Murray, Saunders and Wright, "A Schur-complement
-    method for sparse quadratic programming", 1990):
+    K0 bordered by the rows and columns of u_A and by one multiplier per
+    node of R, which takes up that node's phase row while u_R is held at
+    zero.  The bordered system is solved from the LU of K0 through its
+    k x k Schur complement, k = |A| + |R| (Gill, Murray, Saunders and
+    Wright, "A Schur-complement method for sparse quadratic programming",
+    1990):
 
         Z = K0^-1 [B_A, E_R],  S = D - [B_A'; E_R'] Z,  x = z0 - Z y,
 
@@ -169,97 +171,84 @@ class _FrozenSolver:
     that factorization becomes K0.
     """
 
-    def __init__(self, sys, C, m_rho, f, report):
-        self.sys, self.C, self.f = sys, C, f
+    def __init__(self, C, top, bottom, MW, report):
+        self.C, self.top, self.bottom, self.MW = C, top, bottom, MW
         self.report = report
-        self.coup = sys.lam * m_rho
-        self.heat_u = np.where(sys.dirichlet, 0.0, self.coup)
         self.lu = None
 
-    def solve(self, plus, minus):
-        """U and W with the nodes of ``plus``/``minus`` pinned at +1/-1."""
-        U, free = _pinned(self.sys, plus, minus), ~(plus | minus)
+    def solve(self, free, r, h):
+        """(u, w) of the saddle system on the free set of the mask ``free``."""
         if self.lu is not None:
             A = np.flatnonzero(free & (self.pos < 0))
             R = np.flatnonzero(~free & (self.pos >= 0))
             if A.size + R.size <= _BORDER_CAP:
-                # U is left as it was if the Schur matrix is singular
-                out = self._bordered(U, free, A, R)
+                out = self._bordered(free, A, R, r, h)
                 if out is not None:
                     return out
-        return self._fresh(U, free)
+        return self._fresh(free, r, h)
 
-    def _fresh(self, U, free):
-        """Factor the saddle system of the free set F afresh and solve it.
-
-        The unknowns are U on F and all of W; the system is
-        [[C_FF, -lam M_rho,F], [MU_:,F, MW]] with the pinned values of
-        ``U`` moved to the right-hand side.  F becomes F0.
-        """
-        sys = self.sys
+    def _fresh(self, free, r, h):
+        """Factor the saddle matrix of F = ``free`` afresh; F becomes F0."""
         # the superseded LU goes before the next factorization
         self.lu = None
-        F = np.flatnonzero(free)
+        self.F0 = F = np.flatnonzero(free)
         nF = F.size
-        C_F = self.C[F]
-        K = _saddle_matrix(C_F[:, F].tocsc(), -self.coup, self.heat_u,
-                           sys.MW, F)
+        K = _saddle_matrix(self.C[F][:, F].tocsc(), self.top, self.bottom,
+                           self.MW, F)
+        # vanishing coupling entries (Dirichlet rows, liquid nodes of the
+        # quartic shape) stay out of the pattern the LU orders and fills
+        K.eliminate_zeros()
         self.lu = _factor(K)
         self.report.factorizations += 1
-        sol = self.lu.solve(np.concatenate([sys.g[F] - C_F @ U,
-                                            self.f - self.heat_u * U]))
-        self.F0 = F
-        self.pos = np.full(sys.n, -1)
+        sol = self.lu.solve(np.concatenate([r[F], h]))
+        self.pos = np.full(free.size, -1)
         self.pos[F] = np.arange(nF)
-        U[F] = sol[:nF]
-        W = sol[nF:].copy()
-        W[sys.dirichlet] = sys.u_D
-        return U, W
+        u = np.zeros(free.size)
+        u[F] = sol[:nF]
+        return u, sol[nF:]
 
-    def _bordered(self, U, free, A, R):
-        sys, C, F0, pos = self.sys, self.C, self.F0, self.pos
-        nF0, nA = F0.size, A.size
-        res = sys.g - C @ U
+    def _bordered(self, free, A, R, r, h):
+        C, F0, pos = self.C, self.F0, self.pos
+        nF0, nA, n = F0.size, A.size, free.size
         # one solve for the right-hand side and the border columns: column
-        # a holds C_F0,a and the heat entry of U_a, column r the unit
-        # vector of U_r
-        rhs = np.zeros((nF0 + sys.n, 1 + nA + R.size))
-        rhs[:nF0, 0] = res[F0]
-        rhs[nF0:, 0] = self.f - self.heat_u * U
+        # a holds C_F0,a and the heat entry of u_a, column r the unit
+        # vector of u_r
+        rhs = np.zeros((nF0 + n, 1 + nA + R.size))
+        rhs[:nF0, 0] = r[F0]
+        rhs[nF0:, 0] = h
         if nA:
             j = np.arange(1, 1 + nA)
             rhs[:nF0, j] = C[:, A].toarray()[F0]
-            rhs[nF0 + A, j] = self.heat_u[A]
+            rhs[nF0 + A, j] = self.bottom[A]
         rhs[pos[R], np.arange(1 + nA, rhs.shape[1])] = 1.0
         Zx = self.lu.solve(rhs)
         x = Zx[:, 0]
+        u = np.zeros(n)
         if nA + R.size:
             # the border rows times [z0, Z]: phase rows of A, then E_R'
             C_A = C[A].toarray()
             T = np.vstack([
-                C_A[:, F0] @ Zx[:nF0] - self.coup[A, None] * Zx[nF0 + A],
+                C_A[:, F0] @ Zx[:nF0] + self.top[A, None] * Zx[nF0 + A],
                 Zx[pos[R]]])
             S = -T[:, 1:]
             S[:nA, :nA] += C_A[:, A]
-            r = -T[:, 0]
-            r[:nA] += res[A]
+            b = -T[:, 0]
+            b[:nA] += r[A]
             try:
-                y = np.linalg.solve(S, r)
+                y = np.linalg.solve(S, b)
             except np.linalg.LinAlgError:
                 return None
             x = x - Zx[:, 1:] @ y
-            U[A] = y[:nA]
+            u[A] = y[:nA]
         kept = F0[free[F0]]
-        U[kept] = x[pos[kept]]
-        W = x[nF0:].copy()
-        W[sys.dirichlet] = sys.u_D
-        return U, W
+        u[kept] = x[pos[kept]]
+        return u, x[nF0:]
 
 
 def _pdas_solve(sys, cfg, U0, W0, report):
     """Primal-dual active-set iteration with the coefficients frozen at the
-    clipped start ``U0``; each iteration after the first is solved from the
-    factorization in hand (``_FrozenSolver``)."""
+    clipped start ``U0``; each iteration pins its active nodes and solves
+    for the free ones with one ``_FrozenSolver``."""
     U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
     W = None if W0 is None else np.asarray(W0, dtype=float).copy()
     kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
@@ -268,8 +257,11 @@ def _pdas_solve(sys, cfg, U0, W0, report):
     if np.any(d <= 0.0):
         raise ZeroDiagonal("system diagonal must be positive")
     m_rho = sys.m_rho_diag(U)
-    solver = _FrozenSolver(sys, C, m_rho, sys.f_rhs(m_rho), report)
-    res = None if W is None else C @ U - sys.lam * m_rho * W - sys.g
+    f = sys.f_rhs(m_rho)
+    coup = sys.lam * m_rho
+    heat_u = np.where(sys.dirichlet, 0.0, coup)
+    solver = _FrozenSolver(C, -coup, heat_u, sys.MW, report)
+    res = None if W is None else C @ U - coup * W - sys.g
     for _ in range(_MAX_OUTER):
         if res is None:
             # no temperature guess: read the active sets off the phase
@@ -277,14 +269,18 @@ def _pdas_solve(sys, cfg, U0, W0, report):
         else:
             pred = U - res / d
             plus, minus = pred > 1.0, pred < -1.0
-        U_new, W_new = solver.solve(plus, minus)
+        U_new = _pinned(sys, plus, minus)
+        u, W_new = solver.solve(~(plus | minus), sys.g - C @ U_new,
+                                f - heat_u * U_new)
+        U_new += u
+        W_new[sys.dirichlet] = sys.u_D
         report.outer_iterations += 1
         if W is None:
             diff = np.inf
         else:
             diff = max(np.abs(U_new - U).max(), np.abs(W_new - W).max())
         U, W = U_new, W_new
-        res = C @ U - sys.lam * m_rho * W - sys.g
+        res = C @ U - coup * W - sys.g
         # at a marginally stable state the sets flip at round-off level,
         # so acceptance rests on the sign conditions, not on set repetition
         if (np.all(res[plus] <= kkt_tol) and np.all(res[minus] >= -kkt_tol)
@@ -417,19 +413,15 @@ def newton_smooth_step(sys, cfg, u0=None, w0="prev"):
                 f"residual {rnorm:.3e}")
         drho = sh.rho_plus_deriv_clamped(U)
         J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
-               - sp.diags(sys.lam * sys.M * drho * W)).tocsc()
+               - sp.diags(sys.lam * sys.M * drho * W))
         bottom = sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev))
         bottom[sys.dirichlet] = 0.0
-        K = _saddle_matrix(J11, -sys.lam * m_rho, bottom, sys.MW, np.arange(n))
-        # vanishing coupling entries (Dirichlet rows, liquid nodes of the
-        # quartic shape) stay out of the pattern the LU orders and fills
-        K.eliminate_zeros()
-        delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
-        report.factorizations += 1
+        du, dw = _FrozenSolver(J11, -sys.lam * m_rho, bottom, sys.MW,
+                               report).solve(np.ones(n, bool), -r_phi, -r_w)
         t = 1.0
         for _ls in range(20):
-            U_t = U + t * delta[:n]
-            W_t = W + t * delta[n:]
+            U_t = U + t * du
+            W_t = W + t * dw
             B_t = sys.b_matrix_at(U_t)
             r_phi_t, r_w_t, m_rho_t, C_t = _smooth_residual(sys, U_t, W_t, B_t)
             rn_t = max(np.abs(r_phi_t).max(), np.abs(r_w_t).max())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import output
-from .assembly import assemble_step_system, lumped_mass
+from .assembly import _on_band, assemble_step_system, lumped_mass
 from .errors import (
     InterfaceTooWide,
     MeshChanged,
@@ -147,7 +147,7 @@ def discrete_energy(mesh, phi, w, params, pot, sh, aniso):
     w = np.asarray(w, dtype=float)
     M = lumped_mass(mesh)
     grads = mesh.field_gradients(phi)
-    band = np.flatnonzero(grads.any(axis=1))
+    band = np.flatnonzero(_on_band(grads))
     g = np.zeros(len(grads))
     g[band] = aniso.gamma(grads.take(band, axis=0))
     grad_term = 0.5 * params.eps * float(np.sum(mesh.volumes * g * g))

@@ -12,6 +12,7 @@ from anisopf.anisotropy import (
     make_regularized_l1,
 )
 from anisopf.assembly import (
+    _on_band,
     anisotropic_stiffness,
     assemble_step_system,
     lumped_mass,
@@ -611,3 +612,41 @@ def test_step_system_takes_one_phase_gradient(unit_mesh, monkeypatch, r):
     assert sys.M is lumped_mass(unit_mesh)
     assert np.array_equal(sys.M_mu, want.M_mu)
     assert _same_csr(sys.B_stiff, want.B_stiff)
+
+
+def test_b_matrix_at_reuses_the_previous_phase_gradient(unit_mesh,
+                                                       monkeypatch):
+    rng = np.random.default_rng(26)
+    phi = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    w = rng.normal(size=unit_mesh.n_vertices)
+    params, pot, sh, aniso, mob = _default_setup(unit_mesh, rho=0.01)
+    aniso = AnisotropyDensity(aniso.matrices, 2.0)
+    sys = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
+    U = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    want = anisotropic_stiffness(unit_mesh, aniso, phi, U)
+    calls = []
+    gradients = unit_mesh.field_gradients
+
+    def counting(values):
+        calls.append(values)
+        return gradients(values)
+
+    monkeypatch.setattr(unit_mesh, "field_gradients", counting)
+    B = sys.b_matrix_at(U)
+    # grad Phi_old comes from the step system, only grad U is computed
+    assert len(calls) == 1 and calls[0] is U
+    assert _same_csr(B, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_band_mask_is_the_rows_with_a_nonzero_entry(d):
+    special = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [5e-324, 0.0, 0.0],
+                        [0.0, -0.0, -2.0], [np.nan, 0.0, 0.0],
+                        [np.nan, np.nan, np.nan], [0.0, np.inf, -0.0]])[:, :d]
+    rng = np.random.default_rng(27)
+    q = rng.normal(size=(200, d)) * (rng.uniform(size=(200, d)) < 0.3)
+    q[rng.uniform(size=q.shape) < 0.2] = -0.0
+    q = np.vstack([special, q])
+    band = q.any(axis=1)
+    assert band.any() and not band.all()
+    assert np.array_equal(_on_band(q), band)

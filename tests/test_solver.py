@@ -27,6 +27,7 @@ from anisopf.solver import (
     StepReport,
     _factor,
     _FrozenSolver,
+    _pinned,
     _saddle_matrix,
     _smooth_residual,
     active_set_step,
@@ -113,6 +114,22 @@ def _change_sets(sys, plus, minus, change, k, rng):
     return plus, minus
 
 
+def _frozen_solver(sys, C, m_rho):
+    """The free-set solver of the frozen step system at ``m_rho``."""
+    coup = sys.lam * m_rho
+    return _FrozenSolver(C, -coup, np.where(sys.dirichlet, 0.0, coup),
+                         sys.MW, StepReport("active-set"))
+
+
+def _pdas_iteration(sys, C, f, frozen, plus, minus):
+    """U and W with the nodes of ``plus``/``minus`` pinned at +1/-1: the
+    solve of one ``_pdas_solve`` iteration."""
+    U = _pinned(sys, plus, minus)
+    u, W = frozen.solve(~(plus | minus), sys.g - C @ U, f - frozen.bottom * U)
+    W[sys.dirichlet] = sys.u_D
+    return U + u, W
+
+
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("theta,bc", [(0.0, "dirichlet"), (1.0, "mixed"),
                                       (1.0, "neumann")])
@@ -132,20 +149,57 @@ def test_bordered_solve_matches_fresh_factorization(
         # some released nodes carry Dirichlet heat rows
         assert (sys.dirichlet & (plus0 | minus0) & ~(plus1 | minus1)).any()
     # the oracle: each set factored afresh by a solver of its own
-    refs = [_FrozenSolver(sys, C, m_rho, f, StepReport("active-set")).solve(p, m)
+    refs = [_pdas_iteration(sys, C, f, _frozen_solver(sys, C, m_rho), p, m)
             for p, m in ((plus0, minus0), (plus1, minus1))]
     calls = _counted_factor(monkeypatch)
-    frozen = _FrozenSolver(sys, C, m_rho, f, StepReport("active-set"))
+    frozen = _frozen_solver(sys, C, m_rho)
     # the base, the change, then the base again (no border) and the change
-    # again (from the kept columns)
+    # again (bordered once more)
     for (p, m), (U_ref, W_ref) in zip(
             [(plus0, minus0), (plus1, minus1)] * 2, refs * 2):
-        U, W = frozen.solve(p, m)
+        U, W = _pdas_iteration(sys, C, f, frozen, p, m)
         assert np.array_equal(U[p], np.ones(p.sum()))
         assert np.array_equal(U[m], -np.ones(m.sum()))
         ref = np.r_[U_ref, W_ref]
         assert np.abs(np.r_[U, W] - ref).max() <= 1e-12 * np.abs(ref).max()
     # beyond the cap each change is factored afresh
+    assert len(calls) == (1 if k <= _BORDER_CAP else 4)
+    assert frozen.report.factorizations == len(calls)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("theta,bc", [(0.0, "dirichlet"), (1.0, "mixed")])
+@pytest.mark.parametrize("k", [20, _BORDER_CAP + 8])
+def test_bordered_solve_takes_any_right_hand_side(dim, n, theta, bc, k,
+                                                  monkeypatch):
+    # a random (r, h), not the right-hand side of an active-set iteration,
+    # and coupling diagonals that vanish nowhere off the Dirichlet rows (the
+    # shape's rho vanishes at phi = 1, where most released nodes sit)
+    sys, params, cfg = small_setup(n=n, dim=dim, theta=theta, bc=bc)
+    C = sys.c_matrix()
+    rng = np.random.default_rng(dim + k)
+    top, bottom = sys.lam * sys.M * rng.uniform(0.5, 1.5, (2, sys.n))
+    bottom[sys.dirichlet] = 0.0
+    plus0, minus0 = sys.phi_prev == 1.0, sys.phi_prev == -1.0
+    plus1, minus1 = _change_sets(sys, plus0, minus0, "both", k, rng)
+    sets = [~(plus0 | minus0), ~(plus1 | minus1)]
+    r, h = rng.standard_normal((2, sys.n))
+
+    def make():
+        return _FrozenSolver(C, -top, bottom, sys.MW, StepReport("newton"))
+
+    refs = [make().solve(free, r, h) for free in sets]
+    calls = _counted_factor(monkeypatch)
+    frozen = make()
+    for free, (u_ref, w_ref) in zip(sets * 2, refs * 2):
+        u, w = frozen.solve(free, r, h)
+        assert not u[~free].any()
+        ref = np.r_[u_ref, w_ref]
+        assert np.abs(np.r_[u, w] - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the saddle system itself: phase rows of the free set, heat rows
+        phase = (C @ u - top * w - r)[free]
+        heat = bottom * u + sys.MW @ w - h
+        assert np.abs(np.r_[phase, heat]).max() <= 1e-10
     assert len(calls) == (1 if k <= _BORDER_CAP else 4)
     assert frozen.report.factorizations == len(calls)
 
@@ -156,14 +210,14 @@ def test_bordered_update_to_all_active_is_singular(monkeypatch):
     sys, params, cfg = small_setup(n=4, theta=0.0, bc="neumann")
     C = sys.c_matrix()
     m_rho = sys.m_rho_diag(sys.phi_prev)
+    f = sys.f_rhs(m_rho)
     plus, minus = sys.phi_prev == 1.0, sys.phi_prev == -1.0
     assert 0 < (~(plus | minus)).sum() <= _BORDER_CAP
     calls = _counted_factor(monkeypatch)
-    frozen = _FrozenSolver(sys, C, m_rho, sys.f_rhs(m_rho),
-                           StepReport("active-set"))
-    frozen.solve(plus, minus)
+    frozen = _frozen_solver(sys, C, m_rho)
+    _pdas_iteration(sys, C, f, frozen, plus, minus)
     with pytest.raises(SingularSystem):
-        frozen.solve(~minus, minus)
+        _pdas_iteration(sys, C, f, frozen, ~minus, minus)
     assert len(calls) == 1
 
 

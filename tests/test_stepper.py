@@ -254,9 +254,14 @@ def test_run_adaptive_strict_holds_bounds_every_step(tmp_path):
     state.mesh.check_conforming()
 
 
-def test_run_outputs_are_byte_identical_across_reruns(tmp_path):
-    cfg = base_config(tmp_path, N_f=32, N_c=16, adaptive=True, T_end=3e-5,
-                      vtk_every=1)
+# one small run per step solver
+@pytest.mark.parametrize("method,kw", [
+    ("active-set", dict(N_f=32, N_c=16, adaptive=True)),
+    ("lagged", dict(shape="quartic-shape")),
+    ("newton", dict(potential="quartic", shape="quartic-shape")),
+], ids=["active-set", "lagged", "newton"])
+def test_run_outputs_are_byte_identical_across_reruns(tmp_path, method, kw):
+    cfg = base_config(tmp_path, T_end=3e-5, vtk_every=1, **kw)
     names = ["report.json", "energies.csv", "fields_final.vtk"] + [
         f"fields_{n:06d}.vtk" for n in range(4)]
     run_simulation(cfg)
@@ -265,6 +270,7 @@ def test_run_outputs_are_byte_identical_across_reruns(tmp_path):
     assert {name: (tmp_path / name).read_bytes() for name in names} == first
     doc = json.loads(first["report.json"])
     assert all("wall_time" not in row for row in doc["solver"])
+    assert {row["method"] for row in doc["solver"]} == {method}
 
 
 def test_run_aborts_cleanly_with_partial_outputs(tmp_path, monkeypatch):
