@@ -30,8 +30,8 @@ def _key(section, default, key=None, param=None):
 
 @dataclass
 class RunConfig:
-    """The run parameters in canonical config order; the physics and solver
-    defaults are read from PhysicalParams and SolverConfig."""
+    """The run parameters in canonical config order; the physics defaults
+    are read from PhysicalParams."""
 
     theta: float = _key("physics", PhysicalParams.theta)
     lam: float = _key("physics", PhysicalParams.lam, key="lambda")
@@ -52,8 +52,6 @@ class RunConfig:
     anisotropy: str = _key("model", "iso")
     mobility: str = _key("model", "gamma")
     initial: str = _key("model", "seed")
-    tol: float = _key("solver", SolverConfig.tol)
-    omega: float = _key("solver", SolverConfig.omega)
     N_f: int = _key("mesh", 128)
     N_c: int = _key("mesh", 16)
     dim: int = _key("mesh", 2)
@@ -71,10 +69,6 @@ class RunConfig:
             self.physical_params()
         except ValueError as exc:
             raise ValidationError("physics", str(exc)) from None
-        try:
-            self.solver_config()
-        except ValueError as exc:
-            raise ValidationError("solver", str(exc)) from None
         # before the model, whose presets are built for this dimension
         if self.dim not in (2, 3):
             raise ValidationError("dim", "must be 2 or 3")
@@ -100,12 +94,10 @@ class RunConfig:
 
     # -- materialized model objects --------------------------------------
 
-    def _section(self, section, cls):
-        return cls(**{f.metadata["param"] or f.name: getattr(self, f.name)
-                      for f in fields(self) if f.metadata["section"] == section})
-
     def physical_params(self):
-        return self._section("physics", PhysicalParams)
+        return PhysicalParams(**{
+            f.metadata["param"] or f.name: getattr(self, f.name)
+            for f in fields(self) if f.metadata["section"] == "physics"})
 
     def model_objects(self):
         pot = PotentialSpec(self.potential)
@@ -118,7 +110,8 @@ class RunConfig:
         return pot, sh, aniso, mob
 
     def solver_config(self):
-        return self._section("solver", SolverConfig)
+        """The step solvers' default controls; no config key sets them."""
+        return SolverConfig()
 
     def to_dict(self):
         return asdict(self)
@@ -143,8 +136,9 @@ def parse_config(text):
     """Parse configuration text into a validated RunConfig.
 
     ``[physics] eps_inv`` is accepted as input for ``1 / eps``.  The model
-    picks the step solver, so ``[solver] method`` is read only as ``auto``,
-    the one value older configs hold."""
+    picks the step solver and sets its controls, so ``[solver]`` holds no
+    key; its ``method`` is read only as ``auto``, the one value older
+    configs hold."""
     values = {}
     section = None
     seen_eps = []
@@ -154,7 +148,7 @@ def parse_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _KEYS:
+            if section not in _KEYS and section != "solver":
                 raise ParseError(line_no, f"unknown section [{section}]")
             continue
         if "=" not in line:
@@ -168,7 +162,7 @@ def parse_config(text):
                 raise ParseError(line_no, f"method {val!r}: the model picks "
                                  "the step solver; only 'auto' is read")
             continue
-        f = _KEYS[section].get("eps" if key == "eps_inv" else key)
+        f = _KEYS.get(section, {}).get("eps" if key == "eps_inv" else key)
         if f is None:
             raise ParseError(line_no, f"unknown key {key!r} in [{section}]")
         if f.name == "eps":

@@ -34,7 +34,7 @@ from .mesh import (
     build_uniform_mesh,
     transfer_field,
 )
-from .solver import active_set_step, lagged_step, newton_smooth_step
+from .solver import lagged_step, newton_smooth_step
 
 __all__ = [
     "PhysicalParams",
@@ -68,6 +68,9 @@ class PhysicalParams:
     tau: float = 1e-5
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name != "bc_case" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         checks = [
             (self.theta >= 0.0, "theta must be >= 0"),
             (self.lam > 0.0, "lambda must be > 0"),
@@ -275,12 +278,7 @@ def run_simulation(cfg, out_dir=None, strict=False):
             u0 = None if older is None else 2.0 * state.phi.values - older[0].values
             w0 = (2.0 * state.w.values - older[1].values if solved_w > 1
                   else "prev" if solved_w else None)
-            if pot.kind == "quartic":
-                step = newton_smooth_step
-            elif sys.coefficients_move:
-                step = lagged_step
-            else:
-                step = active_set_step
+            step = newton_smooth_step if pot.kind == "quartic" else lagged_step
             U, W, rep = step(sys, scfg, u0=u0, w0=w0)
             new_state = SimulationState(
                 state.t + params.tau, state.mesh,

@@ -21,7 +21,6 @@ CANONICAL = {
     "physics": ["theta", "lambda", "a", "alpha", "rho", "K_plus", "K_minus",
                 "eps", "u_D", "H", "R0", "T_end", "tau", "bc"],
     "model": ["potential", "shape", "anisotropy", "mobility", "initial"],
-    "solver": ["tol", "omega"],
     "mesh": ["N_f", "N_c", "dim", "adaptive"],
     "output": ["dir", "vtk_every"],
 }
@@ -63,8 +62,8 @@ def test_defaults_are_the_solver_and_physics_defaults():
     assert list(cfg.to_dict()) == [
         "theta", "lam", "a", "alpha", "rho", "K_plus", "K_minus", "eps", "u_D",
         "H", "R0", "T_end", "tau", "bc", "potential", "shape", "anisotropy",
-        "mobility", "initial", "tol", "omega", "N_f", "N_c", "dim",
-        "adaptive", "out_dir", "vtk_every"]
+        "mobility", "initial", "N_f", "N_c", "dim", "adaptive", "out_dir",
+        "vtk_every"]
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -87,15 +86,17 @@ def test_readme_config_parses():
 
 def test_output_seed_key_is_rejected():
     # like the removed Newton-only solver keys, the shape cutoff, the
-    # iteration cap and every solver choice but the default
+    # iteration cap, the solver controls and every solver choice but the
+    # default
     for text in ("[output]\nseed = 0\n", "[solver]\nnewton_tol = 1e-8\n",
                  "[solver]\nnewton_max_iter = 30\n",
                  "[model]\nm_cutoff = 2.0\n"):
         with pytest.raises(ParseError):
             parse_config(text)
-    for line in ("method = lagged", "method = active-set", "max_outer = 200"):
+    for line in ("method = lagged", "method = active-set", "max_outer = 200",
+                 "tol = 1e-8", "omega = 0.5"):
         with pytest.raises(ParseError) as err:
-            parse_config(f"# solver\n[solver]\ntol = 1e-8\n{line}\n")
+            parse_config(f"# solver\n[solver]\nmethod = auto\n{line}\n")
         assert err.value.line_no == 4
 
 
@@ -131,11 +132,21 @@ def test_validation_errors():
         parse_config("[model]\nanisotropy = cube3d:0.3:9\n")  # 3d preset, 2d run
     for text, key in (("[mesh]\ndim = 4\n", "dim"),
                       ("[output]\nvtk_every = -1\n", "vtk_every"),
-                      ("[model]\ninitial = foo\n", "initial"),
-                      ("[solver]\nomega = 2\n", "solver")):
+                      ("[model]\ninitial = foo\n", "initial")):
         with pytest.raises(ValidationError) as err:
             parse_config(text)
         assert err.value.key == key
+
+
+@pytest.mark.parametrize("line", [
+    "u_D = nan", "alpha = inf", "tau = inf", "T_end = inf", "H = inf",
+    "theta = nan", "lambda = -inf", "eps = nan"])
+def test_non_finite_physics_is_rejected(line):
+    # u_D has no range check and inf passes every lower bound; a NaN or
+    # infinite constant would run to a NaN or infinite energy, or to no step
+    with pytest.raises(ValidationError) as err:
+        parse_config(f"[physics]\n{line}\n")
+    assert err.value.key == "physics" and "must be finite" in str(err.value)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -415,11 +415,12 @@ def test_residual_audit_after_convergence():
 def test_lagged_omega_one_equals_active_set():
     sys, params, cfg = small_setup(n=8)
     cfg1 = dataclasses.replace(cfg, omega=1.0)
-    U_a, W_a, _ = active_set_step(sys, cfg, w0=None)
+    U_a, W_a, rep_a = active_set_step(sys, cfg, w0=None)
     U_l, W_l, rep = lagged_step(sys, cfg1, w0=None)
     assert np.abs(U_a - U_l).max() <= 1e-10
     assert np.abs(W_a - W_l).max() <= 1e-10
-    assert rep.method == "lagged"
+    # a frozen step is the one active-set solve and reports as such
+    assert rep == rep_a and rep.method == "active-set"
 
 
 def test_lagged_nonlinear_shape_converges():
@@ -437,6 +438,12 @@ def test_omega_zero_rejected():
         SolverConfig(omega=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
+    # a NaN tolerance would stop Newton before its first iteration
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(omega=bad)
 
 
 def test_coefficients_move_rule():
@@ -463,11 +470,13 @@ def _moving_system(case):
 
 
 @pytest.mark.parametrize("case", ["cube3d-r2", "quartic-shape"])
-def test_active_set_rejects_moving_coefficients(case):
+def test_active_set_step_on_moving_coefficients_is_the_lagged_step(case):
     sys, params, cfg = _moving_system(case)
     assert sys.coefficients_move
-    with pytest.raises(NotApplicable):
-        active_set_step(sys, cfg)
+    U, W, rep = active_set_step(sys, cfg)
+    U_l, W_l, rep_l = lagged_step(sys, cfg)
+    assert np.array_equal(U, U_l) and np.array_equal(W, W_l)
+    assert rep == rep_l and rep.method == "lagged"
 
 
 @pytest.mark.parametrize("w0", [None, "prev"])
@@ -482,10 +491,15 @@ def test_lagged_frozen_system_solves_once(w0, monkeypatch):
 
     monkeypatch.setattr(solver, "_pdas_solve", counted)
     U, W, rep = lagged_step(sys, cfg, w0=w0)
-    assert len(calls) == 1 and rep.outer_iterations == 1
-    U_a, W_a, rep_a = active_set_step(sys, cfg, w0=w0)
+    assert len(calls) == 1
+    # the one solve's own report: its outer count, no inner iterations
+    assert rep.method == "active-set" and rep.inner_iterations == 0
+    monkeypatch.undo()
+    rep_a = StepReport(method="active-set")
+    U_a, W_a = solver._pdas_solve(sys, cfg, *solver._start(sys, None, w0),
+                                  rep_a)
     assert np.array_equal(U, U_a) and np.array_equal(W, W_a)
-    assert rep.inner_iterations == rep_a.outer_iterations
+    assert rep == rep_a
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0])
