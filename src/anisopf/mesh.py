@@ -11,11 +11,10 @@ bookkeeping follows the ordered-vertex bisection rule for Kuhn-type meshes
 
 The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
-band ``|phi| < 1`` and coarse (spacing 2H/N_c) elsewhere, then transfers
-the nodal fields by piecewise-linear interpolation.  An element is coarse
-while its generation is below d * log2(N_f/N_c), and a new vertex that
-coincides with an old one takes that vertex's values; only the other new
-vertices are located in the old mesh.
+band ``|phi| < 1`` and coarse (spacing 2H/N_c) elsewhere; an element is
+coarse while its generation is below d * log2(N_f/N_c).  Old and new mesh
+bisect the same N_c mesh, so a new vertex is an old one or lies inside one
+old element: the nodal fields move exactly, without point location.
 """
 
 import itertools
@@ -51,8 +50,9 @@ class SimplicialMesh:
     (nv, d) holds the vertex coordinates, and every element ever created,
     active or not, has a row in ``_verts`` (n, d+1) and an entry in
     ``_tag`` (bisection tag), ``_gen`` (generation) and ``_child`` (first
-    child, -1 for a leaf; the second child is the next id).  The active
-    elements are the leaves.
+    child, -1 for a leaf; the second child is the next id); the leaves are
+    the active elements.  ``_parent`` (nv, 2) holds the bisected edge's
+    ends per vertex, -1 for the vertices of the uniform mesh.
     """
 
     def __init__(self, H, N, dim, bc_case, coords, verts):
@@ -67,6 +67,7 @@ class SimplicialMesh:
         self._tag = np.full(len(self._verts), self.dim, dtype=np.int64)
         self._gen = np.zeros(len(self._verts), dtype=np.int64)
         self._child = np.full(len(self._verts), -1, dtype=np.int64)
+        self._parent = np.full((len(self._coords), 2), -1, dtype=np.int64)
         self._perms = list(itertools.permutations(range(dim)))
         self._cache = None
 
@@ -116,8 +117,9 @@ class SimplicialMesh:
                 raise RefinementDepthExceeded("edge closure did not stabilize")
             want = np.union1d(want, blocking)
             mids, z = np.unique(own[agree], return_inverse=True)
-            self._coords = np.concatenate([self._coords, 0.5 * (
-                self._coords[mids // nv] + self._coords[mids % nv])])
+            parent = np.stack([mids // nv, mids % nv], axis=1)
+            self._coords = np.vstack([self._coords, self._coords[parent].mean(axis=1)])
+            self._parent = np.concatenate([self._parent, parent])
             # the midpoint replaces slot tag; the second child drops v0
             split, v, z = cand[agree], v[agree], nv + z
             t = self._tag[split]
@@ -297,22 +299,13 @@ class SimplicialMesh:
             todo = todo[child[eids[todo]] >= 0]
         return eids, bary
 
-    def _transfer_weights(self, points):
-        """Vertex ids and clipped, renormalised barycentrics per point."""
+    def interpolate(self, values, points):
+        """P1 interpolant of nodal ``values`` at ``points`` (clipped barycentrics)."""
         eids, bary = self.locate(points)
         weights = np.clip(bary, 0.0, None)
         weights = weights / weights.sum(axis=1, keepdims=True)
-        return self._verts[eids], weights
-
-    def interpolate(self, values, points):
-        """Evaluate the P1 interpolant of nodal ``values`` at ``points``."""
-        return _weighted(values, *self._transfer_weights(points))
-
-
-def _weighted(values, vert_ids, weights):
-    """Nodal ``values`` combined with per-point vertex ids and weights."""
-    vals = np.asarray(values, dtype=float)[vert_ids]
-    return (weights[:, None, :] @ vals[:, :, None])[:, 0, 0]
+        vals = np.asarray(values, dtype=float)[self._verts[eids]]
+        return (weights[:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -330,14 +323,13 @@ class NodalField:
 
 @dataclass
 class TransferMap:
-    """Interpolation data moving nodal fields from ``source`` to ``target``:
-    per target vertex, source vertex ids and convex weights, one-hot where
-    the target vertex coincides with a source vertex."""
+    """Moves nodal fields from ``source`` to ``target``: per target vertex,
+    the source vertex at its coordinates, or -1 where the value is the mean
+    of the vertex's bisection parents' values (``target._parent``)."""
 
     source: SimplicialMesh
     target: SimplicialMesh
-    vert_ids: np.ndarray     # (n_target, d+1) source vertex indices
-    weights: np.ndarray      # (n_target, d+1) convex weights
+    src: np.ndarray          # (n_target,) source vertex ids, -1 for a miss
 
 
 def build_uniform_mesh(H, N, dim=2, bc_case="dirichlet"):
@@ -366,41 +358,31 @@ def build_uniform_mesh(H, N, dim=2, bc_case="dirichlet"):
 def adapt_to_interface(mesh, phi, N_f, N_c):
     """Two-level re-mesh: fine spacing 2H/N_f inside ``|phi| < 1``.
 
-    Starting from the uniform N_c mesh, elements whose interpolated phase
+    Starting from the uniform N_c mesh, elements whose transferred phase
     value is strictly inside (-1, 1) at some vertex, together with one
     layer of vertex-neighbours, are bisected until they reach the fine
     generation d * log2(N_f/N_c): d bisections of a Kuhn simplex give a
     similar simplex at half the size (Maubach 1995), so an element is
     coarser than the fine diameter sqrt(d) * 2H/N_f exactly when its
-    generation is lower.  A new vertex that coincides with a vertex of
-    ``mesh`` reads its phase value and a one-hot transfer row from that
-    vertex; only the others are located.  Returns the new mesh and the
-    transfer map for moving nodal fields onto it.
+    generation is lower.  ``mesh`` must be the uniform N_f mesh, or a
+    bisection of the uniform N_c mesh with at most one vertex per fine
+    lattice node.  Returns the new mesh and the transfer map onto it.
     """
     if N_f < N_c or N_f % N_c != 0 or ((N_f // N_c) & (N_f // N_c - 1)) != 0:
         raise InvalidN(f"N_f={N_f} must be a power-of-two multiple of N_c={N_c}")
+    if mesh.N0 not in (N_c, N_f):
+        raise InvalidN(f"source mesh refines N={mesh.N0}, not N_c={N_c} or N_f={N_f}")
     d = mesh.dim
+    coincident = _vertex_lookup(mesh, N_f)
     new = build_uniform_mesh(mesh.H, N_c, d, mesh.bc_case)
     levels = int(round(math.log2(N_f // N_c)))
     gen_cap = max(0, 2 * levels * d)
-    coincident = _vertex_lookup(mesh, N_f)
 
-    # transfer weights of the new vertices, found once as they appear
-    vert_ids = np.empty((0, d + 1), dtype=np.int64)
-    weights = np.empty((0, d + 1))
+    src = np.empty(0, dtype=np.int64)
     phi_at = np.empty(0)
     for _round in range(8 * (levels + 1) * d + 8):
-        if len(phi_at) < new.n_vertices:
-            x = new.vertices[len(phi_at):]
-            ids = np.repeat(coincident(x)[:, None], d + 1, axis=1)
-            lam = np.zeros(ids.shape)
-            lam[:, 0] = 1.0
-            miss = ids[:, 0] < 0
-            if miss.any():
-                ids[miss], lam[miss] = mesh._transfer_weights(x[miss])
-            vert_ids = np.concatenate([vert_ids, ids])
-            weights = np.concatenate([weights, lam])
-            phi_at = np.concatenate([phi_at, _weighted(phi.values, ids, lam)])
+        src = np.concatenate([src, coincident(new.vertices[len(src):])])
+        phi_at = _moved(phi.values, src, new._parent, phi_at)
         cache = new._finalize(geometry=False)
         elems = cache["elements"]
         coarse = new._gen[cache["active"]] < d * levels
@@ -415,13 +397,13 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
     else:
         raise RefinementDepthExceeded("marking loop did not terminate")
 
-    return new, TransferMap(mesh, new, vert_ids, weights)
+    return new, TransferMap(mesh, new, src)
 
 
 def _vertex_lookup(mesh, N_f):
     """Function giving per point the vertex of ``mesh`` with exactly its
     coordinates, or -1.  Vertices are keyed by their nearest 2H/N_f
-    lattice node, so a miss only costs a ``locate``."""
+    lattice node; two vertices on one key raise ``InvalidN``."""
     H, src = mesh.H, mesh.vertices
     stride = (N_f + 1) ** np.arange(mesh.dim - 1, -1, -1)
 
@@ -431,6 +413,8 @@ def _vertex_lookup(mesh, N_f):
     src_keys = keys(src)
     order = np.argsort(src_keys, kind="stable")
     sorted_keys = src_keys[order]
+    if (np.diff(sorted_keys) == 0).any():
+        raise InvalidN(f"source mesh is finer than N_f={N_f}")
 
     def coincident(x):
         pos = np.searchsorted(sorted_keys, keys(x))
@@ -440,9 +424,25 @@ def _vertex_lookup(mesh, N_f):
     return coincident
 
 
+def _moved(values, src, parent, head=()):
+    """Source nodal ``values`` at the vertices of a bisection mesh, after
+    the ``head`` already moved: a vertex with a source vertex ``src``
+    reads its value, a miss the mean of its parents', one pass at a time."""
+    n = len(head)
+    out = np.concatenate([head, np.asarray(values, dtype=float)[src[n:]]])
+    waiting = (src < 0) & (np.arange(len(src)) >= n)
+    todo = np.flatnonzero(waiting)
+    while todo.size:
+        ready = todo[~waiting[parent[todo]].any(axis=1)]
+        out[ready] = out[parent[ready]].mean(axis=1)
+        waiting[ready] = False
+        todo = todo[waiting[todo]]
+    return out
+
+
 def transfer_field(field, tmap):
-    """Interpolate a nodal field through a transfer map."""
+    """Move a nodal field through a transfer map."""
     if field.mesh is not tmap.source:
         raise MeshMismatch("field does not live on the map's source mesh")
-    return NodalField(_weighted(field.values, tmap.vert_ids, tmap.weights),
+    return NodalField(_moved(field.values, tmap.src, tmap.target._parent),
                       tmap.target)

@@ -6,7 +6,8 @@ its bisection edge that would bisect another edge, then splits the whole
 edge patch at one midpoint.  The batched ``SimplicialMesh.refine`` numbers
 vertices and elements in another order, so the meshes are compared as sets:
 every active element by its vertex coordinates in slot order, its tag and
-its generation, and every vertex by its coordinates, all bitwise.
+its generation, and every vertex by its coordinates and the coordinates
+of its two bisection parents, all bitwise.
 """
 
 from collections import defaultdict
@@ -34,6 +35,7 @@ class RecursiveForest:
         self.tag = mesh._tag.tolist()
         self.gen = mesh._gen.tolist()
         self.child = mesh._child.tolist()
+        self.parent = [tuple(p) for p in mesh._parent.tolist()]
         self.edge_mid = {}
         self.vert_elems = defaultdict(set)
         for eid, verts in enumerate(self.verts):
@@ -49,6 +51,7 @@ class RecursiveForest:
         key = (a, b) if a < b else (b, a)
         if key not in self.edge_mid:
             self.coords.append(0.5 * (self.coords[a] + self.coords[b]))
+            self.parent.append(key)
             self.edge_mid[key] = len(self.coords) - 1
         return self.edge_mid[key]
 
@@ -97,6 +100,7 @@ class RecursiveForest:
         mesh._tag = np.array(self.tag, dtype=np.int64)
         mesh._gen = np.array(self.gen, dtype=np.int64)
         mesh._child = np.array(self.child, dtype=np.int64)
+        mesh._parent = np.array(self.parent, dtype=np.int64)
         mesh._cache = None
 
 
@@ -117,11 +121,23 @@ def active_set(mesh):
             for k, e in enumerate(active)}
 
 
+def parent_table(mesh):
+    """Per vertex coordinates, the coordinates of its parents (none for a
+    root vertex); every other vertex is their exact midpoint."""
+    x, p = mesh._coords, mesh._parent
+    root = (p < 0).all(axis=1)
+    assert np.all(p[~root] >= 0) and np.all(p[~root] < np.arange(len(x))[~root, None])
+    assert np.array_equal(x[~root], 0.5 * (x[p[~root, 0]] + x[p[~root, 1]]))
+    return {x[v].tobytes(): None if root[v] else
+            frozenset(x[u].tobytes() for u in p[v]) for v in range(len(x))}
+
+
 def assert_same_forest(mesh, ref):
     assert active_set(mesh) == active_set(ref)
     coords = {x.tobytes() for x in mesh._coords}
     assert len(coords) == mesh.n_vertices == ref.n_vertices
     assert coords == {x.tobytes() for x in ref._coords}
+    assert parent_table(mesh) == parent_table(ref)
     mesh.check_conforming()
 
 

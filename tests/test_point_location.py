@@ -3,9 +3,11 @@
 The reference walks the bisection forest one point at a time with one
 ``np.linalg.solve`` per element visited; the batched code must reproduce
 its element ids, barycentric coordinates and interpolated values bit for
-bit.  A transfer map reads the new vertices that coincide with source
-vertices as one-hot rows and locates the rest: its located rows and its
-transferred values must match the reference bit for bit.
+bit.  A transfer map locates nothing: a new vertex that coincides with a
+source vertex reads its value, any other takes the mean of its bisection
+parents' values, and the transferred fields must equal the reference
+interpolant to rounding.  Sources outside the bisection hierarchy of the
+N_c mesh are rejected.
 """
 
 import itertools
@@ -13,10 +15,10 @@ import itertools
 import numpy as np
 import pytest
 
+from anisopf.errors import InvalidN
 from anisopf.mesh import (
     NodalField,
     SimplicialMesh,
-    _weighted,
     adapt_to_interface,
     build_uniform_mesh,
     transfer_field,
@@ -57,20 +59,14 @@ def reference_locate(mesh, points):
 
 
 def reference_interpolate(mesh, values, points):
+    """Per point, the interpolant of ``values``, one column per field."""
     eids, bary = reference_locate(mesh, points)
-    out = np.empty(len(eids))
+    out = np.empty((len(eids),) + values.shape[1:])
     for i, (eid, lam) in enumerate(zip(eids, bary)):
         lam = np.clip(lam, 0.0, None)
         lam = lam / lam.sum()
-        out[i] = float(lam @ values[mesh._verts[eid]])
+        out[i] = lam @ values[mesh._verts[eid]]
     return out
-
-
-def reference_transfer(mesh, points):
-    eids, bary = reference_locate(mesh, points)
-    vert_ids = mesh._verts[eids]
-    weights = np.clip(bary, 0.0, None)
-    return vert_ids, weights / weights.sum(axis=1, keepdims=True)
 
 
 def circular_phase(mesh, R0, eps):
@@ -125,24 +121,28 @@ def count_located(monkeypatch):
     return located
 
 
+def adapt_unlocated(monkeypatch, mesh, phi, N_f, N_c):
+    """``adapt_to_interface``, asserting that it locates no point."""
+    with monkeypatch.context() as mp:
+        located = count_located(mp)
+        out = adapt_to_interface(mesh, phi, N_f, N_c)
+    assert located == []
+    return out
+
+
 def assert_transfer_matches_reference(source, tmap, rng):
-    """One-hot rows at coincident vertices, reference rows elsewhere, and
-    transferred random fields equal to the reference's bit for bit."""
+    """Coincident source vertices where they exist, and transferred random
+    fields equal to the reference interpolant to rounding; returns the
+    target vertices that are not source vertices, of which there are some."""
     points = tmap.target.vertices
     same = coincident_source_vertex(source, points)
-    hit = same >= 0
-    one_hot = np.zeros(source.dim + 1)
-    one_hot[0] = 1.0
-    assert np.all(tmap.vert_ids[hit] == same[hit, None])
-    assert np.all(tmap.weights[hit] == one_hot)
-    vert_ids, weights = reference_transfer(source, points)
-    assert np.array_equal(tmap.vert_ids[~hit], vert_ids[~hit])
-    assert np.array_equal(tmap.weights[~hit], weights[~hit])
-    for _ in range(3):
-        field = NodalField(rng.uniform(-1.0, 1.0, source.n_vertices), source)
-        assert np.array_equal(transfer_field(field, tmap).values,
-                              _weighted(field.values, vert_ids, weights))
-    return hit
+    assert np.array_equal(tmap.src, same) and (same < 0).any()
+    fields = rng.uniform(-1.0, 1.0, (source.n_vertices, 3))
+    want = reference_interpolate(source, fields, points)
+    for f, ref in zip(fields.T, want.T):
+        got = transfer_field(NodalField(f, source), tmap).values
+        assert np.abs(got - ref).max() <= 2.3e-16 * np.abs(f).max()
+    return same < 0
 
 
 @pytest.fixture(scope="module")
@@ -168,15 +168,15 @@ def test_locate_matches_reference_2d(adapted_2d):
         assert_matches_reference(m, probe_points(m, rng, 400), values)
 
 
-def test_transfer_map_matches_reference_2d(adapted_2d):
+def test_transfer_map_matches_reference_2d(adapted_2d, monkeypatch):
     m1, m2 = adapted_2d
     eps = 1.0 / (16 * np.pi)
-    _, tmap = adapt_to_interface(m2, circular_phase(m2, 0.3, eps), 64, 8)
-    hit = assert_transfer_matches_reference(m2, tmap, np.random.default_rng(6))
-    assert 0 < (~hit).sum() < hit.sum()
+    _, tmap = adapt_unlocated(monkeypatch, m2, circular_phase(m2, 0.3, eps), 64, 8)
+    miss = assert_transfer_matches_reference(m2, tmap, np.random.default_rng(6))
+    assert miss.sum() < (~miss).sum()
 
 
-def test_locate_and_transfer_match_reference_3d():
+def test_locate_and_transfer_match_reference_3d(monkeypatch):
     rng = np.random.default_rng(4)
     eps = 1.0 / (8 * np.pi)
     m = build_uniform_mesh(0.5, 8, 3, "neumann")
@@ -185,39 +185,72 @@ def test_locate_and_transfer_match_reference_3d():
     assert gens.min() < gens.max() == 3
     values = rng.uniform(-1.0, 1.0, m1.n_vertices)
     assert_matches_reference(m1, probe_points(m1, rng, 200), values)
-    _, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), 8, 4)
-    hit = assert_transfer_matches_reference(m1, tmap, rng)
-    assert 0 < (~hit).sum() < hit.sum()
+    _, tmap = adapt_unlocated(monkeypatch, m1, circular_phase(m1, 0.3, eps), 8, 4)
+    miss = assert_transfer_matches_reference(m1, tmap, rng)
+    assert miss.sum() < (~miss).sum()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_adapt_locates_each_new_vertex_once(dim, monkeypatch):
-    # the transfer map reuses the weights of the marking rounds: the same
-    # map as locating all new vertices at the end, for one locate per new
-    # vertex that is not a source vertex
-    eps = 1.0 / (16 * np.pi) if dim == 2 else 1.0 / (8 * np.pi)
-    N_f, N_c = (64, 8) if dim == 2 else (8, 4)
-    m = build_uniform_mesh(0.5, N_f, dim, "dirichlet")
-    m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), N_f, N_c)
-    located = count_located(monkeypatch)
-    new, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), N_f, N_c)
-    miss = coincident_source_vertex(m1, new.vertices) < 0
-    assert sum(located) == miss.sum()
-    vert_ids, weights = m1._transfer_weights(new.vertices[miss])
-    assert np.array_equal(tmap.vert_ids[miss], vert_ids)
-    assert np.array_equal(tmap.weights[miss], weights)
+def readapted_3d():
+    """3d source two levels deep, re-adapted around a shifted interface."""
+    eps = 1.0 / (8 * np.pi)
+    m = build_uniform_mesh(0.5, 16, 3, "neumann")
+    m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 16, 4)
+    assert m1._gen[m1._child < 0].max() == 6
+    return m1, circular_phase(m1, 0.32, eps), 16, 4
 
 
-def test_adapt_locates_vertices_off_the_source_grid(monkeypatch):
-    # a uniform N = 48 source shares with the 2H/64 lattice only the points
-    # of the 2H/16 grid, so most new vertices miss the lookup
-    m = build_uniform_mesh(0.5, 48, 2, "dirichlet")
+def coarse_to_finer_fine():
+    """N_f = 64 adaptive source, re-adapted at N_f = 128."""
+    eps = 1.0 / (16 * np.pi)
+    m = build_uniform_mesh(0.5, 64, 2, "dirichlet")
+    m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 64, 8)
+    return m1, circular_phase(m1, 0.23, eps), 128, 8
+
+
+def one_refined_element():
+    """Uniform N_c mesh with one element bisected and its closure."""
+    m = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    m.refine([5], gen_cap=4)
+    return m, circular_phase(m, 0.2, 1.0 / (8 * np.pi)), 32, 8
+
+
+@pytest.mark.parametrize("case", [readapted_3d, coarse_to_finer_fine,
+                                  one_refined_element])
+def test_transfer_is_exact_without_location(case, monkeypatch):
+    source, phi, N_f, N_c = case()
+    new, tmap = adapt_unlocated(monkeypatch, source, phi, N_f, N_c)
+    miss = assert_transfer_matches_reference(source, tmap,
+                                             np.random.default_rng(8))
+    # some midpoints have a parent that is not a source vertex either
+    assert miss[new._parent[miss]].any()
+
+
+def refined_past_fine():
+    """Uniform N_c = 8 mesh bisected everywhere down to spacing 2H/32."""
+    m = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    for _ in range(4):
+        m.refine(np.flatnonzero(m._child < 0), gen_cap=8)
+    return m
+
+
+@pytest.mark.parametrize("source,N_f,N_c", [
+    (lambda: build_uniform_mesh(0.5, 48, 2, "dirichlet"), 64, 8),
+    (lambda: build_uniform_mesh(0.5, 32, 2, "dirichlet"), 64, 16),
+    (lambda: build_uniform_mesh(0.5, 8, 3, "dirichlet"), 16, 4),
+    (lambda: build_uniform_mesh(0.5, 128, 2, "dirichlet"), 64, 8),
+    (refined_past_fine, 16, 8),
+], ids=["2d-N48", "2d-N32", "3d-N8", "2d-N128", "2d-refined-past-N_f"])
+def test_adapt_rejects_sources_off_the_bisection_hierarchy(source, N_f, N_c,
+                                                           monkeypatch):
+    # only N_c and its bisections, or the uniform N_f mesh, share the
+    # parents of the new mesh's vertices, and a source finer than N_f has
+    # two vertices on one fine lattice node
+    m = source()
     phi = circular_phase(m, 0.2, 1.0 / (16 * np.pi))
-    located = count_located(monkeypatch)
-    _, tmap = adapt_to_interface(m, phi, 64, 8)
-    monkeypatch.undo()
-    hit = assert_transfer_matches_reference(m, tmap, np.random.default_rng(7))
-    assert sum(located) == (~hit).sum() > 2 * hit.sum() > 0
+    monkeypatch.setattr(SimplicialMesh, "refine",
+                        lambda *args: pytest.fail("refined before rejecting"))
+    with pytest.raises(InvalidN):
+        adapt_to_interface(m, phi, N_f, N_c)
 
 
 @pytest.mark.parametrize("dim,N", [(2, 6), (3, 4)])
