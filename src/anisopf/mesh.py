@@ -401,9 +401,9 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
 
 
 def _vertex_lookup(mesh, N_f):
-    """Function giving per point the vertex of ``mesh`` with exactly its
-    coordinates, or -1.  Vertices are keyed by their nearest 2H/N_f
-    lattice node; two vertices on one key raise ``InvalidN``."""
+    """Function giving per point the vertex of ``mesh`` at its coordinates
+    (to 1e-12 H: linspace and midpoints round apart), or -1.  Vertices are
+    keyed by their nearest 2H/N_f lattice node; two on one raise InvalidN."""
     H, src = mesh.H, mesh.vertices
     stride = (N_f + 1) ** np.arange(mesh.dim - 1, -1, -1)
 
@@ -419,7 +419,7 @@ def _vertex_lookup(mesh, N_f):
     def coincident(x):
         pos = np.searchsorted(sorted_keys, keys(x))
         j = order[np.minimum(pos, len(order) - 1)]
-        return np.where((src[j] == x).all(axis=1), j, -1)
+        return np.where((np.abs(src[j] - x) <= 1e-12 * H).all(axis=1), j, -1)
 
     return coincident
 

@@ -103,9 +103,17 @@ def assert_matches_reference(mesh, points, values):
 
 
 def coincident_source_vertex(source, points):
-    """Source vertex with exactly the coordinates of each point, or -1."""
-    index = {tuple(x): i for i, x in enumerate(source.vertices.tolist())}
-    return np.array([index.get(tuple(x), -1) for x in points.tolist()])
+    """Source vertex within 1e-12 H of each point (there is at most one),
+    or -1, by comparing every point with every source vertex."""
+    out = np.full(len(points), -1)
+    for start in range(0, len(points), 256):
+        x = points[start:start + 256]
+        near = (np.abs(x[:, None, :] - source.vertices[None]).max(axis=2)
+                <= 1e-12 * source.H)
+        assert (near.sum(axis=1) <= 1).all()
+        hit = near.any(axis=1)
+        out[start:start + 256][hit] = near[hit].argmax(axis=1)
+    return out
 
 
 def count_located(monkeypatch):
@@ -130,18 +138,18 @@ def adapt_unlocated(monkeypatch, mesh, phi, N_f, N_c):
     return out
 
 
-def assert_transfer_matches_reference(source, tmap, rng):
+def assert_transfer_matches_reference(source, tmap, rng, tol=2.3e-16):
     """Coincident source vertices where they exist, and transferred random
-    fields equal to the reference interpolant to rounding; returns the
-    target vertices that are not source vertices, of which there are some."""
+    fields equal to the reference interpolant to ``tol`` max|f|; returns
+    the target vertices that are not source vertices."""
     points = tmap.target.vertices
     same = coincident_source_vertex(source, points)
-    assert np.array_equal(tmap.src, same) and (same < 0).any()
+    assert np.array_equal(tmap.src, same)
     fields = rng.uniform(-1.0, 1.0, (source.n_vertices, 3))
     want = reference_interpolate(source, fields, points)
     for f, ref in zip(fields.T, want.T):
         got = transfer_field(NodalField(f, source), tmap).values
-        assert np.abs(got - ref).max() <= 2.3e-16 * np.abs(f).max()
+        assert np.abs(got - ref).max() <= tol * np.abs(f).max()
     return same < 0
 
 
@@ -173,7 +181,7 @@ def test_transfer_map_matches_reference_2d(adapted_2d, monkeypatch):
     eps = 1.0 / (16 * np.pi)
     _, tmap = adapt_unlocated(monkeypatch, m2, circular_phase(m2, 0.3, eps), 64, 8)
     miss = assert_transfer_matches_reference(m2, tmap, np.random.default_rng(6))
-    assert miss.sum() < (~miss).sum()
+    assert 0 < miss.sum() < (~miss).sum()
 
 
 def test_locate_and_transfer_match_reference_3d(monkeypatch):
@@ -187,7 +195,7 @@ def test_locate_and_transfer_match_reference_3d(monkeypatch):
     assert_matches_reference(m1, probe_points(m1, rng, 200), values)
     _, tmap = adapt_unlocated(monkeypatch, m1, circular_phase(m1, 0.3, eps), 8, 4)
     miss = assert_transfer_matches_reference(m1, tmap, rng)
-    assert miss.sum() < (~miss).sum()
+    assert 0 < miss.sum() < (~miss).sum()
 
 
 def readapted_3d():
@@ -223,6 +231,31 @@ def test_transfer_is_exact_without_location(case, monkeypatch):
                                              np.random.default_rng(8))
     # some midpoints have a parent that is not a source vertex either
     assert miss[new._parent[miss]].any()
+
+
+@pytest.mark.parametrize("dim,H,N_f,N_c", [(2, 0.1, 32, 4), (2, 0.3, 64, 8),
+                                         (3, 0.3, 16, 4)])
+def test_transfer_is_exact_for_any_box_size(dim, H, N_f, N_c, monkeypatch):
+    # unless H is a power of two, the uniform N_f mesh (linspace) and the
+    # new mesh (repeated midpoints) round a lattice node apart: every new
+    # vertex must still read its source vertex, not its parents' mean
+    rng = np.random.default_rng(9)
+    m = build_uniform_mesh(H, N_f, dim, "neumann")
+    eps = 2.0 * H / (N_f / 4 * np.pi)
+    m1, tmap = adapt_unlocated(monkeypatch, m, circular_phase(m, 0.4 * H, eps),
+                               N_f, N_c)
+    assert (tmap.src >= 0).all()
+    assert not np.array_equal(m.vertices[tmap.src], m1.vertices)
+    f = rng.uniform(-1.0, 1.0, m.n_vertices)
+    assert np.array_equal(transfer_field(NodalField(f, m), tmap).values,
+                          f[tmap.src])
+    # the reference's barycentrics of elements 2H/N_f wide at coordinates
+    # up to H round at a few N_f ulps
+    tol = 1e-15 * N_f
+    assert_transfer_matches_reference(m, tmap, rng, tol)
+    _, tmap = adapt_unlocated(monkeypatch, m1,
+                              circular_phase(m1, 0.54 * H, eps), N_f, N_c)
+    assert assert_transfer_matches_reference(m1, tmap, rng, tol).any()
 
 
 def refined_past_fine():
