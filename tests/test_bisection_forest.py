@@ -14,15 +14,21 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from anisopf.errors import RefinementDepthExceeded
 from anisopf.mesh import (
     NodalField,
     SimplicialMesh,
+    _member,
+    _sorted_unique,
     adapt_to_interface,
     build_uniform_mesh,
     transfer_field,
 )
+
+from meshcheck import check_conforming, diameters
 
 
 class RecursiveForest:
@@ -138,7 +144,7 @@ def assert_same_forest(mesh, ref):
     assert len(coords) == mesh.n_vertices == ref.n_vertices
     assert coords == {x.tobytes() for x in ref._coords}
     assert parent_table(mesh) == parent_table(ref)
-    mesh.check_conforming()
+    check_conforming(mesh)
 
 
 def circular_phase(mesh, R0, eps):
@@ -215,7 +221,7 @@ def test_coarse_generation_is_coarse_diameter(dim, H):
             for levels in (1, 2, 3):
                 fine = np.sqrt(dim) * (2.0 * H / (N_c * 2 ** levels))
                 assert np.array_equal(gen < dim * levels,
-                                      mesh.diameters > fine * (1.0 + 1e-9))
+                                      diameters(mesh) > fine * (1.0 + 1e-9))
         assert gen.max() > 3 * dim
 
 
@@ -229,3 +235,60 @@ def test_adapted_vertices_lie_on_the_fine_lattice(dim, H, N_f, N_c):
     for mesh in (m1, m2):
         x = mesh.vertices + H
         assert np.abs(x - h * np.rint(x / h)).max() <= 1e-14 * H
+
+
+@pytest.mark.parametrize("dim,N_f,N_c", [(2, 64, 8), (3, 8, 4)])
+def test_adapt_makes_no_hashed_set_operation(monkeypatch, dim, N_f, N_c):
+    # refinement tests edge sets by sorted search; numpy's unique, isin and
+    # union1d hash from numpy 2.3 on and cost several times more here
+    expect = adapt_twice(dim, N_f, N_c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hashed set operation in the remesh")
+
+    with monkeypatch.context() as mp:
+        for name in ("unique", "isin", "union1d"):
+            mp.setattr(np, name, refuse)
+        got = adapt_twice(dim, N_f, N_c)
+    for mesh, ref in zip(got[:2], expect[:2]):
+        for name in ("_coords", "_verts", "_parent", "_tag", "_gen", "_child"):
+            assert np.array_equal(getattr(mesh, name), getattr(ref, name))
+    assert np.array_equal(got[2].values, expect[2].values)
+
+
+@st.composite
+def int64_pair(draw):
+    """Two int64 arrays over one range of 8 values, near 0 or just below
+    nv**2, the largest edge key of a mesh with nv vertices."""
+    nv = draw(st.integers(2, 3_000_000))
+    lo = draw(st.sampled_from([-3, nv * nv - 8]))
+    values = st.lists(st.integers(lo, lo + 7), max_size=30)
+    return (np.array(draw(values), dtype=np.int64),
+            np.array(draw(values), dtype=np.int64))
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_SAME = np.full(7, 2**40 - 1, dtype=np.int64)     # the last key at nv = 2**20
+
+
+@given(int64_pair())
+@example((_EMPTY, _EMPTY))
+@example((_SAME, _SAME))
+def test_sorted_unique_is_np_unique(pair):
+    for x in pair:
+        got = _sorted_unique(x)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(x))
+
+
+@given(int64_pair(), st.sampled_from([1, 3, 6]))
+@example((_EMPTY, _SAME), 1)
+@example((_SAME, _EMPTY), 1)
+@example((_SAME[:6], _SAME), 3)
+def test_member_is_np_isin(pair, width):
+    xs, keys = pair
+    x = xs[:len(xs) // width * width].reshape(-1, width)
+    keys = np.unique(keys)
+    got = _member(x, keys)
+    assert got.shape == x.shape
+    assert np.array_equal(got, np.isin(x, keys))

@@ -10,6 +10,8 @@ from anisopf.mesh import (
     transfer_field,
 )
 
+from meshcheck import check_conforming, diameters
+
 
 def circular_phase(mesh, R0=0.25, eps=1.0 / (16 * np.pi)):
     r = np.linalg.norm(mesh.vertices, axis=1)
@@ -38,7 +40,7 @@ def test_uniform_3d_counts_and_volume():
     assert m.n_elements == 48
     assert m.n_vertices == 27
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
-    m.check_conforming()
+    check_conforming(m)
 
 
 def test_invalid_subdivisions():
@@ -75,7 +77,7 @@ def test_conformity_after_local_refinement():
     for _ in range(25):
         eid, _ = m.locate(np.array([[0.11, 0.07]]))
         m.refine([int(eid[0])], gen_cap=40)
-    m.check_conforming()
+    check_conforming(m)
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -84,7 +86,7 @@ def test_conformity_after_local_refinement_3d():
     for _ in range(15):
         eid, _ = m.locate(np.array([[0.05, 0.02, -0.04]]))
         m.refine([int(eid[0])], gen_cap=40)
-    m.check_conforming()
+    check_conforming(m)
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -95,7 +97,7 @@ def test_conformity_audit_rejects_hanging_node():
     m = SimplicialMesh(0.5, 2, 2, "dirichlet", coords,
                        [(0, 1, 2), (1, 3, 4), (3, 2, 4)])
     with pytest.raises(AssertionError, match="has one owner"):
-        m.check_conforming()
+        check_conforming(m)
 
 
 def test_conformity_audit_rejects_face_with_three_owners():
@@ -103,7 +105,7 @@ def test_conformity_audit_rejects_face_with_three_owners():
     m = SimplicialMesh(0.5, 2, 2, "dirichlet", u.vertices,
                        np.vstack([u.elements, u.elements[3:4]]))
     with pytest.raises(AssertionError, match="shared by 3 elements"):
-        m.check_conforming()
+        check_conforming(m)
 
 
 @pytest.mark.parametrize("dim,N_f,N_c", [(2, 32, 8), (3, 8, 4)])
@@ -135,7 +137,7 @@ def test_adapt_everything_marked_reaches_fine_diameter():
     phi = NodalField(np.zeros(m.n_vertices), m)
     out, _ = adapt_to_interface(m, phi, 32, 16)
     target = np.sqrt(2.0) * (1.0 / 32) * (1 + 1e-9)
-    assert np.all(out.diameters <= target)
+    assert np.all(diameters(out) <= target)
     ref = build_uniform_mesh(0.5, 32, 2, "dirichlet")
     assert out.n_elements == ref.n_elements
 
@@ -144,7 +146,7 @@ def test_adapt_circular_interface_band():
     m = build_uniform_mesh(0.5, 16, 2, "dirichlet")
     phi = circular_phase(m)
     out, tmap = adapt_to_interface(m, phi, 64, 16)
-    out.check_conforming()
+    check_conforming(out)
     n_c = build_uniform_mesh(0.5, 16, 2, "dirichlet").n_elements
     n_f = build_uniform_mesh(0.5, 64, 2, "dirichlet").n_elements
     assert n_c < out.n_elements < n_f
@@ -152,11 +154,11 @@ def test_adapt_circular_interface_band():
     # the interface band is resolved at the fine diameter
     phi2 = transfer_field(phi, tmap)
     target = np.sqrt(2.0) * (1.0 / 64) * (1 + 1e-9)
-    diameters = out.diameters
+    diam = diameters(out)
     for pos in range(out.n_elements):
         vals = phi2.values[out.elements[pos]]
         if np.any(np.abs(vals) < 1.0 - 1e-7):
-            assert diameters[pos] <= target
+            assert diam[pos] <= target
 
 
 def test_adapt_validates_ratio():

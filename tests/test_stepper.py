@@ -14,7 +14,7 @@ from anisopf.anisotropy import (
 )
 from anisopf.assembly import assemble_step_system, lumped_mass
 from anisopf.config import RunConfig
-from anisopf.errors import InterfaceTooWide, MeshChanged
+from anisopf.errors import InterfaceTooWide, MeshChanged, ValidationError
 from anisopf.mesh import NodalField, build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.stepper import (
@@ -26,6 +26,8 @@ from anisopf.stepper import (
     run_simulation,
     verify_stability,
 )
+
+from meshcheck import check_conforming
 
 
 @pytest.fixture
@@ -190,6 +192,21 @@ def test_run_zero_steps_outputs_initial_state(tmp_path):
     assert (tmp_path / "energies.csv").read_text().count("\n") == 1
 
 
+# the time grid takes floor(T_end / tau) steps, so the run stops at
+# t = 0.002 without a word; perfbench's zero-step setup run (T_end = tau / 2)
+# leans on the same rule, so the fix lands with a benchmark change
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a T_end that is not a whole number of steps is "
+                          "cut short silently")
+def test_run_reaches_T_end_or_refuses_it(tmp_path):
+    try:
+        cfg = base_config(tmp_path, tau=1e-3, T_end=2.5e-3, N_f=8, N_c=8)
+        state = run_simulation(cfg)
+    except ValidationError:
+        return
+    assert state.t == pytest.approx(2.5e-3)
+
+
 def test_run_writes_artifacts_and_holds_bounds(tmp_path):
     cfg = base_config(tmp_path, vtk_every=2)
     state = run_simulation(cfg)
@@ -239,7 +256,7 @@ def test_run_adaptive_remesh(tmp_path):
     cfg = base_config(tmp_path, N_f=32, N_c=16, adaptive=True, T_end=3e-5)
     state = run_simulation(cfg)
     assert len(state.ledger) == 3
-    state.mesh.check_conforming()
+    check_conforming(state.mesh)
     n_f = build_uniform_mesh(0.5, 32, 2, "dirichlet").n_elements
     assert state.mesh.n_elements < n_f
     assert all(r.stab2_holds for r in state.ledger)
@@ -251,7 +268,7 @@ def test_run_adaptive_strict_holds_bounds_every_step(tmp_path):
     assert len(state.ledger) == 5
     assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
     assert state.phi.values.min() >= -1.0 and state.phi.values.max() <= 1.0
-    state.mesh.check_conforming()
+    check_conforming(state.mesh)
 
 
 # one small run per step solver
