@@ -14,8 +14,9 @@ The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
 band ``|phi| < 1`` and coarse (spacing 2H/N_c) elsewhere; an element is
 coarse while its generation is below d * log2(N_f/N_c).  Old and new mesh
-bisect the same N_c mesh, so a new vertex is an old one or lies inside one
-old element: the nodal fields move exactly, without point location.
+bisect the same N_c mesh, so a new vertex is an old one or the midpoint
+of an edge inside one old element: the nodal fields move exactly, through
+the bisection parents of the new vertices.
 """
 
 import itertools
@@ -69,7 +70,6 @@ class SimplicialMesh:
         self._gen = np.zeros(len(self._verts), dtype=np.int64)
         self._child = np.full(len(self._verts), -1, dtype=np.int64)
         self._parent = np.full((len(self._coords), 2), -1, dtype=np.int64)
-        self._perms = list(itertools.permutations(range(dim)))
         self._cache = None
 
     # -- refinement -----------------------------------------------------
@@ -226,61 +226,6 @@ class SimplicialMesh:
             raise MeshMismatch("field length does not match vertex count")
         return np.einsum("ekd,ek->ed", c["grads"], values[c["elements"]])
 
-    # -- point location ----------------------------------------------------
-
-    def _barycentric(self, eids, x):
-        """Barycentric coordinates of points ``x`` in elements ``eids``."""
-        P = self._coords[self._verts[eids]]              # (n, d+1, d)
-        A = np.ones((len(eids), self.dim + 1, self.dim + 1))
-        A[:, 1:, :] = np.swapaxes(P, 1, 2)
-        rhs = np.ones((len(eids), self.dim + 1, 1))
-        rhs[:, 1:, 0] = x
-        return np.linalg.solve(A, rhs)[:, :, 0]
-
-    def locate(self, points):
-        """Containing active element and barycentric weights per point.
-
-        Returns (elem_ids, bary) with elem_ids internal element indices and
-        bary of shape (n, d+1) ordered like the element's vertex tuple.
-        Points descend the bisection forest one level at a time; at each
-        split the child whose smallest barycentric coordinate is larger
-        wins, ties going to the first child.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.dim
-        h = 2.0 * self.H / self.N0
-        rel = (points + self.H) / h
-        cells = np.clip(np.floor(rel).astype(np.int64), 0, self.N0 - 1)
-        order = np.argsort(-(rel - cells), axis=1, kind="stable")
-        lin = cells[:, 0]
-        for k in range(1, d):
-            lin = lin * self.N0 + cells[:, k]
-        # Kuhn simplex of each cell: the permutation sorting frac downwards
-        radix = d ** np.arange(d - 1, -1, -1)
-        perm_of_code = np.zeros(d ** d, dtype=np.int64)
-        perm_of_code[np.array(self._perms) @ radix] = np.arange(len(self._perms))
-        eids = lin * len(self._perms) + perm_of_code[order @ radix]
-        bary = self._barycentric(eids, points)
-        child = self._child
-        todo = np.flatnonzero(child[eids] >= 0)
-        while todo.size:
-            first = child[eids[todo]]
-            lam0 = self._barycentric(first, points[todo])
-            lam1 = self._barycentric(first + 1, points[todo])
-            second = lam1.min(axis=1) > lam0.min(axis=1)
-            eids[todo] = first + second        # second child is first + 1
-            bary[todo] = np.where(second[:, None], lam1, lam0)
-            todo = todo[child[eids[todo]] >= 0]
-        return eids, bary
-
-    def interpolate(self, values, points):
-        """P1 interpolant of nodal ``values`` at ``points`` (clipped barycentrics)."""
-        eids, bary = self.locate(points)
-        weights = np.clip(bary, 0.0, None)
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        vals = np.asarray(values, dtype=float)[self._verts[eids]]
-        return (weights[:, None, :] @ vals[:, :, None])[:, 0, 0]
-
 
 @dataclass
 class NodalField:
@@ -414,7 +359,7 @@ def _vertex_lookup(mesh, N_f):
     def coincident(x):
         pos = np.searchsorted(sorted_keys, keys(x))
         j = order[np.minimum(pos, len(order) - 1)]
-        return np.where((np.abs(src[j] - x) <= 1e-12 * H).all(axis=1), j, -1)
+        return np.where(~_any_row(np.abs(src[j] - x) > 1e-12 * H), j, -1)
 
     return coincident
 

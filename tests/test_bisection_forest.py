@@ -28,7 +28,7 @@ from anisopf.mesh import (
     transfer_field,
 )
 
-from meshcheck import check_conforming, diameters
+from meshcheck import check_conforming, diameters, reference_locate
 
 
 class RecursiveForest:
@@ -165,8 +165,8 @@ def test_random_marking_matches_recursive_closure(dim, N, rounds, per_round):
         # half of them in a small box so that the forest grows deep there
         pts = rng.uniform(-0.5, 0.5, (per_round, dim))
         pts[::2] = 0.1 + 0.15 * pts[::2]
-        mesh.refine(mesh.locate(pts)[0], gen_cap=40)
-        recursive_refine(ref, ref.locate(pts)[0], gen_cap=40)
+        mesh.refine(reference_locate(mesh, pts)[0], gen_cap=40)
+        recursive_refine(ref, reference_locate(ref, pts)[0], gen_cap=40)
         assert_same_forest(mesh, ref)
     assert mesh._gen[mesh._child < 0].max() >= 2 * dim
 

