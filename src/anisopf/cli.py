@@ -127,7 +127,8 @@ def main(argv=None):
     except ValueError as exc:
         print(f"anisopf: {exc}", file=sys.stderr)
         return 2
-    except AnisoPFError as exc:
+    except (AnisoPFError, OSError) as exc:
+        # an error raised inside the time loop carries its step
         where = f"step {exc.step}: " if hasattr(exc, "step") else ""
         print(f"anisopf: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,11 @@
 """Deterministic file writers: legacy VTK, energy CSV, JSON run report.
 
-All floating point values are printed with 17 significant digits, which
-round-trips IEEE doubles exactly, and files use LF line endings, so a
-given state always produces byte-identical output.
+VTK snapshots are legacy binary VTK: ASCII keyword lines, each followed by
+its array as big-endian float64 or int32, as the format requires, so the
+arrays round-trip bit for bit.  The CSV and JSON files print floating
+point values with 17 significant digits, which round-trips IEEE doubles
+exactly, and use LF line endings, so a given state always produces
+byte-identical output.
 """
 
 import json
@@ -19,41 +22,32 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _lines(fmt, rows):
-    """``fmt`` filled with each row of a 2d array in turn, joined."""
-    return "".join(map(fmt.format, *np.asarray(rows).T.tolist()))
-
-
-def _vtk_mesh_block(mesh):
-    """Header, POINTS, CELLS and CELL_TYPES text of a mesh, kept in its
-    cache (which a refinement drops), since every snapshot repeats it."""
-    c = mesh._finalize(geometry=False)
-    if "vtk_mesh" not in c:
-        elems = c["elements"]
-        nv, d = c["vertices"].shape
-        ne = len(elems)
-        points = np.zeros((nv, 3))
-        points[:, :d] = c["vertices"]
-        c["vtk_mesh"] = "".join([
-            "# vtk DataFile Version 3.0\nanisotropic phase field state\n"
-            f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
-            _lines("{:.17g} {:.17g} {:.17g}\n", points),
-            f"CELLS {ne} {ne * (d + 2)}\n",
-            _lines(f"{d + 1}" + " {}" * (d + 1) + "\n", elems),
-            f"CELL_TYPES {ne}\n" + f"{_CELL_TYPE[d]}\n" * ne
-            + f"POINT_DATA {nv}\n",
-        ])
-    return c["vtk_mesh"]
+def _block(head, values, dtype):
+    """An ASCII keyword line, then ``values`` in big-endian binary."""
+    return head.encode() + np.asarray(values).astype(dtype).tobytes() + b"\n"
 
 
 def write_vtk(state, path):
-    """Write phi and w as point data on the mesh, legacy ASCII format."""
-    parts = [_vtk_mesh_block(state.mesh)]
+    """Write phi and w as point data on the mesh, legacy binary VTK."""
+    verts, elems = state.mesh.vertices, state.mesh.elements
+    nv, d = verts.shape
+    ne = len(elems)
+    points = np.zeros((nv, 3))
+    points[:, :d] = verts
+    cells = np.column_stack([np.full(ne, d + 1), elems])
+    parts = [
+        b"# vtk DataFile Version 3.0\nanisotropic phase field state\n"
+        b"BINARY\nDATASET UNSTRUCTURED_GRID\n",
+        _block(f"POINTS {nv} double\n", points, ">f8"),
+        _block(f"CELLS {ne} {ne * (d + 2)}\n", cells, ">i4"),
+        _block(f"CELL_TYPES {ne}\n", np.full(ne, _CELL_TYPE[d]), ">i4"),
+        f"POINT_DATA {nv}\n".encode(),
+    ]
     for name, vals in (("phi", state.phi.values), ("w", state.w.values)):
-        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n",
-                  _lines("{:.17g}\n", np.asarray(vals, dtype=float)[:, None])]
-    with open(path, "w", newline="\n") as f:
-        f.write("".join(parts))
+        parts.append(_block(f"SCALARS {name} double\nLOOKUP_TABLE default\n",
+                            vals, ">f8"))
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
 
 
 _CSV_HEADER = ("t,E_h,F_h,diffusive_dissipation,kinetic_dissipation,"

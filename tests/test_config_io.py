@@ -1,12 +1,14 @@
+import errno
 import json
 import math
 import pathlib
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from anisopf import solver
+from anisopf import output, solver
 from anisopf.cli import main
 from anisopf.config import RunConfig, parse_config, serialize_config
 from anisopf.errors import ParseError, ValidationError
@@ -176,32 +178,105 @@ def _tiny_state():
     return SimulationState(0.0, mesh, phi, w)
 
 
+_HEAD = (b"# vtk DataFile Version 3.0\nanisotropic phase field state\n"
+         b"BINARY\nDATASET UNSTRUCTURED_GRID\n")
+
+
+def _read_vtk(path):
+    """Keyword lines and decoded blocks of a legacy binary VTK file.
+
+    Decodes each block as big-endian, as the format defines it, and
+    asserts that every block ends in a newline and nothing trails."""
+    data = path.read_bytes()
+    assert data.startswith(_HEAD)
+    pos, keywords, arrays = len(_HEAD), [], {}
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        keywords.append(text)
+        return text.split()
+
+    def block(dtype, count):
+        nonlocal pos
+        arr = np.frombuffer(data, dtype, count, pos)
+        pos += arr.nbytes
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        return arr
+
+    while pos < len(data):
+        words = line()
+        if words[0] == "POINTS":
+            assert words[2] == "double"
+            arrays["points"] = block(">f8", 3 * int(words[1])).reshape(-1, 3)
+        elif words[0] == "CELLS":
+            ne, size = int(words[1]), int(words[2])
+            arrays["cells"] = block(">i4", size).reshape(ne, -1)
+        elif words[0] == "CELL_TYPES":
+            arrays["cell_types"] = block(">i4", int(words[1]))
+        elif words[0] == "POINT_DATA":
+            n_point_data = int(words[1])
+        else:
+            assert words[0] == "SCALARS" and words[2] == "double"
+            assert line() == ["LOOKUP_TABLE", "default"]
+            arrays[words[1]] = block(">f8", n_point_data)
+    return keywords, arrays
+
+
+def _bits(x):
+    """The IEEE bit patterns of an array of doubles, in native order."""
+    return np.asarray(x).astype(np.float64).view(np.int64)
+
+
 def test_vtk_contract(tmp_path):
     state = _tiny_state()
     path = tmp_path / "out.vtk"
     write_vtk(state, path)
-    text = path.read_text()
-    assert "POINTS 9 double" in text
-    assert "CELLS 8 32" in text
-    assert text.count("5\n") >= 8  # triangle cell type
-    assert "SCALARS phi double" in text and "SCALARS w double" in text
-    assert "\r" not in text
+    keywords, arrays = _read_vtk(path)
+    assert keywords == ["POINTS 9 double", "CELLS 8 32", "CELL_TYPES 8",
+                        "POINT_DATA 9", "SCALARS phi double",
+                        "LOOKUP_TABLE default", "SCALARS w double",
+                        "LOOKUP_TABLE default"]
+    assert (arrays["cell_types"] == 5).all()  # triangle cell type
+    # 9 points of 3 doubles, 8 cells of 4 int32, 8 cell types and 2 x 9
+    # doubles, each block ending in a newline
+    blocks = 9 * 24 + 8 * 16 + 8 * 4 + 2 * 9 * 8 + 5
+    assert path.stat().st_size == len(_HEAD) + sum(
+        len(k) + 1 for k in keywords) + blocks
+
+
+def _special_state(dim, N):
+    """A uniform mesh state with signed zeros, subnormals and huge values."""
+    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
+    rng = np.random.default_rng(dim)
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 3.0,
+               -2.0, 5e-324, 0.1, 1.0 / 3.0]
+    phi = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    phi[:len(special)] = special
+    w = np.round(rng.normal(size=mesh.n_vertices) * 100.0)
+    w[-len(special):] = special
+    return SimulationState(0.0, mesh, NodalField(phi, mesh),
+                           NodalField(w, mesh))
 
 
 def test_vtk_roundtrip_exact(tmp_path):
-    state = _tiny_state()
-    path = tmp_path / "out.vtk"
-    write_vtk(state, path)
-    lines = path.read_text().splitlines()
-    i = lines.index("POINTS 9 double") + 1
-    pts = np.array([[float(v) for v in lines[i + k].split()] for k in range(9)])
-    assert np.array_equal(pts[:, :2], state.mesh.vertices)
-    i = lines.index("SCALARS phi double") + 2
-    phi = np.array([float(lines[i + k]) for k in range(9)])
-    assert np.array_equal(phi, state.phi.values)
-    i = lines.index("SCALARS w double") + 2
-    w = np.array([float(lines[i + k]) for k in range(9)])
-    assert np.abs(w - state.w.values).max() <= 1e-15
+    for dim, N in [(2, 8), (3, 2)]:
+        state = _special_state(dim, N)
+        path = tmp_path / f"out{dim}.vtk"
+        write_vtk(state, path)
+        _, arrays = _read_vtk(path)
+        mesh = state.mesh
+        assert np.array_equal(_bits(arrays["points"][:, :dim]),
+                              _bits(mesh.vertices))
+        assert (_bits(arrays["points"][:, dim:]) == 0).all()
+        assert (arrays["cells"][:, 0] == dim + 1).all()
+        assert np.array_equal(arrays["cells"][:, 1:], mesh.elements)
+        assert len(arrays["cell_types"]) == len(mesh.elements)
+        assert (arrays["cell_types"] == {2: 5, 3: 10}[dim]).all()
+        assert np.array_equal(_bits(arrays["phi"]), _bits(state.phi.values))
+        assert np.array_equal(_bits(arrays["w"]), _bits(state.w.values))
 
 
 def test_vtk_deterministic(tmp_path):
@@ -213,78 +288,60 @@ def test_vtk_deterministic(tmp_path):
 
 
 def _per_value_vtk(state, path):
-    """Reference writer: one ``write`` per value, as the format was defined."""
-    def fmt(x):
-        return f"{float(x):.17g}"
-
+    """Reference writer: one ``struct.pack`` per value, big-endian as the
+    legacy binary format defines it."""
     verts, elems = state.mesh.vertices, state.mesh.elements
     nv, d = verts.shape
+    ne = len(elems)
     cell_type = {2: 5, 3: 10}[d]
-    with open(path, "w", newline="\n") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("anisotropic phase field state\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {nv} double\n")
+    with open(path, "wb") as f:
+        f.write(b"# vtk DataFile Version 3.0\n")
+        f.write(b"anisotropic phase field state\n")
+        f.write(b"BINARY\n")
+        f.write(b"DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {nv} double\n".encode())
         for p in verts:
-            coords = list(p) + [0.0] * (3 - d)
-            f.write(" ".join(fmt(c) for c in coords) + "\n")
-        ne = len(elems)
-        f.write(f"CELLS {ne} {ne * (d + 2)}\n")
+            for c in list(p) + [0.0] * (3 - d):
+                f.write(struct.pack(">d", c))
+        f.write(b"\n")
+        f.write(f"CELLS {ne} {ne * (d + 2)}\n".encode())
         for el in elems:
-            f.write(f"{d + 1} " + " ".join(str(int(v)) for v in el) + "\n")
-        f.write(f"CELL_TYPES {ne}\n")
+            f.write(struct.pack(">i", d + 1))
+            for v in el:
+                f.write(struct.pack(">i", int(v)))
+        f.write(b"\n")
+        f.write(f"CELL_TYPES {ne}\n".encode())
         for _ in range(ne):
-            f.write(f"{cell_type}\n")
-        f.write(f"POINT_DATA {nv}\n")
+            f.write(struct.pack(">i", cell_type))
+        f.write(b"\n")
+        f.write(f"POINT_DATA {nv}\n".encode())
         for name, vals in (("phi", state.phi.values), ("w", state.w.values)):
-            f.write(f"SCALARS {name} double\n")
-            f.write("LOOKUP_TABLE default\n")
+            f.write(f"SCALARS {name} double\n".encode())
+            f.write(b"LOOKUP_TABLE default\n")
             for v in vals:
-                f.write(fmt(v) + "\n")
+                f.write(struct.pack(">d", v))
+            f.write(b"\n")
 
 
 @pytest.mark.parametrize("dim,N", [(2, 8), (3, 2)])
 def test_vtk_matches_per_value_writer(tmp_path, dim, N):
-    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
-    rng = np.random.default_rng(dim)
-    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 3.0,
-               -2.0, 5e-324, 0.1, 1.0 / 3.0]
-    phi = rng.uniform(-1.0, 1.0, mesh.n_vertices)
-    phi[:len(special)] = special
-    w = np.round(rng.normal(size=mesh.n_vertices) * 100.0)
-    w[-len(special):] = special
-    state = SimulationState(0.0, mesh, NodalField(phi, mesh),
-                            NodalField(w, mesh))
+    state = _special_state(dim, N)
     write_vtk(state, tmp_path / "new.vtk")
     _per_value_vtk(state, tmp_path / "ref.vtk")
     new = (tmp_path / "new.vtk").read_bytes()
     assert new == (tmp_path / "ref.vtk").read_bytes()
-    assert all(f"\n{x:.17g}\n".encode() in new for x in special)
-    assert b"\n-0\n" in new
-
-
-def _random_state(mesh, seed):
-    rng = np.random.default_rng(seed)
-    return SimulationState(
+    assert struct.pack(">d", -0.0) + struct.pack(">d", 0.0) in new
+    # after a refinement the next snapshot writes the refined mesh
+    mesh = state.mesh
+    ne = len(mesh.elements)
+    mesh.refine([0], 2 * dim)
+    assert len(mesh.elements) > ne
+    rng = np.random.default_rng(3)
+    refined = SimulationState(
         0.0, mesh, NodalField(rng.uniform(-1.0, 1.0, mesh.n_vertices), mesh),
         NodalField(rng.normal(size=mesh.n_vertices), mesh))
-
-
-@pytest.mark.parametrize("dim,N", [(2, 8), (3, 2)])
-def test_vtk_mesh_block_cache_writes_cold_bytes(tmp_path, dim, N):
-    mesh = build_uniform_mesh(0.5, N, dim, "dirichlet")
-    write_vtk(_random_state(mesh, 1), tmp_path / "first.vtk")
-    # the second snapshot reuses the mesh block of the first
-    write_vtk(_random_state(mesh, 2), tmp_path / "second.vtk")
-    fresh = build_uniform_mesh(0.5, N, dim, "dirichlet")
-    write_vtk(_random_state(fresh, 2), tmp_path / "cold.vtk")
-    assert (tmp_path / "second.vtk").read_bytes() == (
-        tmp_path / "cold.vtk").read_bytes()
-    # a refinement rebuilds the block
-    mesh.refine([0], 2 * dim)
-    write_vtk(_random_state(mesh, 3), tmp_path / "refined.vtk")
-    _per_value_vtk(_random_state(mesh, 3), tmp_path / "ref.vtk")
+    write_vtk(refined, tmp_path / "refined.vtk")
+    _per_value_vtk(refined, tmp_path / "ref.vtk")
     assert (tmp_path / "refined.vtk").read_bytes() == (
         tmp_path / "ref.vtk").read_bytes()
 
@@ -395,3 +452,34 @@ def test_cli_solver_failure_exits_one(tmp_path, capsys, monkeypatch):
         f.write(text)
     assert main(["simulate", path]) == 1
     assert "NonConvergence" in capsys.readouterr().err
+
+
+def test_cli_out_is_a_file_exits_one(tmp_path, capsys):
+    path = _write_cfg(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["simulate", path, "--out", str(blocker)]) == 1
+    # the writer fails before the time loop, so no step is named
+    assert capsys.readouterr().err.startswith(
+        f"anisopf: FileExistsError: [Errno {errno.EEXIST}]")
+
+
+def test_cli_full_disk_exits_one_with_the_step(tmp_path, capsys, monkeypatch):
+    target = str(tmp_path / "out" / "fields_000002.vtk")
+    write_vtk = output.write_vtk
+
+    def full_disk(state, path):
+        if path == target:
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        write_vtk(state, path)
+
+    monkeypatch.setattr(output, "write_vtk", full_disk)
+    path = _write_cfg(tmp_path)
+    with open(path) as f:
+        text = f.read().replace("vtk_every = 0", "vtk_every = 1")
+    with open(path, "w") as f:
+        f.write(text)
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"anisopf: step 2: OSError: [Errno {errno.ENOSPC}]")
+    assert target in err

@@ -53,10 +53,11 @@ def _patched_attributes():
 
 @pytest.mark.parametrize("kw,span_name,method", [
     (_DEMO, "solver.lagged_step", "active-set"),
+    (dict(_DEMO, vtk_every=1), "solver.lagged_step", "active-set"),
     (_LAGGED, "solver.lagged_step", "lagged"),
     (dict(_DEMO, theta=1.0, potential="quartic"), "solver.newton_smooth_step",
      "newton"),
-], ids=["frozen-obstacle", "lagged", "quartic"])
+], ids=["frozen-obstacle", "frozen-obstacle-vtk", "lagged", "quartic"])
 def test_traced_run_counts_match_the_step_reports(tmp_path, kw, span_name,
                                                   method):
     cfg = RunConfig(**kw, out_dir=str(tmp_path))
@@ -82,4 +83,12 @@ def test_traced_run_counts_match_the_step_reports(tmp_path, kw, span_name,
     assert m["solver.outer_iters"] == sum(r.outer_iterations for r in reports)
     assert m["solver.inner_iters"] == sum(r.inner_iterations for r in reports)
     assert m["stepper.energy_calls"] == steps + 1
+    # the output spans count every file the run wrote, and their sizes
+    # (read from the path, the writers' last argument)
+    vtk = list(tmp_path.glob("fields_*.vtk"))
+    assert len(vtk) == (steps + 2 if cfg.vtk_every else 0)
+    names = [s[2] for s in tracer.spans]
+    assert names.count("output.write_vtk") == len(vtk)
+    assert m["output.bytes"] == sum(p.stat().st_size
+                                    for p in tmp_path.iterdir())
     assert set(tracer.missing) <= EXPECTED_MISSING
