@@ -152,11 +152,12 @@ class SystemMatrices:
     """All blocks of one time step, built once from the previous state.
 
     ``MW`` is the heat W-block theta M + tau A_diff with identity Dirichlet
-    rows, the one both solvers factor; ``A_diff`` and ``B_stiff`` are kept
-    raw (energy evaluations need the unmodified stiffness).  ``A_diff`` and
-    ``MW`` are shared with the other steps on the same mesh while the
-    conductivities stay the same, so they are read-only.  ``M_rho`` is
-    the rho-hat weighted coupling diagonal at the previous phase.
+    rows, which the solvers factor once per mesh; ``A_diff`` and
+    ``B_stiff`` are kept raw (energy evaluations need the unmodified
+    stiffness).  ``A_diff`` and ``MW`` are shared with the other steps on
+    the same mesh while the conductivities stay the same, so they are
+    read-only.  ``M_rho`` is the rho-hat weighted coupling diagonal at the
+    previous phase.
     """
 
     mesh: object
@@ -180,6 +181,8 @@ class SystemMatrices:
     grads_prev: np.ndarray = field(repr=False, default=None)  # grad Phi_old
     _shape: object = field(repr=False, default=None)
     _aniso: object = field(repr=False, default=None)
+    # the mesh cache entry that holds MW; the solver keeps its LU there
+    heat: dict = field(repr=False, default=None)
 
     @property
     def n(self):
@@ -248,28 +251,29 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
     # drops) and serves every step with the same theta, tau and b_elem
     c = mesh._finalize()
     heat = c.get("heat_block")
-    if (heat is None or heat[:2] != (params.theta, tau)
-            or not np.array_equal(heat[2], b_elem)):
+    if (heat is None or heat["key"][:2] != (params.theta, tau)
+            or not np.array_equal(heat["key"][2], b_elem)):
         A_diff = stiffness(mesh, b_elem)
         MW = (params.theta * sp.diags(M) + tau * A_diff).tocsr()
         MW.data[np.repeat(dirichlet, np.diff(MW.indptr))] = 0.0
         MW = (MW + sp.diags(dirichlet.astype(float))).tocsc()
-        heat = c["heat_block"] = (params.theta, tau, b_elem, A_diff, MW)
-    A_diff, MW = heat[3:]
+        heat = c["heat_block"] = {"key": (params.theta, tau, b_elem),
+                                  "A_diff": A_diff, "MW": MW}
 
     B = anisotropic_stiffness(mesh, aniso, phi_prev, phi_prev, q=grads_prev)
 
     g = c_mu * M_mu * phi_prev + c_conc * M * phi_prev
 
     sys = SystemMatrices(
-        mesh=mesh, M=M, M_mu=M_mu, A_diff=A_diff, MW=MW, B_stiff=B,
+        mesh=mesh, M=M, M_mu=M_mu, A_diff=heat["A_diff"], MW=heat["MW"],
+        B_stiff=B,
         M_rho=None, g=g,
         dirichlet=dirichlet,
         c_mu=c_mu, c_B=c_B, c_conc=c_conc,
         lam=params.lam, theta=params.theta,
         tau=tau, u_D=params.u_D,
         phi_prev=phi_prev, w_prev=w_prev, grads_prev=grads_prev,
-        _shape=shape, _aniso=aniso,
+        _shape=shape, _aniso=aniso, heat=heat,
     )
     sys.M_rho = sys.m_rho_diag(phi_prev)
     return sys

@@ -83,6 +83,7 @@ def write_report_json(cfg, state, path, error=None):
                 "outer": r.outer_iterations,
                 "inner": r.inner_iterations,
                 "lu": r.factorizations,
+                "krylov": r.krylov_iterations,
                 "active_plus": r.active_plus,
                 "active_minus": r.active_minus,
             }
@@ -109,9 +110,12 @@ class OutputWriter:
         if self.vtk_every > 0 and step % self.vtk_every == 0:
             write_vtk(state, os.path.join(self.dir, f"fields_{step:06d}.vtk"))
 
+    def report(self, state, error=None):
+        path = os.path.join(self.dir, "report.json")
+        write_report_json(self.cfg, state, path, error=error)
+
     def finalize(self, state, error=None):
         write_energy_csv(state.ledger, os.path.join(self.dir, "energies.csv"))
-        write_report_json(self.cfg, state, os.path.join(self.dir, "report.json"),
-                          error=error)
+        self.report(state, error)
         if self.vtk_every > 0:
             write_vtk(state, os.path.join(self.dir, "fields_final.vtk"))

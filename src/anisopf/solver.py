@@ -22,11 +22,13 @@ for the quartic well and with ``lagged_step`` otherwise.
 
 Every linear solve is one saddle system, a phase block coupled to the
 heat block ``theta M + tau A``, on a set of free phase nodes (all nodes for
-Newton); ``_FrozenSolver`` solves it for any right-hand side and borders a
-changed free set onto the LU in hand.
+Newton).  ``_FrozenSolver`` solves it for any right-hand side on the phase
+unknowns alone (the Schur complement reduction of Benzi, Golub and Liesen,
+Acta Numerica 2005): the heat block is factored once per mesh, and each
+free set is solved by preconditioned CG, or GMRES for Newton.
 
-All factorizations run in a fixed order, so identical inputs produce
-bit-identical outputs.
+All factorizations and Krylov iterations run in a fixed order, so
+identical inputs produce bit-identical outputs.
 """
 
 from dataclasses import dataclass
@@ -79,46 +81,23 @@ class StepReport:
     active_plus: int = 0
     active_minus: int = 0
     residual: float = float("nan")
-    factorizations: int = 0       # sparse LUs of the step
+    # sparse LUs: heat-block LUs made in this step plus phase-block LUs
+    factorizations: int = 0
+    krylov_iterations: int = 0    # preconditioned CG/GMRES iterations
 
 
 def _factor(K):
-    """Sparse LU of a step system.
+    """Sparse LU of a heat or phase block.
 
-    The step systems have a symmetric sparsity pattern, so the columns are
+    The blocks have a symmetric sparsity pattern, so the columns are
     ordered by minimum degree on A^T + A and SuperLU prefers diagonal
-    pivots; its threshold pivoting still guards a singular heat block.
+    pivots; its threshold pivoting still guards a singular block.
     """
     try:
         return spla.splu(K, permc_spec="MMD_AT_PLUS_A",
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from None
-
-
-def _saddle_matrix(C_FF, top, bottom, MW, F):
-    """CSC matrix [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]].
-
-    ``C_FF`` and ``MW`` are CSC; ``_FrozenSolver`` factors the result.  It
-    holds the entries ``scipy.sparse.bmat`` gives, in the same order and
-    with the explicit zeros of the coupling blocks, without its COO round
-    trip.
-    """
-    nF, n = len(F), MW.shape[0]
-    free = np.zeros(n, dtype=np.int64)
-    free[F] = 1
-    # the two block rows as CSC arrays (column pointers, rows, values)
-    up = np.concatenate([C_FF.indptr, C_FF.nnz + np.cumsum(free)])
-    lo = np.concatenate([np.arange(nF), nF + MW.indptr])
-    rows = np.concatenate([C_FF.indices, np.arange(nF), nF + F, nF + MW.indices])
-    vals = np.concatenate([C_FF.data, top[F], bottom[F], MW.data])
-    # column j of K: its upper entries, then its lower ones
-    pos = np.concatenate([np.arange(up[-1]) + np.repeat(lo[:-1], np.diff(up)),
-                          np.arange(lo[-1]) + np.repeat(up[1:], np.diff(lo))])
-    indices = np.empty(len(pos), dtype=np.int64)
-    data = np.empty(len(pos))
-    indices[pos], data[pos] = rows, vals
-    return sp.csc_matrix((data, indices, up + lo), shape=(nF + n, nF + n))
 
 
 # iterations of one active-set solve and of one lagged fixed point
@@ -130,113 +109,102 @@ _AA_DEPTH = 5
 # Newton iterations of one smooth step
 _NEWTON_MAX_ITER = 30
 
-# largest active-set change (newly free plus newly pinned nodes) that a
-# frozen-coefficient iteration solves from the factorization in hand
-_BORDER_CAP = 32
-
-
-def _pinned(sys, plus, minus):
-    """Phase values with the active nodes at their bounds, zero elsewhere."""
-    if (plus | minus).all() and sys.theta == 0.0 and not sys.dirichlet.any():
-        raise SingularSystem(
-            "all nodes active under pure Neumann conditions with theta = 0")
-    return np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
+# relative residual of each Krylov solve, far below the step tolerances
+_KRYLOV_RTOL = 1e-12
 
 
 class _FrozenSolver:
     """Solves [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]] [u_F; w] =
     [r_F; h] for changing free sets F and any (r, h); u is zero off F.
 
-    The first solve factors the saddle matrix K0 of its free set F0.  A
-    later free set F differs from F0 by the newly free nodes A (in F, not
-    in F0) and the newly pinned nodes R (in F0, not in F).  Its system is
-    K0 bordered by the rows and columns of u_A and by one multiplier per
-    node of R, which takes up that node's phase row while u_R is held at
-    zero.  The bordered system is solved from the LU of K0 through its
-    k x k Schur complement, k = |A| + |R| (Gill, Murray, Saunders and
-    Wright, "A Schur-complement method for sparse quadratic programming",
-    1990):
+    W is eliminated through an LU of the heat block MW, made once and kept
+    in its mesh cache entry (``sys.heat``), so every step on the same mesh
+    with the same theta, tau and conductivities reuses it; the step that
+    makes it counts it.  With z = MW^-1 h, u_F solves
 
-        Z = K0^-1 [B_A, E_R],  S = D - [B_A'; E_R'] Z,  x = z0 - Z y,
+        S u_F = r_F - top_F z_F,
+        S = C_FF - diag(top_F) [MW^-1]_FF diag(bottom_F),
 
-    where z0 = K0^-1 b0 and S y is the border rows' residual at z0; z0 and
-    Z come from one batched solve.  A change of more than ``_BORDER_CAP``
-    nodes, or a Schur matrix LAPACK finds singular, is factored afresh, and
-    that factorization becomes K0.
+    and w = z - MW^-1 (bottom u).  S is applied as an operator, one heat
+    solve per product, and never formed.  ``krylov`` solves it, CG or
+    GMRES, preconditioned by an LU of C_FF that is made when F changes and
+    started from ``u0``.  The obstacle step has top = -bottom off the
+    Dirichlet rows; there MW is the identity and bottom vanishes, so
+    (MW^-1 bottom u)_D = 0, and S is symmetric positive definite also when
+    a free node sits on a Dirichlet wall: CG serves it.  Newton's bottom
+    block differs from its top one, and GMRES serves it.
+
+    Under pure Neumann walls with theta = 0, MW = tau A is singular and W
+    carries a constant c that it does not fix.  The LU is then made of
+    tau A with its first diagonal entry doubled, whose inverse is
+    symmetric and solves tau A x = v for any v of zero sum.  Summing the
+    heat rows gives the constraint bottom_F . u_F = sum(h), which is
+    bordered onto S: u_F = x - c y with S x = r_F - top_F z_F and
+    S y = top_F.  All nodes pinned, or no coupling on the free ones,
+    leaves c undetermined.
     """
 
-    def __init__(self, C, top, bottom, MW, report):
-        self.C, self.top, self.bottom, self.MW = C, top, bottom, MW
-        self.report = report
-        self.lu = None
+    def __init__(self, sys, C, top, bottom, report, krylov):
+        self.C, self.top, self.bottom = C, top, bottom
+        self.report, self.krylov = report, krylov
+        self.neumann = sys.theta == 0.0 and not sys.dirichlet.any()
+        lu = sys.heat.get("lu")
+        if lu is None:
+            MW = sys.MW
+            if self.neumann:
+                MW = MW + sp.csc_matrix(([MW[0, 0]], ([0], [0])), MW.shape)
+            lu = sys.heat["lu"] = _factor(MW)
+            report.factorizations += 1
+        self.heat = lu.solve
+        self.free = None
 
-    def solve(self, free, r, h):
+    def solve(self, free, r, h, u0=None):
         """(u, w) of the saddle system on the free set of the mask ``free``."""
-        if self.lu is not None:
-            A = np.flatnonzero(free & (self.pos < 0))
-            R = np.flatnonzero(~free & (self.pos >= 0))
-            if A.size + R.size <= _BORDER_CAP:
-                out = self._bordered(free, A, R, r, h)
-                if out is not None:
-                    return out
-        return self._fresh(free, r, h)
+        F = np.flatnonzero(free)
+        if not np.array_equal(free, self.free):
+            self.free = free.copy()
+            self.C_FF = self.C[free][:, free].tocsc()
+            self.pre = _factor(self.C_FF) if F.size else None
+            self.report.factorizations += bool(F.size)
+        top, bottom = self.top[F], self.bottom[F]
+        v = np.zeros(free.size)
 
-    def _fresh(self, free, r, h):
-        """Factor the saddle matrix of F = ``free`` afresh; F becomes F0."""
-        # the superseded LU goes before the next factorization
-        self.lu = None
-        self.F0 = F = np.flatnonzero(free)
-        nF = F.size
-        K = _saddle_matrix(self.C[F][:, F].tocsc(), self.top, self.bottom,
-                           self.MW, F)
-        # vanishing coupling entries (Dirichlet rows, liquid nodes of the
-        # quartic shape) stay out of the pattern the LU orders and fills
-        K.eliminate_zeros()
-        self.lu = _factor(K)
-        self.report.factorizations += 1
-        sol = self.lu.solve(np.concatenate([r[F], h]))
-        self.pos = np.full(free.size, -1)
-        self.pos[F] = np.arange(nF)
+        def S(x):
+            v[F] = bottom * x
+            return self.C_FF @ x - top * self.heat(v)[F]
+
+        z = self.heat(h)
+        x = self._krylov(S, r[F] - top * z[F], None if u0 is None else u0[F])
+        c = 0.0
+        if self.neumann:
+            y = self._krylov(S, top)
+            if bottom @ y == 0.0:
+                raise SingularSystem("the constant of W is undetermined: "
+                                     "pure Neumann walls, theta = 0")
+            c = (bottom @ x - h.sum()) / (bottom @ y)
+            x = x - c * y
         u = np.zeros(free.size)
-        u[F] = sol[:nF]
-        return u, sol[nF:]
+        u[F] = x
+        return u, z - self.heat(self.bottom * u) + c
 
-    def _bordered(self, free, A, R, r, h):
-        C, F0, pos = self.C, self.F0, self.pos
-        nF0, nA, n = F0.size, A.size, free.size
-        # one solve for the right-hand side and the border columns: column
-        # a holds C_F0,a and the heat entry of u_a, column r the unit
-        # vector of u_r
-        rhs = np.zeros((nF0 + n, 1 + nA + R.size))
-        rhs[:nF0, 0] = r[F0]
-        rhs[nF0:, 0] = h
-        if nA:
-            j = np.arange(1, 1 + nA)
-            rhs[:nF0, j] = C[:, A].toarray()[F0]
-            rhs[nF0 + A, j] = self.bottom[A]
-        rhs[pos[R], np.arange(1 + nA, rhs.shape[1])] = 1.0
-        Zx = self.lu.solve(rhs)
-        x = Zx[:, 0]
-        u = np.zeros(n)
-        if nA + R.size:
-            # the border rows times [z0, Z]: phase rows of A, then E_R'
-            C_A = C[A].toarray()
-            T = np.vstack([
-                C_A[:, F0] @ Zx[:nF0] + self.top[A, None] * Zx[nF0 + A],
-                Zx[pos[R]]])
-            S = -T[:, 1:]
-            S[:nA, :nA] += C_A[:, A]
-            b = -T[:, 0]
-            b[:nA] += r[A]
-            try:
-                y = np.linalg.solve(S, b)
-            except np.linalg.LinAlgError:
-                return None
-            x = x - Zx[:, 1:] @ y
-            u[A] = y[:nA]
-        kept = F0[free[F0]]
-        u[kept] = x[pos[kept]]
-        return u, x[nF0:]
+    def _krylov(self, S, b, x0=None):
+        """S^-1 b from x0, preconditioned by the LU of C_FF, to the relative
+        residual ``_KRYLOV_RTOL``."""
+        n, calls = b.size, []
+        if n == 0:
+            return b
+        kw = {"callback_type": "pr_norm"} if self.krylov is spla.gmres else {}
+        # a given dtype spares the operators scipy's probing product
+        op, pre = (spla.LinearOperator((n, n), f, dtype=float)
+                   for f in (S, self.pre.solve))
+        x, info = self.krylov(op, b, x0=x0, rtol=_KRYLOV_RTOL, atol=0.0,
+                              M=pre, callback=calls.append, **kw)
+        self.report.krylov_iterations += len(calls)
+        if info:
+            raise NonConvergence(f"Krylov solve not within rtol "
+                                 f"{_KRYLOV_RTOL:g} after {len(calls)} "
+                                 "iterations")
+        return x
 
 
 def _pdas_solve(sys, cfg, U0, W0, report):
@@ -254,7 +222,7 @@ def _pdas_solve(sys, cfg, U0, W0, report):
     f = sys.f_rhs(m_rho)
     coup = sys.lam * m_rho
     heat_u = np.where(sys.dirichlet, 0.0, coup)
-    solver = _FrozenSolver(C, -coup, heat_u, sys.MW, report)
+    solver = _FrozenSolver(sys, C, -coup, heat_u, report, spla.cg)
     res = None if W is None else C @ U - coup * W - sys.g
     for _ in range(_MAX_OUTER):
         if res is None:
@@ -263,9 +231,10 @@ def _pdas_solve(sys, cfg, U0, W0, report):
         else:
             pred = U - res / d
             plus, minus = pred > 1.0, pred < -1.0
-        U_new = _pinned(sys, plus, minus)
+        U_new = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
+        # the free values start from the iterate in hand
         u, W_new = solver.solve(~(plus | minus), sys.g - C @ U_new,
-                                f - heat_u * U_new)
+                                f - heat_u * U_new, u0=U)
         U_new += u
         W_new[sys.dirichlet] = sys.u_D
         report.outer_iterations += 1
@@ -332,6 +301,7 @@ def lagged_step(sys, cfg, u0=None, w0="prev"):
         report.outer_iterations += 1
         report.inner_iterations += sub.outer_iterations
         report.factorizations += sub.factorizations
+        report.krylov_iterations += sub.krylov_iterations
         g = np.concatenate([U, W])
         report.residual = np.inf if x is None else np.abs(g - x).max()
         if report.residual < cfg.tol:
@@ -401,8 +371,9 @@ def newton_smooth_step(sys, cfg, u0=None, w0="prev"):
                - sp.diags(sys.lam * sys.M * drho * W))
         bottom = sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev))
         bottom[sys.dirichlet] = 0.0
-        du, dw = _FrozenSolver(J11, -sys.lam * m_rho, bottom, sys.MW,
-                               report).solve(np.ones(n, bool), -r_phi, -r_w)
+        frozen = _FrozenSolver(sys, J11, -sys.lam * m_rho, bottom, report,
+                               spla.gmres)
+        du, dw = frozen.solve(np.ones(n, bool), -r_phi, -r_w)
         t = 1.0
         for _ls in range(20):
             U_t = U + t * du

@@ -15,6 +15,7 @@ broken scheme, so the driver records the slack of both inequalities each
 step.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -221,7 +222,8 @@ def run_simulation(cfg, out_dir=None, strict=False):
     failed stability inequality aborts the run.  Failures abort cleanly:
     partial outputs are written, the report's ``error`` field names the
     step, and the original exception is re-raised with the step index set
-    as its ``step`` attribute.
+    as its ``step`` attribute, also when a partial output cannot be
+    written (the report then names that failure too).
 
     Every step starts from the linear extrapolation ``2 U_n - U_{n-1}`` of
     the last two phase fields, and from ``2 W_n - W_{n-1}`` once two solved
@@ -301,7 +303,15 @@ def run_simulation(cfg, out_dir=None, strict=False):
         # the original exception travels on, with its type and attributes
         # intact; the failing step index rides along as ``exc.step``
         exc.step = max(n, 1)
-        out.finalize(state, error=f"step {exc.step}: {exc}")
+        error = f"step {exc.step}: {exc}"
+        try:
+            out.finalize(state, error=error)
+        except OSError as fail:
+            # a partial output that cannot be written does not replace the
+            # error; the report names both when it can still be written
+            then = f"{error}; then {type(fail).__name__}: {fail}"
+            with contextlib.suppress(OSError):
+                out.report(state, then)
         raise
 
     out.finalize(state)

@@ -483,3 +483,35 @@ def test_cli_full_disk_exits_one_with_the_step(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"anisopf: step 2: OSError: [Errno {errno.ENOSPC}]")
     assert target in err
+
+
+def test_cli_full_disk_at_finalize_keeps_the_step_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # the disk stays full: the final snapshot written after the failure
+    # fails too, and the error of step 2 is still the one reported
+    out = tmp_path / "out"
+    targets = {str(out / name): errno.ENOSPC
+               for name in ("fields_000002.vtk", "fields_final.vtk")}
+    write_vtk = output.write_vtk
+
+    def full_disk(state, path):
+        if path in targets:
+            raise OSError(targets[path], "No space left on device", path)
+        write_vtk(state, path)
+
+    monkeypatch.setattr(output, "write_vtk", full_disk)
+    path = _write_cfg(tmp_path)
+    with open(path) as f:
+        text = f.read().replace("vtk_every = 0", "vtk_every = 1")
+    with open(path, "w") as f:
+        f.write(text)
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"anisopf: step 2: OSError: [Errno {errno.ENOSPC}]")
+    assert "fields_000002.vtk" in err and "fields_final.vtk" not in err
+    # the report records the step's error, then the snapshot that failed
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["steps_completed"] == 2
+    first, then = doc["error"].split("; then ")
+    assert first.startswith("step 2: ") and "fields_000002.vtk" in first
+    assert then.startswith("OSError: ") and "fields_final.vtk" in then

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from anisopf import solver
 from anisopf.anisotropy import (
@@ -21,14 +22,11 @@ from anisopf.errors import (
 from anisopf.mesh import build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.solver import (
-    _BORDER_CAP,
     _NEWTON_MAX_ITER,
     SolverConfig,
     StepReport,
     _factor,
     _FrozenSolver,
-    _pinned,
-    _saddle_matrix,
     _smooth_residual,
     active_set_step,
     conservation_audit,
@@ -58,31 +56,41 @@ def small_setup(n=8, theta=0.0, rho=0.01, u_D=-2.0, bc="dirichlet",
     return sys, params, CFG
 
 
-@pytest.mark.parametrize("bc,theta", [("dirichlet", 0.0), ("mixed", 1.0),
-                                      ("neumann", 0.0), ("neumann", 1.0)])
-@pytest.mark.parametrize("free_set", ["band", "none", "all"])
-def test_saddle_matrix_matches_bmat(bc, theta, free_set):
-    sys, params, cfg = small_setup(n=8, bc=bc, theta=theta)
-    n = sys.n
-    F = {"band": np.flatnonzero(np.abs(sys.phi_prev) < 1.0),
-         "none": np.arange(0), "all": np.arange(n)}[free_set]
-    nF = F.size
-    C = sys.c_matrix()
-    coup = sys.lam * sys.m_rho_diag(sys.phi_prev)
-    heat_u = np.where(sys.dirichlet, 0.0, coup)
-    MW = sys.MW
-    K = _saddle_matrix(C[F][:, F].tocsc(), -coup, heat_u, MW, F)
-    ref = sp.bmat([
+def _dense_saddle(C, top, bottom, MW, free, r, h):
+    """(u, w) of [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]] [u_F; w] =
+    [r_F; h], assembled by ``sp.bmat`` and solved densely."""
+    F = np.flatnonzero(free)
+    nF, n = F.size, MW.shape[0]
+    K = sp.bmat([
         [C[F][:, F],
-         sp.csr_matrix((-coup[F], (np.arange(nF), F)), shape=(nF, n))],
-        [sp.csr_matrix((heat_u[F], (F, np.arange(nF))), shape=(n, nF)), MW],
-    ], format="csc")
-    assert K.format == "csc" and K.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(K, name), getattr(ref, name)), name
-    if bc != "neumann" and free_set == "all":
-        # Dirichlet phase nodes in F give explicit zeros in the coupling
-        assert (K.data == 0.0).any()
+         sp.csr_matrix((top[F], (np.arange(nF), F)), shape=(nF, n))],
+        [sp.csr_matrix((bottom[F], (F, np.arange(nF))), shape=(n, nF)), MW],
+    ])
+    sol = np.linalg.solve(K.toarray(), np.r_[r[F], h])
+    u = np.zeros(n)
+    u[F] = sol[:nF]
+    return u, sol[nF:]
+
+
+def _assert_solves(got, ref, bound=1e-9):
+    """The Krylov answer agrees with the dense one to ``bound`` relative to
+    its largest entry: the reduced system is solved to rtol 1e-12."""
+    ref = np.r_[ref]
+    assert np.abs(np.r_[got] - ref).max() <= bound * np.abs(ref).max()
+
+
+def _obstacle_coupling(sys):
+    """C, top and bottom of the frozen obstacle step at the previous phase."""
+    coup = sys.lam * sys.m_rho_diag(sys.phi_prev)
+    return sys.c_matrix(), -coup, np.where(sys.dirichlet, 0.0, coup)
+
+
+def _newton_coupling(sys, rng):
+    """C, top and bottom with a bottom block unlike the top one, as in
+    Newton, nonzero off the Dirichlet rows."""
+    top, bottom = sys.lam * sys.M * rng.uniform(0.5, 1.5, (2, sys.n))
+    bottom[sys.dirichlet] = 0.0
+    return sys.c_matrix(), -top, bottom
 
 
 def _counted_factor(monkeypatch):
@@ -94,6 +102,60 @@ def _counted_factor(monkeypatch):
 
     monkeypatch.setattr(solver, "_factor", counted)
     return calls
+
+
+@pytest.mark.parametrize("bc,theta", [("dirichlet", 0.0), ("mixed", 1.0),
+                                      ("neumann", 0.0), ("neumann", 1.0)])
+@pytest.mark.parametrize("free_set", ["band", "none", "all"])
+def test_saddle_matrix_matches_bmat(bc, theta, free_set, monkeypatch):
+    # the free-set solve answers the saddle system that sp.bmat assembles;
+    # with all nodes free, free nodes sit on the Dirichlet walls, and under
+    # pure Neumann walls with theta = 0 only the coupling fixes W
+    sys, params, cfg = small_setup(n=8, bc=bc, theta=theta)
+    free = {"band": np.abs(sys.phi_prev) < 1.0, "none": np.zeros(sys.n, bool),
+            "all": np.ones(sys.n, bool)}[free_set]
+    C, top, bottom = _obstacle_coupling(sys)
+    r, h = np.random.default_rng(5).standard_normal((2, sys.n))
+    calls = _counted_factor(monkeypatch)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
+                           spla.cg)
+    if free_set == "none" and bc == "neumann" and theta == 0.0:
+        with pytest.raises(SingularSystem):
+            frozen.solve(free, r, h)
+        return
+    u, w = frozen.solve(free, r, h)
+    assert not u[~free].any()
+    _assert_solves((u, w), _dense_saddle(C, top, bottom, sys.MW, free, r, h))
+    # the heat LU, then the phase-block LU of a nonempty free set
+    assert calls == [sys.n] + ([free.sum()] if free.any() else [])
+    assert frozen.report.factorizations == len(calls)
+    assert frozen.report.krylov_iterations > 0 or not free.any()
+
+
+@pytest.mark.parametrize("krylov", ["cg", "gmres"])
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
+def test_free_set_solve_matches_dense_saddle(dim, n, bc, theta, krylov):
+    # random free sets of one solver; CG serves the symmetric coupling of
+    # the obstacle step, GMRES Newton's unlike top and bottom blocks
+    sys, params, cfg = small_setup(n=n, dim=dim, theta=theta, bc=bc)
+    rng = np.random.default_rng(dim + 2 * len(bc) + int(theta))
+    if krylov == "cg":
+        C, top, bottom = _obstacle_coupling(sys)
+    else:
+        C, top, bottom = _newton_coupling(sys, rng)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport(krylov),
+                           getattr(spla, krylov))
+    for share in (0.3, 0.7):
+        free = rng.random(sys.n) < share
+        # free nodes on the Dirichlet walls, where there are any
+        free[np.flatnonzero(sys.dirichlet)[::2]] = True
+        r, h = rng.standard_normal((2, sys.n))
+        u, w = frozen.solve(free, r, h, u0=rng.standard_normal(sys.n))
+        assert not u[~free].any()
+        _assert_solves((u, w), _dense_saddle(C, top, bottom, sys.MW, free,
+                                             r, h))
 
 
 def _change_sets(sys, plus, minus, change, k, rng):
@@ -114,33 +176,28 @@ def _change_sets(sys, plus, minus, change, k, rng):
     return plus, minus
 
 
-def _frozen_solver(sys, C, m_rho):
-    """The free-set solver of the frozen step system at ``m_rho``."""
-    coup = sys.lam * m_rho
-    return _FrozenSolver(C, -coup, np.where(sys.dirichlet, 0.0, coup),
-                         sys.MW, StepReport("active-set"))
-
-
 def _pdas_iteration(sys, C, f, frozen, plus, minus):
     """U and W with the nodes of ``plus``/``minus`` pinned at +1/-1: the
     solve of one ``_pdas_solve`` iteration."""
-    U = _pinned(sys, plus, minus)
+    U = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
     u, W = frozen.solve(~(plus | minus), sys.g - C @ U, f - frozen.bottom * U)
     W[sys.dirichlet] = sys.u_D
     return U + u, W
 
 
+# Free sets that change by k nodes.  The test names keep the ids they had
+# when a change was bordered onto the LU of a saddle matrix; now every
+# change costs one LU of its phase block, and the heat LU stays.
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("theta,bc", [(0.0, "dirichlet"), (1.0, "mixed"),
                                       (1.0, "neumann")])
 @pytest.mark.parametrize("change,k", [
-    ("free", 12), ("pin", 12), ("both", 20), ("both", _BORDER_CAP + 8)])
+    ("free", 12), ("pin", 12), ("both", 20), ("both", 40)])
 def test_bordered_solve_matches_fresh_factorization(
         dim, n, theta, bc, change, k, monkeypatch):
     sys, params, cfg = small_setup(n=n, dim=dim, theta=theta, bc=bc)
-    C = sys.c_matrix()
-    m_rho = sys.m_rho_diag(sys.phi_prev)
-    f = sys.f_rhs(m_rho)
+    C, top, bottom = _obstacle_coupling(sys)
+    f = sys.f_rhs(sys.m_rho_diag(sys.phi_prev))
     plus0, minus0 = sys.phi_prev == 1.0, sys.phi_prev == -1.0
     plus1, minus1 = _change_sets(sys, plus0, minus0, change, k,
                                  np.random.default_rng(dim + k))
@@ -148,77 +205,100 @@ def test_bordered_solve_matches_fresh_factorization(
     if change != "pin" and bc != "neumann":
         # some released nodes carry Dirichlet heat rows
         assert (sys.dirichlet & (plus0 | minus0) & ~(plus1 | minus1)).any()
-    # the oracle: each set factored afresh by a solver of its own
-    refs = [_pdas_iteration(sys, C, f, _frozen_solver(sys, C, m_rho), p, m)
-            for p, m in ((plus0, minus0), (plus1, minus1))]
     calls = _counted_factor(monkeypatch)
-    frozen = _frozen_solver(sys, C, m_rho)
-    # the base, the change, then the base again (no border) and the change
-    # again (bordered once more)
-    for (p, m), (U_ref, W_ref) in zip(
-            [(plus0, minus0), (plus1, minus1)] * 2, refs * 2):
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
+                           spla.cg)
+    # the base, the change, the base again and the change twice
+    sets = [(plus0, minus0), (plus1, minus1)] * 2 + [(plus1, minus1)]
+    for p, m in sets:
         U, W = _pdas_iteration(sys, C, f, frozen, p, m)
         assert np.array_equal(U[p], np.ones(p.sum()))
         assert np.array_equal(U[m], -np.ones(m.sum()))
-        ref = np.r_[U_ref, W_ref]
-        assert np.abs(np.r_[U, W] - ref).max() <= 1e-12 * np.abs(ref).max()
-    # beyond the cap each change is factored afresh
-    assert len(calls) == (1 if k <= _BORDER_CAP else 4)
-    assert frozen.report.factorizations == len(calls)
+        # the oracle: the dense saddle solve of the same iteration
+        U_pin = np.where(p, 1.0, np.where(m, -1.0, 0.0))
+        u, W_ref = _dense_saddle(C, top, bottom, sys.MW, ~(p | m),
+                                 sys.g - C @ U_pin, f - bottom * U_pin)
+        W_ref[sys.dirichlet] = sys.u_D
+        _assert_solves((U, W), (U_pin + u, W_ref))
+    # one heat LU, and one phase-block LU per change of the free set
+    nF = [(~(p | m)).sum() for p, m in sets]
+    assert calls == [sys.n] + nF[:4]
+    # a second solver of the same step finds the heat LU in the mesh cache
+    again = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
+                          spla.cg)
+    _pdas_iteration(sys, C, f, again, plus1, minus1)
+    assert calls == [sys.n] + nF[:4] + nF[-1:]
+    assert frozen.report.factorizations == 5
+    assert again.report.factorizations == 1
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("theta,bc", [(0.0, "dirichlet"), (1.0, "mixed")])
-@pytest.mark.parametrize("k", [20, _BORDER_CAP + 8])
+@pytest.mark.parametrize("k", [20, 40])
 def test_bordered_solve_takes_any_right_hand_side(dim, n, theta, bc, k,
                                                   monkeypatch):
     # a random (r, h), not the right-hand side of an active-set iteration,
     # and coupling diagonals that vanish nowhere off the Dirichlet rows (the
-    # shape's rho vanishes at phi = 1, where most released nodes sit)
+    # shape's rho vanishes at phi = 1, where most released nodes sit); the
+    # top and bottom blocks differ, as in Newton, so GMRES solves
     sys, params, cfg = small_setup(n=n, dim=dim, theta=theta, bc=bc)
-    C = sys.c_matrix()
     rng = np.random.default_rng(dim + k)
-    top, bottom = sys.lam * sys.M * rng.uniform(0.5, 1.5, (2, sys.n))
-    bottom[sys.dirichlet] = 0.0
+    C, top, bottom = _newton_coupling(sys, rng)
     plus0, minus0 = sys.phi_prev == 1.0, sys.phi_prev == -1.0
     plus1, minus1 = _change_sets(sys, plus0, minus0, "both", k, rng)
     sets = [~(plus0 | minus0), ~(plus1 | minus1)]
     r, h = rng.standard_normal((2, sys.n))
-
-    def make():
-        return _FrozenSolver(C, -top, bottom, sys.MW, StepReport("newton"))
-
-    refs = [make().solve(free, r, h) for free in sets]
     calls = _counted_factor(monkeypatch)
-    frozen = make()
-    for free, (u_ref, w_ref) in zip(sets * 2, refs * 2):
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("newton"),
+                           spla.gmres)
+    for free in sets * 2:
         u, w = frozen.solve(free, r, h)
         assert not u[~free].any()
-        ref = np.r_[u_ref, w_ref]
-        assert np.abs(np.r_[u, w] - ref).max() <= 1e-12 * np.abs(ref).max()
+        _assert_solves((u, w), _dense_saddle(C, top, bottom, sys.MW, free,
+                                             r, h))
         # the saddle system itself: phase rows of the free set, heat rows
-        phase = (C @ u - top * w - r)[free]
+        phase = (C @ u + top * w - r)[free]
         heat = bottom * u + sys.MW @ w - h
-        assert np.abs(np.r_[phase, heat]).max() <= 1e-10
-    assert len(calls) == (1 if k <= _BORDER_CAP else 4)
+        assert np.abs(np.r_[phase, heat]).max() <= 1e-9
+    assert calls == [sys.n] + [free.sum() for free in sets * 2]
     assert frozen.report.factorizations == len(calls)
+    assert frozen.report.krylov_iterations >= 4
 
 
 def test_bordered_update_to_all_active_is_singular(monkeypatch):
-    # pure Neumann, theta = 0: pinning the last free nodes leaves W
-    # undetermined, also when the update is bordered onto a factorization
+    # pure Neumann, theta = 0: the constant of W is bordered onto the
+    # reduced system, and pinning the last free nodes leaves it undetermined
     sys, params, cfg = small_setup(n=4, theta=0.0, bc="neumann")
-    C = sys.c_matrix()
-    m_rho = sys.m_rho_diag(sys.phi_prev)
-    f = sys.f_rhs(m_rho)
+    C, top, bottom = _obstacle_coupling(sys)
+    f = sys.f_rhs(sys.m_rho_diag(sys.phi_prev))
     plus, minus = sys.phi_prev == 1.0, sys.phi_prev == -1.0
-    assert 0 < (~(plus | minus)).sum() <= _BORDER_CAP
+    assert (~(plus | minus)).any()
     calls = _counted_factor(monkeypatch)
-    frozen = _frozen_solver(sys, C, m_rho)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
+                           spla.cg)
     _pdas_iteration(sys, C, f, frozen, plus, minus)
     with pytest.raises(SingularSystem):
         _pdas_iteration(sys, C, f, frozen, ~minus, minus)
-    assert len(calls) == 1
+    # the heat LU and the first free set's; an empty free set has none
+    assert calls == [sys.n, (~(plus | minus)).sum()]
+
+
+def test_krylov_starts_from_the_iterate():
+    # restarted from its own answer, the step makes one active-set
+    # iteration whose Krylov solve starts at the solution
+    sys, params, cfg = small_setup(n=16)
+    U, W, rep = active_set_step(sys, cfg, w0=None)
+    assert rep.krylov_iterations >= 10 * rep.outer_iterations
+    U2, W2, rep2 = active_set_step(sys, cfg, u0=U, w0=W)
+    assert rep2.outer_iterations == 1 and rep2.krylov_iterations <= 2
+    assert max(np.abs(U2 - U).max(), np.abs(W2 - W).max()) <= 1e-12
+
+
+def test_krylov_solve_short_of_its_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(solver, "_KRYLOV_RTOL", 1e-30)
+    sys, params, cfg = small_setup(n=4, pot=PotentialSpec("quartic"))
+    with pytest.raises(NonConvergence, match="Krylov solve"):
+        newton_smooth_step(sys, cfg)
 
 
 def test_pgs_rejects_zero_diagonal():
@@ -412,6 +492,11 @@ def test_residual_audit_after_convergence():
     assert audit["comp_minus_worst"] <= 10 * cfg.tol * (1 + np.abs(sys.g).max())
 
 
+def _heat_lu_cached(rep):
+    """The report of the same solve once the heat LU is in the mesh cache."""
+    return dataclasses.replace(rep, factorizations=rep.factorizations - 1)
+
+
 def test_lagged_omega_one_equals_active_set():
     sys, params, cfg = small_setup(n=8)
     cfg1 = dataclasses.replace(cfg, omega=1.0)
@@ -419,8 +504,9 @@ def test_lagged_omega_one_equals_active_set():
     U_l, W_l, rep = lagged_step(sys, cfg1, w0=None)
     assert np.abs(U_a - U_l).max() <= 1e-10
     assert np.abs(W_a - W_l).max() <= 1e-10
-    # a frozen step is the one active-set solve and reports as such
-    assert rep == rep_a and rep.method == "active-set"
+    # a frozen step is the one active-set solve and reports as such; the
+    # second solve finds the heat LU of the first in the mesh cache
+    assert rep == _heat_lu_cached(rep_a) and rep.method == "active-set"
 
 
 def test_lagged_nonlinear_shape_converges():
@@ -476,7 +562,7 @@ def test_active_set_step_on_moving_coefficients_is_the_lagged_step(case):
     U, W, rep = active_set_step(sys, cfg)
     U_l, W_l, rep_l = lagged_step(sys, cfg)
     assert np.array_equal(U, U_l) and np.array_equal(W, W_l)
-    assert rep == rep_l and rep.method == "lagged"
+    assert _heat_lu_cached(rep) == rep_l and rep.method == "lagged"
 
 
 @pytest.mark.parametrize("w0", [None, "prev"])
@@ -499,7 +585,7 @@ def test_lagged_frozen_system_solves_once(w0, monkeypatch):
     U_a, W_a = solver._pdas_solve(sys, cfg, *solver._start(sys, None, w0),
                                   rep_a)
     assert np.array_equal(U, U_a) and np.array_equal(W, W_a)
-    assert rep == rep_a
+    assert _heat_lu_cached(rep) == rep_a
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0])
@@ -517,7 +603,7 @@ def test_lagged_converges_on_moving_coefficients(case, omega):
     assert max(np.abs(U - U_t).max(), np.abs(W - W_t).max()) <= 1e-7
 
 
-# The two tests below record open defects (ROADMAP item 3): the step raises
+# The two tests below record open defects (ROADMAP item 2): the step raises
 # NonConvergence where another start or more damping converges.
 
 
@@ -622,7 +708,10 @@ def _bmat_newton(sys, cfg):
 @pytest.mark.parametrize("theta,bc,u_D", [(1.0, "mixed", -2.0),
                                           (0.0, "dirichlet", -2.0),
                                           (1.0, "neumann", 0.0)])
-def test_newton_matches_bmat_reference_bitwise(theta, bc, u_D):
+def test_newton_matches_bmat_reference(theta, bc, u_D):
+    # Newton solves each linearization by GMRES to rtol 1e-12, the
+    # reference by a direct LU: the iterations agree, and the answers to
+    # within round-off of the quadratic convergence
     pot = PotentialSpec("quartic")
     sh = ShapeSpec("quartic-shape", "for-negative-uD")
     sys, params, cfg = small_setup(n=8, theta=theta, bc=bc, u_D=u_D, pot=pot,
@@ -630,8 +719,11 @@ def test_newton_matches_bmat_reference_bitwise(theta, bc, u_D):
     U, W, rep = newton_smooth_step(sys, cfg)
     U_ref, W_ref, iterations, rnorm = _bmat_newton(sys, cfg)
     assert rep.outer_iterations == iterations >= 2
-    assert rep.residual == rnorm
-    assert np.array_equal(U, U_ref) and np.array_equal(W, W_ref)
+    assert rep.residual < cfg.tol and rnorm < cfg.tol
+    assert max(np.abs(U - U_ref).max(), np.abs(W - W_ref).max()) <= 1e-12
+    # the heat LU, one LU of the phase block per iteration, and GMRES
+    assert rep.factorizations == iterations + 1
+    assert rep.krylov_iterations >= iterations
 
 
 def _picard_oracle(sys, omega=0.5, tol=1e-10, iters=5000):
