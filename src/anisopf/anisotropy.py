@@ -124,7 +124,11 @@ class AnisotropyDensity:
         weights w_l(p) = (gamma_l(p) / gamma(p))^(r-1), all one when r = 1
         or p = 0; at q = 0 the prefactor degenerates to L^(1/r).
         """
-        gl_q, g_q = self._components(q)
+        # the prefactor is 0-homogeneous in q: scaling each row by a power
+        # of two (exact) keeps gamma_l(q)^r from underflowing
+        q = np.asarray(q, dtype=float)
+        scale = np.frexp(np.abs(q).max(axis=-1))[1]
+        gl_q, g_q = self._components(np.ldexp(q, -scale[..., None]))
         r = self.exponent
         # coefficient of G_l: gamma(q)/gamma_l(q) for q != 0, else L^(1/r)
         safe_gl = np.where(gl_q > 0.0, gl_q, 1.0)

@@ -25,7 +25,11 @@ heat block ``theta M + tau A``, on a set of free phase nodes (all nodes for
 Newton).  ``_FrozenSolver`` solves it for any right-hand side on the phase
 unknowns alone (the Schur complement reduction of Benzi, Golub and Liesen,
 Acta Numerica 2005): the heat block is factored once per mesh, and each
-free set is solved by preconditioned CG, or GMRES for Newton.
+free set is solved by the package's own preconditioned CG, which carries
+the temperature along its iterates, or by scipy's GMRES for Newton.  A CG
+solve whose loose iterate already predicts other active sets stops there
+(the forcing-term idea of inexact semismooth Newton methods, Kanzow 2004);
+only a solve to ``_KRYLOV_RTOL`` can end the active-set iteration.
 
 All factorizations and Krylov iterations run in a fixed order, so
 identical inputs produce bit-identical outputs.
@@ -112,6 +116,9 @@ _NEWTON_MAX_ITER = 30
 # relative residual of each Krylov solve, far below the step tolerances
 _KRYLOV_RTOL = 1e-12
 
+# relative residual at which CG first asks whether its free set is wrong
+_ABANDON_RTOL = 1e-5
+
 
 class _FrozenSolver:
     """Solves [[C_FF, diag(top)_F,:], [diag(bottom)_:,F, MW]] [u_F; w] =
@@ -125,14 +132,16 @@ class _FrozenSolver:
         S u_F = r_F - top_F z_F,
         S = C_FF - diag(top_F) [MW^-1]_FF diag(bottom_F),
 
-    and w = z - MW^-1 (bottom u).  S is applied as an operator, one heat
-    solve per product, and never formed.  ``krylov`` solves it, CG or
-    GMRES, preconditioned by an LU of C_FF that is made when F changes and
-    started from ``u0``.  The obstacle step has top = -bottom off the
-    Dirichlet rows; there MW is the identity and bottom vanishes, so
+    and w = z - t with t = MW^-1 (bottom u).  S is applied as an operator,
+    one heat solve per product, and never formed; the Krylov solve is
+    preconditioned by an LU of C_FF that is made when F changes and starts
+    from ``u0``.  The obstacle step has top = -bottom off the Dirichlet
+    rows; there MW is the identity and bottom vanishes, so
     (MW^-1 bottom u)_D = 0, and S is symmetric positive definite also when
-    a free node sits on a Dirichlet wall: CG serves it.  Newton's bottom
-    block differs from its top one, and GMRES serves it.
+    a free node sits on a Dirichlet wall: the package's own preconditioned
+    CG serves it, and carries t along its iterates from the heat solves of
+    its products.  Newton's bottom block differs from its top one
+    (``symmetric=False``), and scipy's GMRES serves it.
 
     Under pure Neumann walls with theta = 0, MW = tau A is singular and W
     carries a constant c that it does not fix.  The LU is then made of
@@ -144,9 +153,9 @@ class _FrozenSolver:
     leaves c undetermined.
     """
 
-    def __init__(self, sys, C, top, bottom, report, krylov):
+    def __init__(self, sys, C, top, bottom, report, symmetric=True):
         self.C, self.top, self.bottom = C, top, bottom
-        self.report, self.krylov = report, krylov
+        self.report, self.symmetric = report, symmetric
         self.neumann = sys.theta == 0.0 and not sys.dirichlet.any()
         lu = sys.heat.get("lu")
         if lu is None:
@@ -157,9 +166,11 @@ class _FrozenSolver:
             report.factorizations += 1
         self.heat = lu.solve
         self.free = None
+        self.loose = _ABANDON_RTOL
 
-    def solve(self, free, r, h, u0=None):
-        """(u, w) of the saddle system on the free set of the mask ``free``."""
+    def solve(self, free, r, h, u0=None, check=None):
+        """(u, w) of the saddle system on the free set of the mask ``free``;
+        ``exact`` is False when ``check(u, w)`` stopped CG (``_krylov``)."""
         F = np.flatnonzero(free)
         if not np.array_equal(free, self.free):
             self.free = free.copy()
@@ -169,42 +180,76 @@ class _FrozenSolver:
         top, bottom = self.top[F], self.bottom[F]
         v = np.zeros(free.size)
 
-        def S(x):
+        def S(x):           # (S x, MW^-1 (bottom x))
             v[F] = bottom * x
-            return self.C_FF @ x - top * self.heat(v)[F]
+            t = self.heat(v)
+            return self.C_FF @ x - top * t[F], t
 
         z = self.heat(h)
-        x = self._krylov(S, r[F] - top * z[F], None if u0 is None else u0[F])
-        c = 0.0
+        y = ty = 0.0
         if self.neumann:
-            y = self._krylov(S, top)
+            y, ty, _ = self._krylov(S, top)
             if bottom @ y == 0.0:
                 raise SingularSystem("the constant of W is undetermined: "
                                      "pure Neumann walls, theta = 0")
-            c = (bottom @ x - h.sum()) / (bottom @ y)
-            x = x - c * y
-        u = np.zeros(free.size)
-        u[F] = x
-        return u, z - self.heat(self.bottom * u) + c
 
-    def _krylov(self, S, b, x0=None):
-        """S^-1 b from x0, preconditioned by the LU of C_FF, to the relative
-        residual ``_KRYLOV_RTOL``."""
-        n, calls = b.size, []
-        if n == 0:
-            return b
-        kw = {"callback_type": "pr_norm"} if self.krylov is spla.gmres else {}
-        # a given dtype spares the operators scipy's probing product
-        op, pre = (spla.LinearOperator((n, n), f, dtype=float)
-                   for f in (S, self.pre.solve))
-        x, info = self.krylov(op, b, x0=x0, rtol=_KRYLOV_RTOL, atol=0.0,
-                              M=pre, callback=calls.append, **kw)
-        self.report.krylov_iterations += len(calls)
-        if info:
-            raise NonConvergence(f"Krylov solve not within rtol "
-                                 f"{_KRYLOV_RTOL:g} after {len(calls)} "
-                                 "iterations")
-        return x
+        def full(x, t):     # (u, w) of the iterate x
+            c = (bottom @ x - h.sum()) / (bottom @ y) if self.neumann else 0.0
+            u = np.zeros(free.size)
+            u[F] = x - c * y
+            return u, z - t + c * ty + c
+
+        x, t, self.exact = self._krylov(
+            S, r[F] - top * z[F], None if u0 is None else u0[F],
+            check and (lambda x, t: check(*full(x, t))))
+        return full(x, t)
+
+    def _krylov(self, S, b, x=None, check=None):
+        """(x, t, exact): S x = b solved from x, preconditioned by the LU of
+        C_FF, to the relative residual ``_KRYLOV_RTOL``; t = MW^-1 (bottom x).
+        CG asks ``check`` once, after its first iteration within the relative
+        residual ``self.loose``: if the iterate shows F wrong, CG stops there,
+        not exact, and ``self.loose`` falls tenfold."""
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return b, np.zeros(self.C.shape[0]), True
+        if not self.symmetric:
+            # a given dtype spares the operators scipy's probing product
+            op, pre = (spla.LinearOperator((b.size,) * 2, f, dtype=float)
+                       for f in (lambda x: S(x)[0], self.pre.solve))
+            calls = []
+            x, info = spla.gmres(op, b, x0=x, rtol=_KRYLOV_RTOL, atol=0.0,
+                                 M=pre, callback=calls.append,
+                                 callback_type="pr_norm")
+            self.report.krylov_iterations += len(calls)
+            if info:
+                raise _krylov_failure(len(calls))
+            return x, S(x)[1], True
+        x = np.zeros(b.size) if x is None else x
+        Sx, t = S(x)
+        res, k, rho = b - Sx, 0, None
+        while (rnorm := np.linalg.norm(res)) >= _KRYLOV_RTOL * bnorm:
+            if check and k and rnorm < self.loose * bnorm:
+                if check(x, t):
+                    self.loose /= 10.0
+                    break
+                check = None
+            if k == 10 * b.size:        # scipy's default maxiter
+                raise _krylov_failure(k)
+            zr = self.pre.solve(res)
+            rho_prev, rho = rho, res @ zr
+            p = zr if k == 0 else zr + (rho / rho_prev) * p
+            q, tp = S(p)
+            alpha = rho / (p @ q)
+            x, t, res = x + alpha * p, t + alpha * tp, res - alpha * q
+            k += 1
+        self.report.krylov_iterations += k
+        return x, t, rnorm < _KRYLOV_RTOL * bnorm
+
+
+def _krylov_failure(iterations):
+    return NonConvergence(f"Krylov solve not within rtol {_KRYLOV_RTOL:g} "
+                          f"after {iterations} iterations")
 
 
 def _pdas_solve(sys, cfg, U0, W0, report):
@@ -222,31 +267,40 @@ def _pdas_solve(sys, cfg, U0, W0, report):
     f = sys.f_rhs(m_rho)
     coup = sys.lam * m_rho
     heat_u = np.where(sys.dirichlet, 0.0, coup)
-    solver = _FrozenSolver(sys, C, -coup, heat_u, report, spla.cg)
-    res = None if W is None else C @ U - coup * W - sys.g
-    for _ in range(_MAX_OUTER):
-        if res is None:
-            # no temperature guess: read the active sets off the phase
-            plus, minus = U == 1.0, U == -1.0
-        else:
-            pred = U - res / d
-            plus, minus = pred > 1.0, pred < -1.0
-        U_new = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
-        # the free values start from the iterate in hand
-        u, W_new = solver.solve(~(plus | minus), sys.g - C @ U_new,
-                                f - heat_u * U_new, u0=U)
-        U_new += u
-        W_new[sys.dirichlet] = sys.u_D
-        report.outer_iterations += 1
-        if W is None:
-            diff = np.inf
-        else:
-            diff = max(np.abs(U_new - U).max(), np.abs(W_new - W).max())
-        U, W = U_new, W_new
+    solver = _FrozenSolver(sys, C, -coup, heat_u, report)
+
+    def predicted(U, W):
+        """the phase-row residual at (U, W) and the active sets it predicts"""
         res = C @ U - coup * W - sys.g
-        # at a marginally stable state the sets flip at round-off level,
-        # so acceptance rests on the sign conditions, not on set repetition
-        if (np.all(res[plus] <= kkt_tol) and np.all(res[minus] >= -kkt_tol)
+        pred = U - res / d
+        return res, pred > 1.0, pred < -1.0
+
+    sets = None if W is None else predicted(U, W)[1:]
+    for _ in range(_MAX_OUTER):
+        # no temperature guess: read the active sets off the phase
+        plus, minus = sets or (U == 1.0, U == -1.0)
+        U_new = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
+
+        def moved(u, w):
+            # a loose iterate that predicts other sets shows F is wrong
+            _, p, m = predicted(U_new + u, np.where(sys.dirichlet, sys.u_D, w))
+            return not (np.array_equal(p, plus) and np.array_equal(m, minus))
+
+        # the free values start from the iterate in hand
+        u, w = solver.solve(~(plus | minus), sys.g - C @ U_new,
+                            f - heat_u * U_new, u0=U, check=moved)
+        U_new += u
+        W_new = np.where(sys.dirichlet, sys.u_D, w)
+        report.outer_iterations += 1
+        diff = np.inf if W is None else max(np.abs(U_new - U).max(),
+                                            np.abs(W_new - W).max())
+        U, W = U_new, W_new
+        res, *sets = predicted(U, W)
+        # at a marginally stable state the sets flip at round-off level, so
+        # acceptance rests on the sign conditions, not on set repetition; a
+        # solve abandoned short of its tolerance is never accepted
+        if (solver.exact and np.all(res[plus] <= kkt_tol)
+                and np.all(res[minus] >= -kkt_tol)
                 and np.all(np.abs(U[~(plus | minus)]) <= 1.0 + cfg.tol)):
             break
     else:
@@ -372,7 +426,7 @@ def newton_smooth_step(sys, cfg, u0=None, w0="prev"):
         bottom = sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev))
         bottom[sys.dirichlet] = 0.0
         frozen = _FrozenSolver(sys, J11, -sys.lam * m_rho, bottom, report,
-                               spla.gmres)
+                               symmetric=False)
         du, dw = frozen.solve(np.ones(n, bool), -r_phi, -r_w)
         t = 1.0
         for _ls in range(20):

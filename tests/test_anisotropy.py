@@ -362,3 +362,22 @@ def test_b_energy_inequality_property(px, py, qx, qy):
     lhs = float((a.b_matrix(q, p) @ p) @ (p - q))
     rhs = 0.5 * float(a.gamma(p)) ** 2 - 0.5 * float(a.gamma(q)) ** 2
     assert lhs >= rhs - 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("name,q,p", [
+    # gamma_l(q)^2 is subnormal: the energy inequality failed (1.03 < 2.03)
+    ("hex", [0.0, 5.895e-162], [1.0, 0.0]),
+    # gamma_l(q)^9 underflows to 0, which took the q = 0 coefficient
+    ("cube9", [1e-40, 0.3e-40, -0.7e-40], [0.2, 1.0, 0.5]),
+])
+def test_b_matrix_of_a_tiny_direction_is_its_unit_one(name, q, p):
+    # B_r(q, p) is 0-homogeneous in q, so a tiny nonzero q gets the
+    # coefficient of its direction, not the fallback of q = 0
+    a = PRESETS[name]
+    q, p = np.array(q), np.array(p)
+    unit = q / np.abs(q).max()
+    B = a.b_matrix(q, p)
+    np.testing.assert_allclose(B, a.b_matrix(unit, p), rtol=1e-14, atol=0.0)
+    lhs = float((B @ p) @ (p - q))
+    rhs = 0.5 * float(a.gamma(p)) ** 2 - 0.5 * float(a.gamma(q)) ** 2
+    assert lhs >= rhs

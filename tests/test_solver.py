@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from anisopf import solver
 from anisopf.anisotropy import (
@@ -117,8 +116,7 @@ def test_saddle_matrix_matches_bmat(bc, theta, free_set, monkeypatch):
     C, top, bottom = _obstacle_coupling(sys)
     r, h = np.random.default_rng(5).standard_normal((2, sys.n))
     calls = _counted_factor(monkeypatch)
-    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
-                           spla.cg)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"))
     if free_set == "none" and bc == "neumann" and theta == 0.0:
         with pytest.raises(SingularSystem):
             frozen.solve(free, r, h)
@@ -146,7 +144,7 @@ def test_free_set_solve_matches_dense_saddle(dim, n, bc, theta, krylov):
     else:
         C, top, bottom = _newton_coupling(sys, rng)
     frozen = _FrozenSolver(sys, C, top, bottom, StepReport(krylov),
-                           getattr(spla, krylov))
+                           symmetric=krylov == "cg")
     for share in (0.3, 0.7):
         free = rng.random(sys.n) < share
         # free nodes on the Dirichlet walls, where there are any
@@ -206,8 +204,7 @@ def test_bordered_solve_matches_fresh_factorization(
         # some released nodes carry Dirichlet heat rows
         assert (sys.dirichlet & (plus0 | minus0) & ~(plus1 | minus1)).any()
     calls = _counted_factor(monkeypatch)
-    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
-                           spla.cg)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"))
     # the base, the change, the base again and the change twice
     sets = [(plus0, minus0), (plus1, minus1)] * 2 + [(plus1, minus1)]
     for p, m in sets:
@@ -224,8 +221,7 @@ def test_bordered_solve_matches_fresh_factorization(
     nF = [(~(p | m)).sum() for p, m in sets]
     assert calls == [sys.n] + nF[:4]
     # a second solver of the same step finds the heat LU in the mesh cache
-    again = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
-                          spla.cg)
+    again = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"))
     _pdas_iteration(sys, C, f, again, plus1, minus1)
     assert calls == [sys.n] + nF[:4] + nF[-1:]
     assert frozen.report.factorizations == 5
@@ -250,7 +246,7 @@ def test_bordered_solve_takes_any_right_hand_side(dim, n, theta, bc, k,
     r, h = rng.standard_normal((2, sys.n))
     calls = _counted_factor(monkeypatch)
     frozen = _FrozenSolver(sys, C, top, bottom, StepReport("newton"),
-                           spla.gmres)
+                           symmetric=False)
     for free in sets * 2:
         u, w = frozen.solve(free, r, h)
         assert not u[~free].any()
@@ -274,8 +270,7 @@ def test_bordered_update_to_all_active_is_singular(monkeypatch):
     plus, minus = sys.phi_prev == 1.0, sys.phi_prev == -1.0
     assert (~(plus | minus)).any()
     calls = _counted_factor(monkeypatch)
-    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"),
-                           spla.cg)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"))
     _pdas_iteration(sys, C, f, frozen, plus, minus)
     with pytest.raises(SingularSystem):
         _pdas_iteration(sys, C, f, frozen, ~minus, minus)
@@ -285,10 +280,12 @@ def test_bordered_update_to_all_active_is_singular(monkeypatch):
 
 def test_krylov_starts_from_the_iterate():
     # restarted from its own answer, the step makes one active-set
-    # iteration whose Krylov solve starts at the solution
+    # iteration whose Krylov solve starts at the solution; the cold step's
+    # count is a total, since iterations whose free set proves wrong stop
+    # their solves early
     sys, params, cfg = small_setup(n=16)
     U, W, rep = active_set_step(sys, cfg, w0=None)
-    assert rep.krylov_iterations >= 10 * rep.outer_iterations
+    assert rep.krylov_iterations >= 10
     U2, W2, rep2 = active_set_step(sys, cfg, u0=U, w0=W)
     assert rep2.outer_iterations == 1 and rep2.krylov_iterations <= 2
     assert max(np.abs(U2 - U).max(), np.abs(W2 - W).max()) <= 1e-12

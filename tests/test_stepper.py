@@ -457,6 +457,46 @@ def test_warm_start_changes_iterations_not_answer(tmp_path, monkeypatch, kw,
     assert outer["warm"] <= outer["cold"]
 
 
+# an active-set iteration whose loose CG iterate already predicts other
+# active sets stops its solve there; only a solve that reached the Krylov
+# tolerance may pass the acceptance test, so even a loose threshold keeps
+# the answer
+@pytest.mark.parametrize("kw", [dict(_DEMO, theta=0.0),
+                                dict(_DEMO, adaptive=True, T_end=3e-3)],
+                         ids=["theta0", "adaptive"])
+def test_abandoned_solves_keep_the_answer(tmp_path, monkeypatch, kw):
+    from anisopf import solver, stepper
+
+    fields = []
+    verify = stepper.verify_stability
+
+    def recorded(prev, new, *args, **kwargs):
+        fields.append((new.phi.values, new.w.values))
+        return verify(prev, new, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "verify_stability", recorded)
+    runs, default = {}, solver._ABANDON_RTOL
+    for rtol in (0.0, 1e-1, default):
+        monkeypatch.setattr(solver, "_ABANDON_RTOL", rtol)
+        fields.clear()
+        state = run_simulation(base_config(tmp_path / f"{rtol:g}", **kw),
+                               strict=True)
+        assert all(r.stab2_holds and r.stab3_holds for r in state.ledger)
+        runs[rtol] = state.reports, list(fields)
+    (off, exact), (loose, loose_fields) = runs[0.0], runs[1e-1]
+    assert len(loose_fields) == len(exact) >= 3
+    for (phi, w), (phi_0, w_0) in zip(loose_fields, exact):
+        assert phi.shape == phi_0.shape
+        assert max(np.abs(phi - phi_0).max(), np.abs(w - w_0).max()) <= 1e-9
+    # at the default threshold, every step with more than one active-set
+    # iteration stops some of its solves early
+    multi = [(rep, rep_0) for rep, rep_0 in zip(runs[default][0], off)
+             if rep_0.outer_iterations > 1]
+    assert multi
+    assert all(rep.krylov_iterations < rep_0.krylov_iterations
+               for rep, rep_0 in multi)
+
+
 def _counted_heat_lus(monkeypatch):
     """Every LU the solver makes, as whether it is the heat block of a
     step system (the other LUs are of phase blocks)."""
