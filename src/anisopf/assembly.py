@@ -25,8 +25,9 @@ with c_mu = lam*eps*rho/(c_psi*a*tau), c_B = lam*alpha*eps/(c_psi*a) and
 c_conc = lam*alpha/(c_psi*a*eps).  Dirichlet rows of the heat block are
 replaced by the identity with value u_D.  B(U) evaluates B_r on the band
 grad Phi_old != 0 (r > 1: or grad U != 0); off it, it copies element
-matrices at B0 = B_r(0, 0) from the mesh cache (which a refinement drops),
-which also keeps the CSR pattern, the lumped mass and the heat block.
+matrices at B0 = B_r(0, 0) from the mesh cache (which a refinement drops;
+each is computed when its element first leaves the band), which also keeps
+the CSR pattern, the lumped mass and the heat block.
 """
 
 from dataclasses import dataclass, field
@@ -138,9 +139,19 @@ def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
     B0 = aniso.b_matrix(*np.zeros((2, mesh.dim)))
     off_band = c.get("aniso_off_band")
     if off_band is None or not np.array_equal(off_band[0], B0):
-        off_band = c["aniso_off_band"] = (B0, _local_matrices(volumes, grads, B0))
-    local = off_band[1].copy()
+        # element matrices at B0, each computed when its element is first
+        # off the band, so that no call computes one it then overwrites
+        d1 = mesh.dim + 1
+        off_band = c["aniso_off_band"] = (
+            B0, np.empty((len(volumes), d1, d1)), np.zeros(len(volumes), bool))
+    _, local, known = off_band
     # np.take gathers rows several times faster than fancy indexing
+    fill = np.flatnonzero(~(band | known))
+    if fill.size:
+        local[fill] = _local_matrices(volumes.take(fill),
+                                      grads.take(fill, axis=0), B0)
+        known[fill] = True
+    local = local.copy()
     band = np.flatnonzero(band)
     B = aniso.b_matrix(q.take(band, axis=0), p.take(band, axis=0))
     local[band] = _local_matrices(volumes.take(band), grads.take(band, axis=0), B)

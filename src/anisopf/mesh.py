@@ -277,31 +277,49 @@ def build_uniform_mesh(H, N, dim=2, bc_case="dirichlet"):
 def adapt_to_interface(mesh, phi, N_f, N_c):
     """Two-level re-mesh: fine spacing 2H/N_f inside ``|phi| < 1``.
 
-    Starting from the uniform N_c mesh, elements whose transferred phase
-    value is strictly inside (-1, 1) at some vertex, together with one
-    layer of vertex-neighbours, are bisected until they reach the fine
-    generation d * log2(N_f/N_c): d bisections of a Kuhn simplex give a
-    similar simplex at half the size (Maubach 1995), so an element is
-    coarser than the fine diameter sqrt(d) * 2H/N_f exactly when its
-    generation is lower.  ``mesh`` must be the uniform N_f mesh, or a
+    Starting from the uniform N_c mesh, elements whose phase value is
+    strictly inside (-1, 1) at some vertex, together with one layer of
+    vertex-neighbours, are bisected until they reach the fine generation
+    d * log2(N_f/N_c): d bisections of a Kuhn simplex give a similar
+    simplex at half the size (Maubach 1995), so an element is coarser than
+    the fine diameter sqrt(d) * 2H/N_f exactly when its generation is
+    lower.  Each round reads the phase at the new vertices from one of two
+    sources.  From a ``NodalField`` on ``mesh`` (a remesh), a new vertex
+    at a vertex of ``mesh`` reads its value, any other the mean of its
+    bisection parents'; ``mesh`` must be the uniform N_f mesh, or a
     bisection of the uniform N_c mesh with at most one vertex per fine
-    lattice node.  Returns the new mesh and the transfer map onto it.
+    lattice node; returns the new mesh and the transfer map onto it.  From
+    a function of points (the first mesh), a new vertex reads it at its
+    N_f lattice node, at the coordinates ``np.linspace(-H, H, N_f + 1)``
+    of the uniform N_f mesh, which bisection midpoints miss by a rounding
+    when H is not a power of two; ``mesh`` must be the uniform N_c mesh,
+    which is refined in place; returns it and the phase on it.
     """
     if N_f < N_c or N_f % N_c != 0 or ((N_f // N_c) & (N_f // N_c - 1)) != 0:
         raise InvalidN(f"N_f={N_f} must be a power-of-two multiple of N_c={N_c}")
-    if mesh.N0 not in (N_c, N_f):
-        raise InvalidN(f"source mesh refines N={mesh.N0}, not N_c={N_c} or N_f={N_f}")
+    field = isinstance(phi, NodalField)
+    allowed = (N_c, N_f) if field else (N_c,)
+    if mesh.N0 not in allowed:
+        raise InvalidN(f"source mesh refines N={mesh.N0}, not one of {allowed}")
     d = mesh.dim
-    coincident = _vertex_lookup(mesh, N_f)
-    new = build_uniform_mesh(mesh.H, N_c, d, mesh.bc_case)
+    if field:
+        coincident = _vertex_lookup(mesh, N_f)
+        new = build_uniform_mesh(mesh.H, N_c, d, mesh.bc_case)
+    else:
+        axis = np.linspace(-mesh.H, mesh.H, N_f + 1)
+        new = mesh
     levels = int(round(math.log2(N_f // N_c)))
     gen_cap = max(0, 2 * levels * d)
 
     src = np.empty(0, dtype=np.int64)
     phi_at = np.empty(0)
     for _round in range(8 * (levels + 1) * d + 8):
-        src = np.concatenate([src, coincident(new.vertices[len(src):])])
-        phi_at = _moved(phi.values, src, new._parent, phi_at)
+        x = new.vertices[len(phi_at):]
+        if field:
+            src = np.concatenate([src, coincident(x)])
+            phi_at = _moved(phi.values, src, new._parent, phi_at)
+        else:
+            phi_at = np.concatenate([phi_at, phi(axis[_lattice(x, mesh.H, N_f)])])
         cache = new._finalize(geometry=False)
         elems = cache["elements"]
         coarse = new._gen[cache["active"]] < d * levels
@@ -316,7 +334,9 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
     else:
         raise RefinementDepthExceeded("marking loop did not terminate")
 
-    return new, TransferMap(mesh, new, src)
+    if field:
+        return new, TransferMap(mesh, new, src)
+    return new, NodalField(phi_at, new)
 
 
 def _sorted_unique(x):
@@ -348,7 +368,7 @@ def _vertex_lookup(mesh, N_f):
     stride = (N_f + 1) ** np.arange(mesh.dim - 1, -1, -1)
 
     def keys(x):
-        return np.rint((x + H) * (N_f / (2.0 * H))).astype(np.int64) @ stride
+        return _lattice(x, H, N_f) @ stride
 
     src_keys = keys(src)
     order = np.argsort(src_keys, kind="stable")
@@ -362,6 +382,11 @@ def _vertex_lookup(mesh, N_f):
         return np.where(~_any_row(np.abs(src[j] - x) > 1e-12 * H), j, -1)
 
     return coincident
+
+
+def _lattice(x, H, N_f):
+    """Per point the integer indices of its nearest 2H/N_f lattice node."""
+    return np.rint((x + H) * (N_f / (2.0 * H))).astype(np.int64)
 
 
 def _moved(values, src, parent, head=()):

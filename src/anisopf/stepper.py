@@ -123,14 +123,19 @@ def initial_phase(mesh, R0, eps):
     The profile ramps through sin((|x| - R0)/eps) across a band of width
     eps*pi, which must fit inside the seed.
     """
+    return NodalField(_seed_profile(mesh.vertices, R0, eps), mesh)
+
+
+def _seed_profile(x, R0, eps):
+    """The phase of :func:`initial_phase` at the points ``x``."""
     if eps * math.pi / 2.0 >= R0:
         raise InterfaceTooWide(
             f"interface half-width {eps * math.pi / 2:.4g} exceeds R0 = {R0}")
-    r = np.linalg.norm(mesh.vertices, axis=1)
+    r = np.linalg.norm(x, axis=1)
     vals = np.sin((r - R0) / eps)
     vals[r <= R0 - eps * math.pi / 2.0] = -1.0
     vals[r >= R0 + eps * math.pi / 2.0] = 1.0
-    return NodalField(vals, mesh)
+    return vals
 
 
 def initial_temperature(mesh, u_D, R0, H):
@@ -225,6 +230,10 @@ def run_simulation(cfg, out_dir=None, strict=False):
     as its ``step`` attribute, also when a partial output cannot be
     written (the report then names that failure too).
 
+    An adaptive run builds no uniform mesh finer than N_c: its first mesh
+    adapts the N_c mesh to the initial profile read at the N_f lattice
+    coordinates, with the bits of adapting from the uniform N_f mesh.
+
     Every step starts from the linear extrapolation ``2 U_n - U_{n-1}`` of
     the last two phase fields, and from ``2 W_n - W_{n-1}`` once two solved
     temperatures exist (with theta = 0 the initial W is only a
@@ -237,15 +246,17 @@ def run_simulation(cfg, out_dir=None, strict=False):
     scfg = cfg.solver_config()
     out = output.OutputWriter(cfg, out_dir)
 
-    mesh = build_uniform_mesh(params.H, cfg.N_f, cfg.dim, params.bc_case)
-    if cfg.initial == "liquid":
-        phi = NodalField(np.ones(mesh.n_vertices), mesh)
-    else:
-        phi = initial_phase(mesh, params.R0, params.eps)
+    def profile(x):
+        if cfg.initial == "liquid":
+            return np.ones(len(x))
+        return _seed_profile(x, params.R0, params.eps)
+
     if cfg.adaptive:
-        mesh2, tmap = adapt_to_interface(mesh, phi, cfg.N_f, cfg.N_c)
-        phi = transfer_field(phi, tmap)
-        mesh = mesh2
+        mesh = build_uniform_mesh(params.H, cfg.N_c, cfg.dim, params.bc_case)
+        mesh, phi = adapt_to_interface(mesh, profile, cfg.N_f, cfg.N_c)
+    else:
+        mesh = build_uniform_mesh(params.H, cfg.N_f, cfg.dim, params.bc_case)
+        phi = NodalField(profile(mesh.vertices), mesh)
     if params.theta > 0.0:
         w = initial_temperature(mesh, params.u_D, params.R0, params.H)
     else:

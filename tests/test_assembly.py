@@ -560,6 +560,34 @@ def test_off_band_matrices_are_cached_per_density_and_mesh():
                      _cold_anisotropic_stiffness(a2, phi, refine=[5]))
 
 
+def test_each_element_matrix_is_computed_once_per_band(monkeypatch):
+    from anisopf import assembly
+
+    rows = []
+    local = assembly._local_matrices
+
+    def counted(volumes, grads, coeff):
+        rows.append(len(volumes))
+        return local(volumes, grads, coeff)
+
+    monkeypatch.setattr(assembly, "_local_matrices", counted)
+    mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
+    a = anisotropy_from_name("hex2d-rot:0.1")
+    phi, other = _slab(mesh, 0.0), _slab(mesh, 0.2)
+    band, moved = (mesh.field_gradients(f).any(axis=1) for f in (phi, other))
+    # a cold call computes every element matrix once: B0 off the band
+    B = anisotropic_stiffness(mesh, a, phi, phi)
+    assert sum(rows) == mesh.n_elements and 0 < band.sum() < mesh.n_elements
+    # a warm call computes the band, and B0 only where the band has left
+    rows.clear()
+    assert _same_csr(anisotropic_stiffness(mesh, a, phi, phi), B)
+    assert rows == [band.sum()]
+    rows.clear()
+    anisotropic_stiffness(mesh, a, other, other)
+    assert (band & ~moved).any()
+    assert sum(rows) == moved.sum() + (band & ~moved).sum()
+
+
 def test_c_matrix_is_the_sum_on_the_stiffness_pattern():
     mesh = build_uniform_mesh(0.5, 8, 2, "dirichlet")
     rng = np.random.default_rng(23)

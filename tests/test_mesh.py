@@ -13,12 +13,16 @@ from anisopf.mesh import (
 from meshcheck import check_conforming, diameters, reference_locate
 
 
-def circular_phase(mesh, R0=0.25, eps=1.0 / (16 * np.pi)):
-    r = np.linalg.norm(mesh.vertices, axis=1)
+def circular_phase_at(x, R0=0.25, eps=1.0 / (16 * np.pi)):
+    r = np.linalg.norm(x, axis=1)
     vals = np.sin((r - R0) / eps)
     vals[r <= R0 - eps * np.pi / 2] = -1.0
     vals[r >= R0 + eps * np.pi / 2] = 1.0
-    return NodalField(np.clip(vals, -1, 1), mesh)
+    return np.clip(vals, -1, 1)
+
+
+def circular_phase(mesh, R0=0.25, eps=1.0 / (16 * np.pi)):
+    return NodalField(circular_phase_at(mesh.vertices, R0, eps), mesh)
 
 
 def test_uniform_2d_counts_and_area():
@@ -168,6 +172,21 @@ def test_adapt_validates_ratio():
         adapt_to_interface(m, phi, 48, 16)
     with pytest.raises(InvalidN):
         adapt_to_interface(m, phi, 8, 16)
+
+
+def test_adapt_from_a_profile_refines_the_N_c_mesh_in_place():
+    m = build_uniform_mesh(0.5, 16, 2, "dirichlet")
+    out, phi = adapt_to_interface(m, circular_phase_at, 32, 16)
+    # the uniform N_f mesh has the same lattice coordinates, so its field
+    # is the source that gives the same mesh and phase
+    fine = build_uniform_mesh(0.5, 32, 2, "dirichlet")
+    src = circular_phase(fine)
+    ref, tmap = adapt_to_interface(fine, src, 32, 16)
+    assert out is m and out.n_elements == ref.n_elements > 2 * 16 * 16
+    assert np.array_equal(phi.values, transfer_field(src, tmap).values)
+    # a profile is read on the N_c mesh only
+    with pytest.raises(InvalidN):
+        adapt_to_interface(fine, circular_phase_at, 32, 16)
 
 
 def test_transfer_constant_and_linear_exact():

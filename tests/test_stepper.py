@@ -15,7 +15,12 @@ from anisopf.anisotropy import (
 from anisopf.assembly import assemble_step_system, lumped_mass
 from anisopf.config import RunConfig
 from anisopf.errors import InterfaceTooWide, MeshChanged, ValidationError
-from anisopf.mesh import NodalField, build_uniform_mesh
+from anisopf.mesh import (
+    NodalField,
+    adapt_to_interface,
+    build_uniform_mesh,
+    transfer_field,
+)
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.stepper import (
     PhysicalParams,
@@ -666,3 +671,61 @@ def test_run_adaptive_recomputes_energy_after_remesh(tmp_path, monkeypatch):
     assert len(calls) == 2 * 5
     assert all(calls[2 * k] is calls[2 * k + 1] for k in range(5))
     assert len({id(m) for m in calls}) == 5
+
+
+@pytest.mark.parametrize("initial", ["seed", "liquid"])
+@pytest.mark.parametrize("dim,N_f,N_c", [(2, 64, 8), (3, 16, 4)])
+@pytest.mark.parametrize("H", [2.0, 1.3])
+def test_first_adaptive_mesh_equals_the_uniform_source(tmp_path, H, dim, N_f,
+                                                       N_c, initial):
+    # the run adapts the N_c mesh to the profile read at the N_f lattice;
+    # that must give the bits of adapting to the profile on the uniform N_f
+    # mesh, also where H = 1.3 puts bisection midpoints a rounding off the
+    # lattice coordinates (one ulp can turn a phase of exactly +-1 into one
+    # inside the band)
+    R0, eps = 0.4 * H, (0.05 if dim == 2 else 0.08) * H
+    cfg = base_config(tmp_path, H=H, R0=R0, eps=eps, dim=dim, N_f=N_f,
+                      N_c=N_c, adaptive=True, initial=initial, T_end=1e-6)
+    state = run_simulation(cfg)
+    fine = build_uniform_mesh(H, N_f, dim, "dirichlet")
+    phi = (initial_phase(fine, R0, eps) if initial == "seed"
+           else NodalField(np.ones(fine.n_vertices), fine))
+    old, tmap = adapt_to_interface(fine, phi, N_f, N_c)
+    new = state.mesh
+    assert np.array_equal(new.vertices, old.vertices)
+    assert np.array_equal(new._verts, old._verts)
+    assert np.array_equal(new._parent, old._parent)
+    assert np.array_equal(state.phi.values, transfer_field(phi, tmap).values)
+    assert (new.n_vertices > (N_c + 1) ** dim) == (initial == "seed")
+
+
+def _recorded_uniform_builds(monkeypatch):
+    from anisopf import mesh as mesh_module
+    from anisopf import stepper
+
+    sizes = []
+    build = mesh_module.build_uniform_mesh
+
+    def recorded(H, N, *args, **kw):
+        sizes.append(N)
+        return build(H, N, *args, **kw)
+
+    monkeypatch.setattr(stepper, "build_uniform_mesh", recorded)
+    monkeypatch.setattr(mesh_module, "build_uniform_mesh", recorded)
+    return sizes
+
+
+def test_adaptive_run_builds_no_mesh_finer_than_N_c(tmp_path, monkeypatch):
+    sizes = _recorded_uniform_builds(monkeypatch)
+    cfg = base_config(tmp_path, N_f=64, N_c=8, adaptive=True, T_end=3e-5)
+    state = run_simulation(cfg)
+    assert len(state.ledger) == 3
+    # the first mesh and every remesh start from an N_c mesh
+    assert sizes and set(sizes) == {8}
+
+
+def test_fixed_mesh_run_builds_N_f_once(tmp_path, monkeypatch):
+    sizes = _recorded_uniform_builds(monkeypatch)
+    state = run_simulation(base_config(tmp_path, N_f=32, N_c=8, T_end=3e-5))
+    assert len(state.ledger) == 3
+    assert sizes == [32]
