@@ -265,9 +265,14 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
     if (heat is None or heat["key"][:2] != (params.theta, tau)
             or not np.array_equal(heat["key"][2], b_elem)):
         A_diff = stiffness(mesh, b_elem)
-        MW = (params.theta * sp.diags(M) + tau * A_diff).tocsr()
+        MW = tau * A_diff           # a copy, pattern included
+        diag = _csr_pattern(c)[3]
+        MW.data[diag] += params.theta * M
         MW.data[np.repeat(dirichlet, np.diff(MW.indptr))] = 0.0
-        MW = (MW + sp.diags(dirichlet.astype(float))).tocsc()
+        MW.data[diag[dirichlet]] = 1.0
+        # stored zeros would enter the LU's pattern and raise its fill
+        MW.eliminate_zeros()
+        MW = MW.tocsc()
         heat = c["heat_block"] = {"key": (params.theta, tau, b_elem),
                                   "A_diff": A_diff, "MW": MW}
 

@@ -129,7 +129,7 @@ def _default_setup(mesh, theta=0.0, rho=0.0, bc="dirichlet", u_D=-1.0,
                             R0=0.2, T_end=1e-3, tau=1e-3)
     pot = PotentialSpec("obstacle")
     sh = ShapeSpec(shape_kind, "for-negative-uD")
-    aniso = make_regularized_l1(0.3, 2)
+    aniso = make_regularized_l1(0.3, mesh.dim)
     mob = MobilitySpec("gamma")
     return params, pot, sh, aniso, mob
 
@@ -197,10 +197,20 @@ def _product_heat_block(sys):
     return (D_free @ MW + sp.diags(sys.dirichlet.astype(float))).tocsc()
 
 
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed"])
-@pytest.mark.parametrize("theta", [0.0, 1.5])
-def test_heat_blocks_match_product_expressions(bc, theta):
-    mesh = build_uniform_mesh(0.5, 8, 2, bc)
+# the uniform 2d cases are named by theta and bc alone
+@pytest.mark.parametrize("theta,bc,kind", [
+    pytest.param(theta, bc, kind, id="-".join(
+        [str(theta), bc] + [kind] * (kind != "uniform-2d")))
+    for theta in (0.0, 1.5) for bc in ("dirichlet", "neumann", "mixed")
+    for kind in ("uniform-2d", "refined-2d", "3d")])
+def test_heat_blocks_match_product_expressions(theta, bc, kind):
+    # a refined mesh has new Dirichlet rows and diagonal slots in the
+    # middle of the pattern; a 3d mesh has longer rows and faces as walls
+    mesh = build_uniform_mesh(0.5, 4 if kind == "3d" else 8,
+                              3 if kind == "3d" else 2, bc)
+    if kind == "refined-2d":
+        for _ in range(2):
+            mesh.refine(np.arange(0, len(mesh.elements), 5), 4)
     rng = np.random.default_rng(13)
     phi = rng.uniform(-1, 1, mesh.n_vertices)
     w = rng.normal(size=mesh.n_vertices)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from anisopf import solver
 from anisopf.anisotropy import (
@@ -95,12 +96,36 @@ def _newton_coupling(sys, rng):
 def _counted_factor(monkeypatch):
     calls = []
 
-    def counted(K):
+    def counted(K, dim):
         calls.append(K.shape[0])
-        return _factor(K)
+        return _factor(K, dim)
 
     monkeypatch.setattr(solver, "_factor", counted)
     return calls
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 6)])
+def test_factor_panels_follow_mesh_dimension(dim, n):
+    # 2d blocks are factored with one-column panels and no relaxed
+    # supernodes, which moves their solves by round-off only; 3d blocks
+    # keep SuperLU's default panels, bit for bit
+    sys, _, _ = small_setup(n=n, dim=dim, theta=1.0)
+    free = np.abs(sys.phi_prev) < 1.0
+    rng = np.random.default_rng(29)
+    for K in (sys.MW, sys.c_matrix()[free][:, free].tocsc()):
+        b = rng.standard_normal(K.shape[0])
+
+        def splu_solve(**panels):
+            return spla.splu(K, permc_spec="MMD_AT_PLUS_A",
+                             options=dict(SymmetricMode=True),
+                             **panels).solve(b)
+
+        x, want = _factor(K, dim).solve(b), splu_solve()
+        if dim == 3:
+            assert np.array_equal(x, want)
+            continue
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(x, splu_solve(relax=1, panel_size=1))
 
 
 @pytest.mark.parametrize("bc,theta", [("dirichlet", 0.0), ("mixed", 1.0),
@@ -683,7 +708,7 @@ def _bmat_newton(sys, cfg):
         J22.data[np.repeat(sys.dirichlet, np.diff(J22.indptr))] = 0.0
         J22 = J22 + sp.diags(sys.dirichlet.astype(float))
         K = sp.bmat([[J11, J12], [J21, J22]], format="csc")
-        delta = _factor(K).solve(-np.concatenate([r_phi, r_w]))
+        delta = _factor(K, sys.mesh.dim).solve(-np.concatenate([r_phi, r_w]))
         t = 1.0
         for _ls in range(20):
             U_t = U + t * delta[:n]
