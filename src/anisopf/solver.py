@@ -31,10 +31,9 @@ solve whose loose iterate already predicts other active sets stops there
 (the forcing-term idea of inexact semismooth Newton methods, Kanzow 2004);
 only a solve to ``_KRYLOV_RTOL`` can end the active-set iteration.
 
-The LUs of 2d blocks use SuperLU's one-column panels without relaxed
-supernodes (``_factor``): their elimination fronts are only O(sqrt(n))
-wide, and the defaults, which pay on the wide fronts of 3d blocks, cost
-them about a third more factor time at equal fill.
+Every LU uses SuperLU's one-column panels without relaxed supernodes
+(``_factor``), which factor the blocks of the benchmark workloads, 2d and
+3d, faster than its defaults at equal fill.
 
 All factorizations and Krylov iterations run in a fixed order, so
 identical inputs produce bit-identical outputs.
@@ -95,23 +94,23 @@ class StepReport:
     krylov_iterations: int = 0    # preconditioned CG/GMRES iterations
 
 
-def _factor(K, dim):
-    """Sparse LU of a heat or phase block of a ``dim``-dimensional mesh.
+def _factor(K):
+    """Sparse LU of a heat or phase block.
 
     The blocks have a symmetric sparsity pattern, so the columns are
     ordered by minimum degree on A^T + A and SuperLU prefers diagonal
     pivots; its threshold pivoting still guards a singular block.  The
-    panel width and supernode relaxation come from ``_SUPERLU_PANELS``:
-    a 2d P1 block has separators only O(sqrt(n)) wide, too narrow for
-    SuperLU's 10-column panels and relaxed supernodes to pay, so its
-    blocks are factored with one-column panels (about a quarter faster,
-    equal fill).  3d blocks keep the defaults: on the wider fronts of a 3d
-    heat block one-column panels lose, 1.4 times slower at n = 15,625.
+    columns are factored one at a time, without relaxed supernodes: at
+    equal fill this takes x0.49-0.79 of the time of SuperLU's 10-column
+    panels on 2d blocks up to n = 66,049 and x0.55-0.68 on 3d phase
+    blocks up to n = 2,846.  3d heat blocks gain at n = 729 and 4,913
+    (x0.83, x0.93) and lose at n = 15,625 (x1.40), a size that no
+    benchmark workload factors.
     """
     try:
         return spla.splu(K, permc_spec="MMD_AT_PLUS_A",
                          options=dict(SymmetricMode=True),
-                         **_SUPERLU_PANELS.get(dim, {}))
+                         relax=1, panel_size=1)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from None
 
@@ -127,9 +126,6 @@ _NEWTON_MAX_ITER = 30
 
 # relative residual of each Krylov solve, far below the step tolerances
 _KRYLOV_RTOL = 1e-12
-
-# SuperLU panel settings by mesh dimension (``_factor``); 3d keeps defaults
-_SUPERLU_PANELS = {2: dict(relax=1, panel_size=1)}
 
 # relative residual at which CG first asks whether its free set is wrong
 _ABANDON_RTOL = 1e-5
@@ -171,14 +167,13 @@ class _FrozenSolver:
     def __init__(self, sys, C, top, bottom, report, symmetric=True):
         self.C, self.top, self.bottom = C, top, bottom
         self.report, self.symmetric = report, symmetric
-        self.dim = sys.mesh.dim
         self.neumann = sys.theta == 0.0 and not sys.dirichlet.any()
         lu = sys.heat.get("lu")
         if lu is None:
             MW = sys.MW
             if self.neumann:
                 MW = MW + sp.csc_matrix(([MW[0, 0]], ([0], [0])), MW.shape)
-            lu = sys.heat["lu"] = _factor(MW, self.dim)
+            lu = sys.heat["lu"] = _factor(MW)
             report.factorizations += 1
         self.heat = lu.solve
         self.free = None
@@ -191,7 +186,7 @@ class _FrozenSolver:
         if not np.array_equal(free, self.free):
             self.free = free.copy()
             self.C_FF = self.C[free][:, free].tocsc()
-            self.pre = _factor(self.C_FF, self.dim) if F.size else None
+            self.pre = _factor(self.C_FF) if F.size else None
             self.report.factorizations += bool(F.size)
         top, bottom = self.top[F], self.bottom[F]
         v = np.zeros(free.size)

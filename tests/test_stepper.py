@@ -510,9 +510,9 @@ def _counted_heat_lus(monkeypatch):
     calls, systems = [], []
     factor, assemble = solver._factor, stepper.assemble_step_system
 
-    def counted(K, dim):
+    def counted(K):
         calls.append(any(K is sys.MW for sys in systems))
-        return factor(K, dim)
+        return factor(K)
 
     def recorded(*args):
         systems.append(assemble(*args))
