@@ -9,6 +9,8 @@ wants first the sharers that do not, so the mesh stays conforming; the tag
 bookkeeping follows the ordered-vertex bisection rule for Kuhn-type meshes
 (new vertex replaces slot ``tag``, the tag decreases cyclically).  Edge sets
 are tested by sorted search, as numpy's hashed set operations cost more here.
+A mesh keeps only its current elements: a pass deletes the rows it splits
+and appends their children after the remaining rows.
 
 The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
@@ -44,17 +46,15 @@ _BC_CASES = ("dirichlet", "neumann", "mixed")
 
 
 class SimplicialMesh:
-    """Simplicial mesh of (-H, H)^d with a Dirichlet mask and refinement forest.
+    """Simplicial mesh of (-H, H)^d with a Dirichlet mask and bisection data.
 
     Instances are created by :func:`build_uniform_mesh` and refined through
     :func:`adapt_to_interface`; once handed to the assembly they are
-    treated as immutable.  The forest is kept as arrays: ``_coords``
-    (nv, d) holds the vertex coordinates, and every element ever created,
-    active or not, has a row in ``_verts`` (n, d+1) and an entry in
-    ``_tag`` (bisection tag), ``_gen`` (generation) and ``_child`` (first
-    child, -1 for a leaf; the second child is the next id); the leaves are
-    the active elements.  ``_parent`` (nv, 2) holds the bisected edge's
-    ends per vertex, -1 for the vertices of the uniform mesh.
+    treated as immutable.  ``_coords`` (nv, d) holds the vertex
+    coordinates; every element has a row in ``_verts`` (ne, d+1), which
+    is ``elements``, and an entry in ``_tag`` (bisection tag) and ``_gen``
+    (generation).  ``_parent`` (nv, 2) holds the bisected edge's ends per
+    vertex, -1 for the vertices of the uniform mesh.
     """
 
     def __init__(self, H, N, dim, bc_case, coords, verts):
@@ -68,7 +68,6 @@ class SimplicialMesh:
         self._verts = np.asarray(verts, dtype=np.int64)
         self._tag = np.full(len(self._verts), self.dim, dtype=np.int64)
         self._gen = np.zeros(len(self._verts), dtype=np.int64)
-        self._child = np.full(len(self._verts), -1, dtype=np.int64)
         self._parent = np.full((len(self._coords), 2), -1, dtype=np.int64)
         self._cache = None
 
@@ -82,20 +81,23 @@ class SimplicialMesh:
         return np.minimum(a, b) * len(self._coords) + np.maximum(a, b)
 
     def refine(self, eids, gen_cap):
-        """Bisect the active elements ``eids`` and their conforming closure.
+        """Bisect the rows ``eids`` of ``elements`` and their conforming closure.
 
         Each pass takes the bisection edge of every wanted element and the
-        active elements sharing it.  Sharers that would bisect another edge
-        are wanted too, for a later pass; every edge whose sharers all
-        agree is bisected in this pass, at one new midpoint.  The closure
-        of a set of bisections is unique (Stevenson, Math. Comp. 2008), so
-        the mesh does not depend on the order of the passes.
+        elements sharing it.  Sharers that would bisect another edge are
+        wanted too, for a later pass; every edge whose sharers all agree is
+        bisected in this pass, at one new midpoint.  The pass deletes the
+        split rows and appends their two children, first then second, in
+        row order.  The closure of a set of bisections is unique
+        (Stevenson, Math. Comp. 2008), so the mesh does not depend on the
+        order of the passes.
         """
         d = self.dim
         pairs = np.array(list(itertools.combinations(range(d + 1), 2))).T
         cols = np.arange(d + 1)
         want = _sorted_unique(np.asarray(eids, dtype=np.int64))
-        want = want[self._child[want] < 0]
+        if want.size and (want[0] < 0 or want[-1] >= len(self._verts)):
+            raise IndexError(f"element ids must lie in [0, {len(self._verts)})")
         while want.size:
             if (self._gen[want] >= gen_cap).any():
                 raise RefinementDepthExceeded(
@@ -105,9 +107,8 @@ class SimplicialMesh:
             # every sharer of an edge holds its lower vertex
             low = np.zeros(nv, dtype=bool)
             low[keys // nv] = True
-            c = self._finalize(geometry=False)
-            near = _any_row(low[c["elements"]])
-            cand, v = c["active"][near], c["elements"][near]
+            cand = np.flatnonzero(_any_row(low[self._verts]))
+            v = self._verts[cand]
             a, b = v[:, pairs[0]], v[:, pairs[1]]
             edges = np.minimum(a, b) * nv + np.maximum(a, b)
             own = self._edge_keys(cand)
@@ -132,37 +133,26 @@ class SimplicialMesh:
             second = np.take_along_axis(
                 v, np.where(cols < t[:, None], cols + 1, cols), axis=1)
             second[rows, t] = z
-            n = len(self._verts)
-            self._child[split] = n + 2 * rows
+            keep = np.ones(len(self._verts), dtype=bool)
+            keep[split] = False
             self._verts = np.concatenate(
-                [self._verts, np.stack([first, second], axis=1).reshape(-1, d + 1)])
+                [self._verts[keep], np.stack([first, second], axis=1).reshape(-1, d + 1)])
             self._tag = np.concatenate(
-                [self._tag, np.repeat(np.where(t > 1, t - 1, d), 2)])
-            self._gen = np.concatenate([self._gen, np.repeat(self._gen[split] + 1, 2)])
-            self._child = np.concatenate([self._child, np.full(2 * len(split), -1)])
+                [self._tag[keep], np.repeat(np.where(t > 1, t - 1, d), 2)])
+            self._gen = np.concatenate(
+                [self._gen[keep], np.repeat(self._gen[split] + 1, 2)])
             self._cache = None
-            want = want[self._child[want] < 0]
+            want = (np.cumsum(keep) - 1)[want[keep[want]]]
 
     # -- finalized views -------------------------------------------------
 
-    def _finalize(self, geometry=True):
-        """Active elements; with ``geometry`` also volumes, P1 gradients
-        and the Dirichlet mask.  Dropped on refinement."""
-        c = self._cache
-        if c is None:
-            active = np.flatnonzero(self._child < 0)
-            c = self._cache = {
-                "active": active,
-                "elements": self._verts[active],
-                "vertices": self._coords,
-            }
-        if geometry and "volumes" not in c:
-            c.update(self._geometry(c["elements"]))
-        return c
-
-    def _geometry(self, elements):
-        """Volumes, P1 gradients (closed-form inverses) and Dirichlet mask."""
-        P = self._coords[elements]                   # (ne, d+1, d)
+    def _finalize(self):
+        """Cache of elements, vertices, volumes, P1 gradients (closed-form
+        inverses) and the Dirichlet mask, which the assembly extends;
+        dropped on refinement."""
+        if self._cache is not None:
+            return self._cache
+        P = self._coords[self._verts]                # (ne, d+1, d)
         E = P[:, 1:, :] - P[:, :1, :]                # row k: edge to vertex k+1
         # rows of adj / det are the rows of the inverse of [e_1 .. e_d]
         if self.dim == 2:
@@ -184,11 +174,14 @@ class SimplicialMesh:
             dirichlet = np.zeros_like(onb)
         else:
             dirichlet = np.abs(vertices[:, -1] - self.H) <= tol
-        return {
+        self._cache = {
+            "elements": self._verts,
+            "vertices": vertices,
             "volumes": np.abs(det) / math.factorial(self.dim),
             "grads": grads,
             "dirichlet_mask": dirichlet,
         }
+        return self._cache
 
     @property
     def vertices(self):
@@ -196,7 +189,7 @@ class SimplicialMesh:
 
     @property
     def elements(self):
-        return self._finalize(geometry=False)["elements"]
+        return self._verts
 
     @property
     def volumes(self):
@@ -216,7 +209,7 @@ class SimplicialMesh:
 
     @property
     def n_elements(self):
-        return len(self._finalize(geometry=False)["active"])
+        return len(self._verts)
 
     def field_gradients(self, values):
         """Per-element constant gradient of a nodal field, shape (ne, d)."""
@@ -320,14 +313,13 @@ def adapt_to_interface(mesh, phi, N_f, N_c):
             phi_at = _moved(phi.values, src, new._parent, phi_at)
         else:
             phi_at = np.concatenate([phi_at, phi(axis[_lattice(x, mesh.H, N_f)])])
-        cache = new._finalize(geometry=False)
-        elems = cache["elements"]
-        coarse = new._gen[cache["active"]] < d * levels
+        elems = new.elements
+        coarse = new._gen < d * levels
         hit = coarse & _any_row(np.abs(phi_at[elems]) < 1.0 - 1e-7)
         # one layer of vertex neighbours around the elements hit
         touched = np.zeros(new.n_vertices, dtype=bool)
         touched[elems[hit]] = True
-        marked = cache["active"][coarse & _any_row(touched[elems])]
+        marked = np.flatnonzero(coarse & _any_row(touched[elems]))
         if not marked.size:
             break
         new.refine(marked, gen_cap)

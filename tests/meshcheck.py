@@ -1,10 +1,10 @@
 """Mesh audits used only by the tests: face matching, element diameters,
 and a per-point reference for point location and the P1 interpolant.
 
-The reference walks the bisection forest one point at a time with one
-``np.linalg.solve`` per element visited, starting from the Kuhn simplex of
-the point's cell in the uniform mesh; at each split the child whose
-smallest barycentric coordinate is larger wins, ties going to the first.
+The reference locates a point in the element whose smallest barycentric
+coordinate, by ``np.linalg.solve``, is largest, ties going to the first
+row; it searches the elements of the point's cell of the uniform N0 mesh
+and of the neighbouring cells.
 """
 
 import itertools
@@ -35,44 +35,60 @@ def check_conforming(mesh):
 
 
 def diameters(mesh):
-    """Longest edge of every active element."""
+    """Longest edge of every element."""
     P = mesh.vertices[mesh.elements]
     i, j = np.triu_indices(mesh.dim + 1, 1)
     return np.linalg.norm(P[:, i] - P[:, j], axis=2).max(axis=1)
 
 
-def reference_barycentric(mesh, eid, x):
-    P = mesh._coords[mesh._verts[eid]]
-    A = np.vstack([np.ones(mesh.dim + 1), P.T])
-    return np.linalg.solve(A, np.concatenate([[1.0], x]))
-
-
 def reference_locate(mesh, points):
-    """Containing element (internal id) and barycentric weights per point."""
+    """Containing element (row of ``mesh.elements``) and barycentric
+    weights per point.
+
+    The candidates are the elements whose centroid lies in the point's
+    uniform-N0 cell or a neighbouring one and whose bounding box holds the
+    point; every element that contains it is one.  The candidate whose
+    smallest barycentric coordinate is largest wins, ties going to the
+    first row.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    h = 2.0 * mesh.H / mesh.N0
-    rel = (points + mesh.H) / h
-    cells = np.clip(np.floor(rel).astype(np.int64), 0, mesh.N0 - 1)
-    order = np.argsort(-(rel - cells), axis=1, kind="stable")
-    perms = list(itertools.permutations(range(mesh.dim)))
-    perm_index = {p: i for i, p in enumerate(perms)}
+    d = mesh.dim
+    P = mesh.vertices[mesh.elements]                  # (ne, d+1, d)
+    A = np.concatenate([np.ones((len(P), 1, d + 1)), np.swapaxes(P, 1, 2)],
+                       axis=1)
+    tol = 1e-9 * mesh.H
+    lo, hi = P.min(axis=1) - tol, P.max(axis=1) + tol
+
+    def cell(x):
+        rel = (x + mesh.H) * (mesh.N0 / (2.0 * mesh.H))
+        return np.clip(np.floor(rel).astype(np.int64), 0, mesh.N0 - 1)
+
+    stride = mesh.N0 ** np.arange(d)
+    home = cell(P.mean(axis=1)) @ stride
+    by_cell = np.argsort(home, kind="stable")
+    start = np.searchsorted(home[by_cell], np.arange(mesh.N0 ** d + 1))
+    around = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+    at = cell(points)
+    key = at @ stride
     eids = np.empty(len(points), dtype=np.int64)
-    bary = np.empty((len(points), mesh.dim + 1))
-    for i, x in enumerate(points):
-        lin = 0
-        for k in range(mesh.dim):
-            lin = lin * mesh.N0 + int(cells[i, k])
-        eid = lin * len(perms) + perm_index[tuple(order[i])]
-        lam = reference_barycentric(mesh, eid, x)
-        while mesh._child[eid] >= 0:
-            best, best_lam, best_min = None, None, -np.inf
-            for ch in (mesh._child[eid], mesh._child[eid] + 1):
-                lam_c = reference_barycentric(mesh, ch, x)
-                if lam_c.min() > best_min:
-                    best, best_lam, best_min = ch, lam_c, lam_c.min()
-            eid, lam = best, best_lam
-        eids[i] = eid
-        bary[i] = lam
+    bary = np.empty((len(points), d + 1))
+    for c in np.unique(key):
+        idx = np.flatnonzero(key == c)
+        nb = at[idx[0]] + around
+        nb = nb[((nb >= 0) & (nb < mesh.N0)).all(axis=1)] @ stride
+        cand = np.sort(np.concatenate([by_cell[start[k]:start[k + 1]] for k in nb]))
+        x = points[idx]
+        inside = ((lo[cand] <= x[:, None]) & (x[:, None] <= hi[cand])).all(axis=2)
+        pt, k = np.nonzero(inside)
+        if not np.array_equal(np.unique(pt), np.arange(len(idx))):
+            raise AssertionError("a point lies outside the mesh")
+        rhs = np.concatenate([np.ones((len(pt), 1)), x[pt]], axis=1)
+        lam = np.linalg.solve(A[cand[k]], rhs[:, :, None])[:, :, 0]
+        # per point the largest smallest coordinate, then the first row
+        order = np.lexsort((k, -lam.min(axis=1), pt))
+        first = order[np.searchsorted(pt[order], np.arange(len(idx)))]
+        eids[idx] = cand[k[first]]
+        bary[idx] = lam[first]
     return eids, bary
 
 
@@ -84,5 +100,5 @@ def reference_interpolate(mesh, values, points):
     for i, (eid, lam) in enumerate(zip(eids, bary)):
         lam = np.clip(lam, 0.0, None)
         lam = lam / lam.sum()
-        out[i] = lam @ values[mesh._verts[eid]]
+        out[i] = lam @ values[mesh.elements[eid]]
     return out

@@ -5,9 +5,9 @@ bisect an element it first bisects, recursively, every active sharer of
 its bisection edge that would bisect another edge, then splits the whole
 edge patch at one midpoint.  The batched ``SimplicialMesh.refine`` numbers
 vertices and elements in another order, so the meshes are compared as sets:
-every active element by its vertex coordinates in slot order, its tag and
-its generation, and every vertex by its coordinates and the coordinates
-of its two bisection parents, all bitwise.
+every element by its vertex coordinates in slot order, its tag and its
+generation, and every vertex by its coordinates and the coordinates of its
+two bisection parents, all bitwise.
 """
 
 from collections import defaultdict
@@ -32,7 +32,8 @@ from meshcheck import check_conforming, diameters, reference_locate
 
 
 class RecursiveForest:
-    """The forest of a mesh as plain lists, refined by the recursive closure."""
+    """A bisection forest on plain lists, rooted at the elements of a mesh
+    and refined by the recursive closure; its leaves are the new elements."""
 
     def __init__(self, mesh):
         self.dim = mesh.dim
@@ -40,14 +41,13 @@ class RecursiveForest:
         self.verts = [tuple(v) for v in mesh._verts.tolist()]
         self.tag = mesh._tag.tolist()
         self.gen = mesh._gen.tolist()
-        self.child = mesh._child.tolist()
+        self.child = [-1] * len(self.verts)
         self.parent = [tuple(p) for p in mesh._parent.tolist()]
         self.edge_mid = {}
         self.vert_elems = defaultdict(set)
         for eid, verts in enumerate(self.verts):
-            if self.child[eid] < 0:
-                for v in verts:
-                    self.vert_elems[v].add(eid)
+            for v in verts:
+                self.vert_elems[v].add(eid)
 
     def bisection_edge(self, eid):
         v = self.verts[eid]
@@ -101,30 +101,29 @@ class RecursiveForest:
             self.split(e, z)
 
     def store(self, mesh):
+        leaves = np.flatnonzero(np.array(self.child) < 0)
         mesh._coords = np.array(self.coords)
-        mesh._verts = np.array(self.verts, dtype=np.int64)
-        mesh._tag = np.array(self.tag, dtype=np.int64)
-        mesh._gen = np.array(self.gen, dtype=np.int64)
-        mesh._child = np.array(self.child, dtype=np.int64)
+        mesh._verts = np.array(self.verts, dtype=np.int64)[leaves]
+        mesh._tag = np.array(self.tag, dtype=np.int64)[leaves]
+        mesh._gen = np.array(self.gen, dtype=np.int64)[leaves]
         mesh._parent = np.array(self.parent, dtype=np.int64)
         mesh._cache = None
 
 
 def recursive_refine(mesh, eids, gen_cap):
     """Drop-in for ``SimplicialMesh.refine``: one closure per element, in
-    ascending id order."""
+    ascending row order."""
     forest = RecursiveForest(mesh)
     for eid in sorted(set(np.asarray(eids).tolist())):
         forest.refine(eid, gen_cap)
     forest.store(mesh)
 
 
-def active_set(mesh):
-    """Active elements as (vertex coordinates in slot order, tag, generation)."""
-    active = np.flatnonzero(mesh._child < 0)
-    P = mesh._coords[mesh._verts[active]]
-    return {(P[k].tobytes(), int(mesh._tag[e]), int(mesh._gen[e]))
-            for k, e in enumerate(active)}
+def element_set(mesh):
+    """Elements as (vertex coordinates in slot order, tag, generation)."""
+    P = mesh._coords[mesh._verts]
+    return {(p.tobytes(), int(t), int(g))
+            for p, t, g in zip(P, mesh._tag, mesh._gen)}
 
 
 def parent_table(mesh):
@@ -139,7 +138,7 @@ def parent_table(mesh):
 
 
 def assert_same_forest(mesh, ref):
-    assert active_set(mesh) == active_set(ref)
+    assert element_set(mesh) == element_set(ref)
     coords = {x.tobytes() for x in mesh._coords}
     assert len(coords) == mesh.n_vertices == ref.n_vertices
     assert coords == {x.tobytes() for x in ref._coords}
@@ -162,22 +161,49 @@ def test_random_marking_matches_recursive_closure(dim, N, rounds, per_round):
     ref = build_uniform_mesh(0.5, N, dim, "dirichlet")
     for _ in range(rounds):
         # the same simplices in both meshes: located from the same points,
-        # half of them in a small box so that the forest grows deep there
+        # half of them in a small box so that generations grow deep there
         pts = rng.uniform(-0.5, 0.5, (per_round, dim))
         pts[::2] = 0.1 + 0.15 * pts[::2]
         mesh.refine(reference_locate(mesh, pts)[0], gen_cap=40)
         recursive_refine(ref, reference_locate(ref, pts)[0], gen_cap=40)
         assert_same_forest(mesh, ref)
-    assert mesh._gen[mesh._child < 0].max() >= 2 * dim
+    assert mesh._gen.max() >= 2 * dim
 
 
-def test_refine_skips_inactive_and_repeated_ids():
+def test_refine_skips_repeated_ids():
     mesh = build_uniform_mesh(0.5, 4, 2, "dirichlet")
     ref = build_uniform_mesh(0.5, 4, 2, "dirichlet")
     mesh.refine([5, 5, 9], gen_cap=8)
-    mesh.refine([5, 9], gen_cap=8)          # both are parents now
     recursive_refine(ref, [5, 9], gen_cap=8)
     assert_same_forest(mesh, ref)
+
+
+@pytest.mark.parametrize("eid", [-1, 32])
+def test_refine_rejects_rows_outside_the_mesh(eid):
+    mesh = build_uniform_mesh(0.5, 4, 2, "dirichlet")
+    assert mesh.n_elements == 32
+    coords, verts = mesh._coords, mesh._verts
+    with pytest.raises(IndexError):
+        mesh.refine([3, eid], gen_cap=8)
+    assert mesh._coords is coords and mesh._verts is verts
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refine_bisects_the_row_it_is_given(dim):
+    # rows differ from creation order once a mesh is refined
+    mesh = build_uniform_mesh(0.5, 4, dim, "dirichlet")
+    mesh.refine([0, 7], gen_cap=8)
+    k = mesh.n_elements - 3
+    before = mesh.elements.copy()
+    mid = 0.5 * mesh.vertices[before[k, [0, mesh._tag[k]]]].sum(axis=0)
+    assert not (mesh.vertices == mid).all(axis=1).any()
+    mesh.refine([k], gen_cap=8)
+    assert (mesh.vertices == mid).all(axis=1).any()
+    # the rows not split keep their order, ahead of the new children
+    kept = (before[:, None] == mesh.elements[None]).all(axis=2).any(axis=1)
+    assert not kept[k]
+    n = kept.sum()
+    assert np.array_equal(mesh.elements[:n], before[kept])
 
 
 def adapt_twice(dim, N_f, N_c):
@@ -212,12 +238,11 @@ def test_coarse_generation_is_coarse_diameter(dim, H):
         mesh = build_uniform_mesh(H, N_c, dim, "dirichlet")
         for _ in range(4 * dim):
             # random elements, and as many of the deepest, so that the
-            # forest grows past the finest level tested
-            active = np.flatnonzero(mesh._child < 0)
-            deep = active[np.argsort(-mesh._gen[active], kind="stable")[:4]]
-            mesh.refine(np.concatenate([rng.choice(active, 4), deep]),
+            # generations grow past the finest level tested
+            deep = np.argsort(-mesh._gen, kind="stable")[:4]
+            mesh.refine(np.concatenate([rng.choice(mesh.n_elements, 4), deep]),
                         gen_cap=40)
-            gen = mesh._gen[mesh._child < 0]
+            gen = mesh._gen
             for levels in (1, 2, 3):
                 fine = np.sqrt(dim) * (2.0 * H / (N_c * 2 ** levels))
                 assert np.array_equal(gen < dim * levels,
@@ -251,7 +276,7 @@ def test_adapt_makes_no_hashed_set_operation(monkeypatch, dim, N_f, N_c):
             mp.setattr(np, name, refuse)
         got = adapt_twice(dim, N_f, N_c)
     for mesh, ref in zip(got[:2], expect[:2]):
-        for name in ("_coords", "_verts", "_parent", "_tag", "_gen", "_child"):
+        for name in ("_coords", "_verts", "_parent", "_tag", "_gen"):
             assert np.array_equal(getattr(mesh, name), getattr(ref, name))
     assert np.array_equal(got[2].values, expect[2].values)
 

@@ -3,9 +3,9 @@
 A transfer map locates nothing: a new vertex that coincides with a source
 vertex reads its value, any other takes the mean of its bisection parents'
 values, and the transferred fields must equal the reference interpolant
-(``meshcheck.reference_interpolate``, which walks the bisection forest one
-point at a time) to rounding.  Sources outside the bisection hierarchy of
-the N_c mesh are rejected.
+(``meshcheck.reference_interpolate``, which solves for the barycentric
+coordinates of each point in the elements near it) to rounding.  Sources
+outside the bisection hierarchy of the N_c mesh are rejected.
 """
 
 import itertools
@@ -65,7 +65,7 @@ def assert_transfer_matches_reference(source, tmap, rng, tol=2.3e-16):
 
 @pytest.fixture(scope="module")
 def adapted_2d():
-    """Twice-adapted 2d mesh, N_c = 8 to N_f = 64 (forest 6 levels deep)."""
+    """Twice-adapted 2d mesh, N_c = 8 to N_f = 64 (generations up to 6)."""
     eps = 1.0 / (16 * np.pi)
     m = build_uniform_mesh(0.5, 64, 2, "dirichlet")
     m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 64, 8)
@@ -76,7 +76,7 @@ def adapted_2d():
 def test_forest_is_several_levels_deep(adapted_2d):
     m1, m2 = adapted_2d
     for m in (m1, m2):
-        assert m._gen[m._child < 0].max() >= 4
+        assert m._gen.max() >= 4
 
 
 def test_transfer_map_matches_reference_2d(adapted_2d):
@@ -92,7 +92,7 @@ def test_locate_and_transfer_match_reference_3d():
     eps = 1.0 / (8 * np.pi)
     m = build_uniform_mesh(0.5, 8, 3, "neumann")
     m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 8, 4)
-    gens = m1._gen[m1._child < 0]
+    gens = m1._gen
     assert gens.min() < gens.max() == 3
     _, tmap = adapt_to_interface(m1, circular_phase(m1, 0.3, eps), 8, 4)
     miss = assert_transfer_matches_reference(m1, tmap, rng)
@@ -104,7 +104,7 @@ def readapted_3d():
     eps = 1.0 / (8 * np.pi)
     m = build_uniform_mesh(0.5, 16, 3, "neumann")
     m1, _ = adapt_to_interface(m, circular_phase(m, 0.2, eps), 16, 4)
-    assert m1._gen[m1._child < 0].max() == 6
+    assert m1._gen.max() == 6
     return m1, circular_phase(m1, 0.32, eps), 16, 4
 
 
@@ -161,7 +161,7 @@ def refined_past_fine():
     """Uniform N_c = 8 mesh bisected everywhere down to spacing 2H/32."""
     m = build_uniform_mesh(0.5, 8, 2, "dirichlet")
     for _ in range(4):
-        m.refine(np.flatnonzero(m._child < 0), gen_cap=8)
+        m.refine(np.arange(m.n_elements), gen_cap=8)
     return m
 
 
