@@ -9,8 +9,9 @@ wants first the sharers that do not, so the mesh stays conforming; the tag
 bookkeeping follows the ordered-vertex bisection rule for Kuhn-type meshes
 (new vertex replaces slot ``tag``, the tag decreases cyclically).  Edge sets
 are tested by sorted search, as numpy's hashed set operations cost more here.
-A mesh keeps only its current elements: a pass deletes the rows it splits
-and appends their children after the remaining rows.
+A mesh keeps only its current elements: a pass writes each first child
+over its parent's row and appends the second children in split order, so
+the rows it does not split keep their index.
 
 The two-level strategy used by the simulator rebuilds, every time step, a
 mesh that is uniformly fine (spacing 2H/N_f) inside the diffuse interface
@@ -73,24 +74,18 @@ class SimplicialMesh:
 
     # -- refinement -----------------------------------------------------
 
-    def _edge_keys(self, eids):
-        """Bisection edge ``(v0, v_tag)`` of each element as ``min*nv + max``."""
-        v = self._verts[eids]
-        a = v[:, 0]
-        b = v[np.arange(len(eids)), self._tag[eids]]
-        return np.minimum(a, b) * len(self._coords) + np.maximum(a, b)
-
     def refine(self, eids, gen_cap):
         """Bisect the rows ``eids`` of ``elements`` and their conforming closure.
 
         Each pass takes the bisection edge of every wanted element and the
         elements sharing it.  Sharers that would bisect another edge are
         wanted too, for a later pass; every edge whose sharers all agree is
-        bisected in this pass, at one new midpoint.  The pass deletes the
-        split rows and appends their two children, first then second, in
-        row order.  The closure of a set of bisections is unique
+        bisected in this pass, at one new midpoint.  The pass writes each
+        first child over its parent's row of new arrays and appends the
+        second children in row order, so arrays taken from the mesh before
+        are not written.  The closure of a set of bisections is unique
         (Stevenson, Math. Comp. 2008), so the mesh does not depend on the
-        order of the passes.
+        order of the passes or of the rows.
         """
         d = self.dim
         pairs = np.array(list(itertools.combinations(range(d + 1), 2))).T
@@ -103,46 +98,49 @@ class SimplicialMesh:
                 raise RefinementDepthExceeded(
                     f"element generation would exceed cap {gen_cap}")
             nv = len(self._coords)
-            keys = _sorted_unique(self._edge_keys(want))
+            # edges as min * nv + max; an element bisects (v0, v_tag)
+            a, b = self._verts[want, 0], self._verts[want, self._tag[want]]
+            keys = _sorted_unique(np.minimum(a, b) * nv + np.maximum(a, b))
             # every sharer of an edge holds its lower vertex
             low = np.zeros(nv, dtype=bool)
             low[keys // nv] = True
             cand = np.flatnonzero(_any_row(low[self._verts]))
-            v = self._verts[cand]
+            v, t = self._verts[cand], self._tag[cand]
             a, b = v[:, pairs[0]], v[:, pairs[1]]
             edges = np.minimum(a, b) * nv + np.maximum(a, b)
-            own = self._edge_keys(cand)
-            other = _member(edges, keys) & (edges != own[:, None])
-            agree = _member(own, keys) & ~_member(own, _sorted_unique(edges[other]))
+            # pair tag - 1 is (0, tag), the element's own bisection edge
+            rows = np.arange(len(cand))
+            shared = _member(edges, keys)
+            own = edges[rows, t - 1]
+            other = shared & (edges != own[:, None])
+            agree = shared[rows, t - 1] & ~_member(own, _sorted_unique(edges[other]))
             blocking = cand[_any_row(other)]
+            # free the pair arrays before the element arrays grow: peak memory
+            del a, b, edges, shared, other
             if not agree.any() and _member(blocking, want).all():
                 raise RefinementDepthExceeded("edge closure did not stabilize")
             want = _sorted_unique(np.concatenate([want, blocking]))
             mids = _sorted_unique(own[agree])
-            z = np.searchsorted(mids, own[agree])
+            z = nv + np.searchsorted(mids, own[agree])
             parent = np.stack([mids // nv, mids % nv], axis=1)
             x = self._coords[parent]
             self._coords = np.vstack([self._coords, 0.5 * (x[:, 0] + x[:, 1])])
             self._parent = np.concatenate([self._parent, parent])
-            # the midpoint replaces slot tag; the second child drops v0
-            split, v, z = cand[agree], v[agree], nv + z
-            t = self._tag[split]
+            # both children take the midpoint at slot tag; the second drops v0
+            split, v, t = cand[agree], v[agree], t[agree]
             rows = np.arange(len(split))
-            first = v.copy()
-            first[rows, t] = z
             second = np.take_along_axis(
                 v, np.where(cols < t[:, None], cols + 1, cols), axis=1)
             second[rows, t] = z
-            keep = np.ones(len(self._verts), dtype=bool)
-            keep[split] = False
-            self._verts = np.concatenate(
-                [self._verts[keep], np.stack([first, second], axis=1).reshape(-1, d + 1)])
-            self._tag = np.concatenate(
-                [self._tag[keep], np.repeat(np.where(t > 1, t - 1, d), 2)])
-            self._gen = np.concatenate(
-                [self._gen[keep], np.repeat(self._gen[split] + 1, 2)])
+            v[rows, t] = z
+            tag = np.where(t > 1, t - 1, d)
+            gen = self._gen[split] + 1
+            self._verts = np.concatenate([self._verts, second])
+            self._tag = np.concatenate([self._tag, tag])
+            self._gen = np.concatenate([self._gen, gen])
+            self._verts[split], self._tag[split], self._gen[split] = v, tag, gen
             self._cache = None
-            want = (np.cumsum(keep) - 1)[want[keep[want]]]
+            want = want[~_member(want, split)]
 
     # -- finalized views -------------------------------------------------
 

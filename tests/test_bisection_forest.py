@@ -190,20 +190,38 @@ def test_refine_rejects_rows_outside_the_mesh(eid):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_refine_bisects_the_row_it_is_given(dim):
-    # rows differ from creation order once a mesh is refined
     mesh = build_uniform_mesh(0.5, 4, dim, "dirichlet")
+    # one pass, as every uniform element agrees with the sharers of its
+    # bisection edge (the cell diagonal): a split row takes its first
+    # child, the second children follow the old rows in split order, and
+    # no array a caller holds is written
+    held, tag, gen = mesh.elements, mesh._tag.copy(), mesh._gen.copy()
+    before = held.copy()
+    n = len(before)
     mesh.refine([0, 7], gen_cap=8)
+    assert np.array_equal(held, before)
+    after, x = mesh.elements, mesh.vertices
+    split = np.flatnonzero((after[:n] != before).any(axis=1))
+    assert {0, 7} <= set(split) and len(after) == n + len(split)
+    for j, s in enumerate(split):
+        v, t = before[s], tag[s]
+        z = after[s, t]
+        assert np.array_equal(x[z], 0.5 * (x[v[0]] + x[v[t]]))
+        assert np.array_equal(np.delete(after[s], t), np.delete(v, t))
+        assert np.array_equal(after[n + j], np.r_[v[1:t + 1], z, v[t + 1:]])
+        assert mesh._gen[s] == mesh._gen[n + j] == gen[s] + 1
+    # rows differ from creation order now, and the closure of row k takes
+    # several passes
     k = mesh.n_elements - 3
     before = mesh.elements.copy()
     mid = 0.5 * mesh.vertices[before[k, [0, mesh._tag[k]]]].sum(axis=0)
     assert not (mesh.vertices == mid).all(axis=1).any()
     mesh.refine([k], gen_cap=8)
     assert (mesh.vertices == mid).all(axis=1).any()
-    # the rows not split keep their order, ahead of the new children
+    # the rows not split keep their index
     kept = (before[:, None] == mesh.elements[None]).all(axis=2).any(axis=1)
     assert not kept[k]
-    n = kept.sum()
-    assert np.array_equal(mesh.elements[:n], before[kept])
+    assert np.array_equal(mesh.elements[:len(before)][kept], before[kept])
 
 
 def adapt_twice(dim, N_f, N_c):
