@@ -36,7 +36,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InconsistentDimensions
-from .mesh import _any_row
 from .potentials import diffusivity_b
 
 __all__ = [
@@ -78,23 +77,48 @@ def stiffness(mesh, coeff=None):
     Entry (i, j) = sum_sigma vol * (C_sigma grad chi_j) . grad chi_i.
     """
     c = mesh._finalize()
-    volumes, grads = c["volumes"], c["grads"]
-    ne, _, d = grads.shape
+    volumes, gradsT = c["volumes"], c["gradsT"]
+    d, _, ne = gradsT.shape
     coeff = 1.0 if coeff is None else np.asarray(coeff, dtype=float)
     if np.ndim(coeff) <= 1:
         if np.ndim(coeff) == 1 and coeff.shape[0] != ne:
             raise InconsistentDimensions("element coefficient length mismatch")
-        local = (volumes * coeff)[:, None, None] * (grads @ np.swapaxes(grads, 1, 2))
+        local = _local_matrices(volumes * coeff, gradsT)
     else:
         if coeff.shape != (ne, d, d):
             raise InconsistentDimensions("matrix coefficient shape mismatch")
-        local = _local_matrices(volumes, grads, coeff)
+        local = _local_matrices(volumes, gradsT, coeff)
     return _assemble(c, local)
 
 
-def _local_matrices(volumes, grads, coeff):
-    """Element matrices vol * grads @ coeff @ grads^T."""
-    return volumes[:, None, None] * (grads @ coeff @ np.swapaxes(grads, 1, 2))
+def _local_matrices(volumes, gradsT, coeff=None):
+    """Element matrices vol * G C G^T (ne, d+1, d+1), row k of G grad
+    lambda_k, for C = I, one (d, d) matrix or one per element (ne, d, d).
+
+    Each entry is one sum over contiguous length-ne rows of ``gradsT``, in
+    the order of the stacked ``grads @ C @ grads^T``; where the products
+    are exact (power-of-two gradients: Kuhn meshes of a dyadic box) it is
+    bitwise that product, which BLAS forms with fused multiply-adds.
+    """
+    d = gradsT.shape[0]
+    GC = gradsT
+    if coeff is not None:
+        C = np.moveaxis(coeff.reshape(-1, d, d), 0, -1).copy()   # rows C[i, j]
+        GC = _dot(gradsT, C[:, :, None])                 # (d, d+1, ne)
+    # entry by entry: (d+1, d+1, ne) temporaries page-fault and raise peak RSS
+    local = np.empty((d + 1, d + 1, len(volumes)))
+    for k, m in np.ndindex(d + 1, d + 1):
+        _dot(GC[:, k], gradsT[:, m], out=local[k, m])
+    local *= volumes
+    return local.transpose(2, 0, 1).copy()     # one copy, not strided writes
+
+
+def _dot(a, b, out=None):
+    """sum_i a[i] * b[i] over the first axis, in the order i = 0, 1, .."""
+    out = np.multiply(a[0], b[0], out=out)
+    for x, y in zip(a[1:], b[1:]):
+        out += x * y
+    return out
 
 
 def _assemble(c, local):
@@ -123,14 +147,14 @@ def _csr_pattern(c):
 
 
 def _on_band(grads):
-    """Elements with a nonzero gradient, ``grads.any(axis=1)``."""
-    return _any_row(grads != 0)
+    """Elements with a nonzero gradient, ``grads.any(axis=1)``, by columns."""
+    return np.logical_or.reduce([g != 0 for g in grads.T])
 
 
 def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
     """Stiffness with coefficients B_r(q, grad Phi_cur), q = grad Phi_old."""
     c = mesh._finalize()
-    volumes, grads = c["volumes"], c["grads"]
+    volumes, gradsT = c["volumes"], c["gradsT"]
     q = mesh.field_gradients(phi_prev) if q is None else q
     p, band = q, _on_band(q)
     if aniso.exponent != 1.0 and phi_cur is not phi_prev:
@@ -149,12 +173,12 @@ def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
     fill = np.flatnonzero(~(band | known))
     if fill.size:
         local[fill] = _local_matrices(volumes.take(fill),
-                                      grads.take(fill, axis=0), B0)
+                                      gradsT.take(fill, axis=2), B0)
         known[fill] = True
     local = local.copy()
     band = np.flatnonzero(band)
     B = aniso.b_matrix(q.take(band, axis=0), p.take(band, axis=0))
-    local[band] = _local_matrices(volumes.take(band), grads.take(band, axis=0), B)
+    local[band] = _local_matrices(volumes.take(band), gradsT.take(band, axis=2), B)
     return _assemble(c, local)
 
 
@@ -255,7 +279,7 @@ def assemble_step_system(mesh, params, pot, shape, aniso, mobility,
     M_mu = lumped_mass(mesh, mu_elem)
 
     b_vertex = diffusivity_b(phi_prev, params.Kplus, params.Kminus)
-    b_elem = b_vertex[mesh.elements].mean(axis=1)
+    b_elem = b_vertex.take(mesh.elements.T).mean(axis=0)
     dirichlet = mesh.dirichlet_mask.copy()
     # the heat block sees the phase only through b_elem, which is constant
     # when K+ = K-: the last one stays in the mesh cache (which a refinement

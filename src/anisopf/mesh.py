@@ -55,7 +55,10 @@ class SimplicialMesh:
     coordinates; every element has a row in ``_verts`` (ne, d+1), which
     is ``elements``, and an entry in ``_tag`` (bisection tag) and ``_gen``
     (generation).  ``_parent`` (nv, 2) holds the bisected edge's ends per
-    vertex, -1 for the vertices of the uniform mesh.
+    vertex, -1 for the vertices of the uniform mesh.  Element data keeps
+    the element axis last, so that the element kernels are sums of
+    contiguous length-ne rows: numpy's stacked matmul on (ne, 3, 2) blocks
+    costs 0.1-0.3 us per element in its per-matrix loop, such sums 0.02 us.
     """
 
     def __init__(self, H, N, dim, bc_case, coords, verts):
@@ -146,20 +149,23 @@ class SimplicialMesh:
 
     def _finalize(self):
         """Cache of elements, vertices, volumes, P1 gradients (closed-form
-        inverses) and the Dirichlet mask, which the assembly extends;
+        inverses; ``gradsT`` (d, d+1, ne) holds component c of grad lambda_k
+        in row (c, k)) and the Dirichlet mask, which the assembly extends;
         dropped on refinement."""
         if self._cache is not None:
             return self._cache
-        P = self._coords[self._verts]                # (ne, d+1, d)
-        E = P[:, 1:, :] - P[:, :1, :]                # row k: edge to vertex k+1
-        # rows of adj / det are the rows of the inverse of [e_1 .. e_d]
+        P = self._coords.T.take(self._verts.T, axis=1)   # (d, d+1, ne)
+        E = P[:, 1:] - P[:, :1]                  # column k: edge to vertex k+1
+        # column k of adj / det is row k of the inverse of [e_1 .. e_d]
         if self.dim == 2:
-            adj = np.stack([E[:, 1, ::-1], E[:, 0, ::-1]], axis=1) * [[1, -1], [-1, 1]]
+            adj = E[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
         else:
-            adj = np.cross(E[:, [1, 2, 0]], E[:, [2, 0, 1]])
-        det = (E[:, 0] * adj[:, 0]).sum(axis=1)
-        Tinv = adj / det[:, None, None]              # rows = grad lambda_k
-        grads = np.concatenate([-Tinv.sum(axis=1, keepdims=True), Tinv], axis=1)
+            i, j = [1, 2, 0], [2, 0, 1]                  # c + 1, c + 2 mod 3
+            adj = E[i][:, i] * E[j][:, j] - E[j][:, i] * E[i][:, j]
+        det = (E[:, 0] * adj[:, 0]).sum(axis=0)
+        gradsT = np.empty((self.dim, self.dim + 1, len(det)))
+        np.divide(adj, det, out=gradsT[:, 1:])   # column k: grad lambda_k+1
+        np.negative(gradsT[:, 1:].sum(axis=1), out=gradsT[:, 0])
         vertices = self._coords
         onb = np.zeros(len(vertices), dtype=bool)
         tol = 1e-12 * max(1.0, self.H)
@@ -176,7 +182,7 @@ class SimplicialMesh:
             "elements": self._verts,
             "vertices": vertices,
             "volumes": np.abs(det) / math.factorial(self.dim),
-            "grads": grads,
+            "gradsT": gradsT,
             "dirichlet_mask": dirichlet,
         }
         return self._cache
@@ -195,7 +201,7 @@ class SimplicialMesh:
 
     @property
     def grads(self):
-        return self._finalize()["grads"]
+        return self._finalize()["gradsT"].transpose(2, 1, 0)
 
     @property
     def dirichlet_mask(self):
@@ -215,7 +221,7 @@ class SimplicialMesh:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != len(c["vertices"]):
             raise MeshMismatch("field length does not match vertex count")
-        return np.einsum("ekd,ek->ed", c["grads"], values[c["elements"]])
+        return np.einsum("dke,ke->de", c["gradsT"], values.take(c["elements"].T)).T
 
 
 @dataclass
