@@ -117,12 +117,18 @@ class AnisotropyDensity:
         p = np.asarray(p, dtype=float)
         return (self.b_matrix(p, p) @ p[..., None])[..., 0]
 
-    def b_matrix(self, q, p):
+    def b_matrix(self, q, p, derivative=False):
         """Linearization B_r(q, p), shape (..., d, d); SPD for every pair.
 
         For q != 0 this is gamma(q) sum_l w_l(p) G_l / gamma_l(q) with the
         weights w_l(p) = (gamma_l(p) / gamma(p))^(r-1), all one when r = 1
-        or p = 0; at q = 0 the prefactor degenerates to L^(1/r).
+        or p = 0; at q = 0 the prefactor degenerates to L^(1/r).  With
+        ``derivative``, the derivative of B_r(q, p) p in p: B_r(q, p) plus,
+        for r > 1, sum_l c_l (G_l p) (x) grad w_l, with c_l w_l the
+        coefficient of G_l, grad w_l = (r-1) w_l (G_l p / gamma_l^2 -
+        gamma'(p) / gamma) and gamma'(p) = sum_m w_m G_m p / gamma_m.  The
+        sum vanishes at p = 0 and on p itself (w_l is 0-homogeneous), so the
+        derivative applied to p is B_r(q, p) p.
         """
         # the prefactor is 0-homogeneous in q: scaling each row by a power
         # of two (exact) keeps gamma_l(q)^r from underflowing
@@ -141,7 +147,18 @@ class AnisotropyDensity:
                                    1.0) ** (r - 1.0)
         L, d = self.nmat, self.dim
         B = coef @ self.matrices.reshape(L, d * d)
-        return B.reshape(B.shape[:-1] + (d, d))
+        B = B.reshape(B.shape[:-1] + (d, d))
+        if not derivative or r == 1.0:
+            return B
+        # the sum is 0-homogeneous in p too, so p is scaled the same way
+        p = np.asarray(p, dtype=float)
+        p = np.ldexp(p, -np.frexp(np.abs(p).max(axis=-1))[1][..., None])
+        gl, g = (np.where(x > 0.0, x, 1.0) for x in self._components(p))
+        Gp = np.einsum("lij,...j->...li", self.matrices, p)
+        w = (gl / g[..., None]) ** (r - 1.0)
+        dg = np.einsum("...l,...li->...i", w / gl, Gp) / g[..., None]
+        dw = (r - 1.0) * (Gp / (gl**2)[..., None] - dg[..., None, :])
+        return B + np.einsum("...l,...li,...lj->...ij", coef, Gp, dw)
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,10 @@ def _on_band(grads):
     return np.logical_or.reduce([g != 0 for g in grads.T])
 
 
-def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
-    """Stiffness with coefficients B_r(q, grad Phi_cur), q = grad Phi_old."""
+def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None,
+                          derivative=False):
+    """Stiffness with coefficients B_r(q, grad Phi_cur), q = grad Phi_old,
+    or with ``derivative`` that of B(Phi_cur) Phi_cur in Phi_cur."""
     c = mesh._finalize()
     volumes, gradsT = c["volumes"], c["gradsT"]
     q = mesh.field_gradients(phi_prev) if q is None else q
@@ -177,7 +179,8 @@ def anisotropic_stiffness(mesh, aniso, phi_prev, phi_cur, q=None):
         known[fill] = True
     local = local.copy()
     band = np.flatnonzero(band)
-    B = aniso.b_matrix(q.take(band, axis=0), p.take(band, axis=0))
+    B = aniso.b_matrix(q.take(band, axis=0), p.take(band, axis=0),
+                       derivative)
     local[band] = _local_matrices(volumes.take(band), gradsT.take(band, axis=2), B)
     return _assemble(c, local)
 
@@ -242,10 +245,12 @@ class SystemMatrices:
         return self.M * self._shape.rho_hat(self.phi_prev, U)
 
     def b_matrix_at(self, U):
+        """The phase row's stiffness linearized at U: ``B_stiff`` for r = 1,
+        else the derivative of B(U) U, which applied to U is B(U) U."""
         if self._aniso.exponent == 1.0:
             return self.B_stiff
         return anisotropic_stiffness(self.mesh, self._aniso, self.phi_prev, U,
-                                     q=self.grads_prev)
+                                     q=self.grads_prev, derivative=True)
 
     def f_rhs(self, M_rho):
         """Heat-row rhs for a given coupling diagonal, Dirichlet applied."""

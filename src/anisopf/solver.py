@@ -1,35 +1,34 @@
 """One-step solvers for the coupled phase/temperature systems.
 
-The obstacle scheme leads to a nonsmooth saddle point problem: a heat row
-that is linear in (U, W) and a variational inequality for U over the box
-[-1, 1]^J.  ``run_simulation`` solves each step with ``newton_smooth_step``
-for the quartic well and with ``lagged_step`` otherwise.
-
-* ``lagged_step``, the obstacle step: a fixed point over a primal-dual
-  active-set iteration (the semismooth Newton method of Hintermueller, Ito
-  and Kunisch) with the coefficients frozen at the iterate, accelerated by
-  Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 2011) and damped by
-  omega.  With the phase-row residual ``res = C U - lam M_rho W - g``, the
-  nodes where the predictor ``U - res / diag(C)`` leaves [-1, 1] are pinned
-  at the bound they cross; the saddle system on the free phase nodes and
-  all temperature nodes gives the next iterate, until the sign conditions
-  of the inequality hold.  When no coefficient moves with the new phase
-  (r = 1 and no implicit shape part) the first frozen solve is the answer.
-* ``newton_smooth_step`` solves the smooth (quartic) scheme by a damped
-  Newton method with an analytic Jacobian in which the direction argument
-  of the anisotropic linearization is frozen per iteration; it stops once
-  the max-norm residual is below ``tol``.
+Each step solves one nonlinear problem: a heat row linear in (U, W) and a
+phase row whose stiffness depends on the new phase when r > 1 and whose
+coupling lam M_rho(U) does for the quartic shape; the obstacle well adds
+the box [-1, 1]^J, the quartic well an implicit cubic.  ``lagged_step``
+(obstacle) and ``newton_smooth_step`` (quartic well) run one semismooth
+Newton loop, of which the primal-dual active-set method of Hintermueller,
+Ito and Kunisch (SIAM J. Optim. 2002) is the case of frozen coefficients.
+At each iterate it linearizes the step exactly (``_Linearization``; the
+stiffness through the derivative of B(U) U, ``SystemMatrices.b_matrix_at``),
+pins the nodes where the predictor ``U - res / diag(C)`` of the phase-row
+residual ``res = C U - lam M_rho W - g`` leaves [-1, 1] at the bound they
+cross, solves the linearization on the free phase nodes and all
+temperature nodes, and stops once that solve met its Krylov tolerance, the
+sign conditions of the inequality hold and, when the coefficients move,
+the residual is below ``tol``.  When nothing moves (obstacle, r = 1, no
+implicit shape part) the loop is the active-set iteration over one
+linearization, reported as ``active-set``; otherwise each Newton step is
+backtracked on the residual from the step ``omega``.
 
 Every linear solve is one saddle system, a phase block coupled to the
-heat block ``theta M + tau A``, on a set of free phase nodes (all nodes for
-Newton).  ``_FrozenSolver`` solves it for any right-hand side on the phase
-unknowns alone (the Schur complement reduction of Benzi, Golub and Liesen,
-Acta Numerica 2005): the heat block is factored once per mesh, and each
-free set is solved by the package's own preconditioned CG, which carries
-the temperature along its iterates, or by scipy's GMRES for Newton.  A CG
-solve whose loose iterate already predicts other active sets stops there
-(the forcing-term idea of inexact semismooth Newton methods, Kanzow 2004);
-only a solve to ``_KRYLOV_RTOL`` can end the active-set iteration.
+heat block ``theta M + tau A``, on a set of free phase nodes.
+``_FrozenSolver`` solves it for any right-hand side on the phase unknowns
+alone (the Schur complement reduction of Benzi, Golub and Liesen, Acta
+Numerica 2005): the heat block is factored once per mesh, and each free set
+is solved by the package's own preconditioned CG, which carries the
+temperature along its iterates, or by scipy's GMRES when the blocks are not
+symmetric.  A CG solve whose loose iterate already predicts other active
+sets stops there (the forcing-term idea of inexact semismooth Newton
+methods, Kanzow 2004); only a solve to ``_KRYLOV_RTOL`` can end the loop.
 
 Every LU uses SuperLU's one-column panels without relaxed supernodes
 (``_factor``), which factor the blocks of the benchmark workloads, 2d and
@@ -70,13 +69,13 @@ class SolverConfig:
     """Iteration controls for the step solvers."""
 
     tol: float = 1e-8
-    omega: float = 0.5            # lagged Anderson damping, in (0, 1]
+    omega: float = 1.0            # first step of the line search, in (0, 1]
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be a finite number > 0")
         if not 0.0 < self.omega <= 1.0:
-            raise ValueError("damping omega must lie in (0, 1]")
+            raise ValueError("step omega must lie in (0, 1]")
 
 
 @dataclass
@@ -84,11 +83,11 @@ class StepReport:
     """Diagnostics of one time-step solve."""
 
     method: str
-    outer_iterations: int = 0
-    inner_iterations: int = 0
+    outer_iterations: int = 0     # Newton (active-set) iterations
+    inner_iterations: int = 0     # line-search trials, when coefficients move
     active_plus: int = 0
     active_minus: int = 0
-    residual: float = float("nan")
+    residual: float = float("nan")    # frozen coefficients: the last change
     # sparse LUs: heat-block LUs made in this step plus phase-block LUs
     factorizations: int = 0
     krylov_iterations: int = 0    # preconditioned CG/GMRES iterations
@@ -108,21 +107,15 @@ def _factor(K):
     benchmark workload factors.
     """
     try:
-        return spla.splu(K, permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          options=dict(SymmetricMode=True),
                          relax=1, panel_size=1)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from None
 
 
-# iterations of one active-set solve and of one lagged fixed point
+# Newton iterations of one step
 _MAX_OUTER = 200
-
-# iterates mixed by the Anderson step of ``lagged_step``
-_AA_DEPTH = 5
-
-# Newton iterations of one smooth step
-_NEWTON_MAX_ITER = 30
 
 # relative residual of each Krylov solve, far below the step tolerances
 _KRYLOV_RTOL = 1e-12
@@ -146,13 +139,13 @@ class _FrozenSolver:
     and w = z - t with t = MW^-1 (bottom u).  S is applied as an operator,
     one heat solve per product, and never formed; the Krylov solve is
     preconditioned by an LU of C_FF that is made when F changes and starts
-    from ``u0``.  The obstacle step has top = -bottom off the Dirichlet
-    rows; there MW is the identity and bottom vanishes, so
-    (MW^-1 bottom u)_D = 0, and S is symmetric positive definite also when
-    a free node sits on a Dirichlet wall: the package's own preconditioned
-    CG serves it, and carries t along its iterates from the heat solves of
-    its products.  Newton's bottom block differs from its top one
-    (``symmetric=False``), and scipy's GMRES serves it.
+    from ``u0``.  When C is symmetric and top = -bottom off the Dirichlet
+    rows (there MW is the identity and bottom vanishes, so
+    (MW^-1 bottom u)_D = 0), S is symmetric positive definite also when a
+    free node sits on a Dirichlet wall: the package's own preconditioned CG
+    serves it, and carries t along its iterates from the heat solves of its
+    products.  Other blocks (the derivative of B for r > 1, the quartic
+    shape's coupling) go to scipy's GMRES.
 
     Under pure Neumann walls with theta = 0, MW = tau A is singular and W
     carries a constant c that it does not fix.  The LU is then made of
@@ -164,9 +157,14 @@ class _FrozenSolver:
     leaves c undetermined.
     """
 
-    def __init__(self, sys, C, top, bottom, report, symmetric=True):
-        self.C, self.top, self.bottom = C, top, bottom
-        self.report, self.symmetric = report, symmetric
+    def __init__(self, sys, C, top, bottom, report):
+        self.C, self.top, self.bottom, self.report = C, top, bottom, report
+        # C's symmetry up to the rounding of its element matrices, probed
+        # with a fixed vector
+        Cv, CTv = (K @ (np.arange(C.shape[0]) % 3 - 1.0) for K in (C, C.T))
+        wet = ~sys.dirichlet
+        self.symmetric = (np.abs(Cv - CTv).max() <= 1e-12 * np.abs(Cv).max()
+                          and np.array_equal(bottom[wet], -top[wet]))
         self.neumann = sys.theta == 0.0 and not sys.dirichlet.any()
         lu = sys.heat.get("lu")
         if lu is None:
@@ -185,7 +183,8 @@ class _FrozenSolver:
         F = np.flatnonzero(free)
         if not np.array_equal(free, self.free):
             self.free = free.copy()
-            self.C_FF = self.C[free][:, free].tocsc()
+            self.C_FF = (self.C if F.size == free.size
+                         else self.C[free][:, free].tocsc())
             self.pre = _factor(self.C_FF) if F.size else None
             self.report.factorizations += bool(F.size)
         top, bottom = self.top[F], self.bottom[F]
@@ -263,202 +262,158 @@ def _krylov_failure(iterations):
                           f"after {iterations} iterations")
 
 
-def _pdas_solve(sys, cfg, U0, W0, report):
-    """Primal-dual active-set iteration with the coefficients frozen at the
-    clipped start ``U0``; each iteration pins its active nodes and solves
-    for the free ones with one ``_FrozenSolver``."""
-    U = np.clip(np.asarray(U0, dtype=float), -1.0, 1.0)
-    W = None if W0 is None else np.asarray(W0, dtype=float).copy()
-    kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
-    C = sys.c_matrix(sys.b_matrix_at(U))
-    d = C.diagonal()
-    if np.any(d <= 0.0):
-        raise ZeroDiagonal("system diagonal must be positive")
-    m_rho = sys.m_rho_diag(U)
-    f = sys.f_rhs(m_rho)
-    coup = sys.lam * m_rho
-    heat_u = np.where(sys.dirichlet, 0.0, coup)
-    solver = _FrozenSolver(sys, C, -coup, heat_u, report)
+class _Linearization:
+    """Newton's linearization of the step at (U, W),
 
-    def predicted(U, W):
-        """the phase-row residual at (U, W) and the active sets it predicts"""
-        res = C @ U - coup * W - sys.g
-        pred = U - res / d
+        J U - lam M_rho W = rhs,   bottom U + MW W = f,
+
+    with J = C_J + diag(3 c_conc M U^2 - lam M rho+' W) (the cubic only for
+    the quartic well) and bottom = lam (M_rho + M rho+' (U - Phi_old)),
+    zero on the Dirichlet rows; rhs and f make (U, W) leave the step's own
+    residuals, ``res`` on the phase rows and ``heat``.  When nothing moves,
+    J = C, bottom = lam M_rho, rhs = g and f is the heat-row rhs.  With
+    ``norm``, ``heat`` and the max-norm residual ``norm`` are kept too; for
+    the obstacle, ``norm`` reads the natural residual U - clip(U - res /
+    diag(C)) of the inequality, continuous where U meets a bound, and
+    heat / diag(MW), both in the units of U and W.
+    """
+
+    def __init__(self, sys, U, W, box, norm=True):
+        C = sys.c_matrix(sys.b_matrix_at(U))
+        self.d, self.box = C.diagonal(), box
+        if np.any(self.d <= 0.0):
+            raise ZeroDiagonal("system diagonal must be positive")
+        m_rho = sys.m_rho_diag(U)
+        self.coup = sys.lam * m_rho
+        cube = 0.0 if box else sys.c_conc * sys.M * U**2
+        self.res = res = C @ U + cube * U - self.coup * W - sys.g
+        if norm:    # no residual steers a loop over frozen coefficients
+            self.heat = heat = (self.coup * (U - sys.phi_prev)
+                                + sys.theta * sys.M * (W - sys.w_prev)
+                                + sys.tau * (sys.A_diff @ W))
+            heat[sys.dirichlet] = W[sys.dirichlet] - sys.u_D
+            if box:
+                res = U - np.clip(U - res / self.d, -1.0, 1.0)
+                heat = heat / sys.MW.diagonal()
+            self.norm = max(np.abs(res).max(), np.abs(heat).max())
+        dcoup = sys.lam * sys.M * sys._shape.rho_plus_deriv_clamped(U)
+        dJ = 3.0 * cube - dcoup * W
+        self.J = C + sp.diags(dJ) if np.any(dJ) else C
+        self.rhs = sys.g + (dJ - cube) * U
+        db = np.where(sys.dirichlet, 0.0, dcoup * (U - sys.phi_prev))
+        self.bottom = np.where(sys.dirichlet, 0.0, self.coup) + db
+        self.f = sys.f_rhs(m_rho) + db * U
+
+    def sets(self, U, W):
+        """(res, plus, minus): the linearized phase-row residual at (U, W)
+        and the nodes its predictor U - res / diag(C) puts above 1 and
+        below -1, none without the box."""
+        res = self.J @ U - self.coup * W - self.rhs
+        pred = U - res / self.d if self.box else np.zeros(U.size)
         return res, pred > 1.0, pred < -1.0
 
-    sets = None if W is None else predicted(U, W)[1:]
-    for _ in range(_MAX_OUTER):
-        # no temperature guess: read the active sets off the phase
-        plus, minus = sets or (U == 1.0, U == -1.0)
-        U_new = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
+
+def _newton(sys, cfg, u0, w0, report, box):
+    """(U, W) of one step by the loop of the module docstring; ``box`` is
+    the obstacle.
+
+    ``u0=None`` starts from the previous phase and ``w0="prev"`` from the
+    previous temperature; ``w0=None`` means no temperature guess exists,
+    so the obstacle step reads its first active sets off ``u0`` (clipped to
+    [-1, 1]), and W starts at the previous temperature.  The start moves
+    the iteration count, not the answer beyond solver tolerance;
+    ``run_simulation`` passes ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
+    """
+    moving = sys.coefficients_move or not box
+    U = np.array(sys.phi_prev if u0 is None else u0, dtype=float)
+    U = np.clip(U, -1.0, 1.0) if box else U
+    W = np.array(sys.w_prev if w0 is None or isinstance(w0, str) else w0,
+                 dtype=float)
+    kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
+    lin = _Linearization(sys, U, W, box, moving)
+    plus, minus = sets = ((U == 1.0, U == -1.0) if box and w0 is None
+                          else lin.sets(U, W)[1:])
+    done = moving and lin.norm < cfg.tol
+    while not done:
+        if report.outer_iterations == _MAX_OUTER:
+            raise NonConvergence(f"{report.method} iteration not within tol "
+                                 f"after {_MAX_OUTER} iterations")
+        if report.outer_iterations == 0 or moving:
+            solver = _FrozenSolver(sys, lin.J, -lin.coup, lin.bottom, report)
+        plus, minus = sets
+        pinned = plus | minus
+        # moving coefficients: a Newton step from (U, W); frozen ones: the
+        # iterate itself, its free values started from U
+        U_new = np.where(plus, 1.0, np.where(minus, -1.0, U if moving else 0.0))
+        W_new = W if moving else 0.0
 
         def moved(u, w):
             # a loose iterate that predicts other sets shows F is wrong
-            _, p, m = predicted(U_new + u, np.where(sys.dirichlet, sys.u_D, w))
+            _, p, m = lin.sets(U_new + u,
+                               np.where(sys.dirichlet, sys.u_D, W_new + w))
             return not (np.array_equal(p, plus) and np.array_equal(m, minus))
 
-        # the free values start from the iterate in hand
-        u, w = solver.solve(~(plus | minus), sys.g - C @ U_new,
-                            f - heat_u * U_new, u0=U, check=moved)
-        U_new += u
-        W_new = np.where(sys.dirichlet, sys.u_D, w)
+        u, w = solver.solve(
+            ~pinned, lin.rhs - lin.J @ U_new + lin.coup * W_new,
+            lin.f - lin.bottom * U_new - (sys.MW @ W if moving else 0.0),
+            u0=None if moving else U, check=box and moved)
+        U_new = U_new + u
+        W_new = np.where(sys.dirichlet, sys.u_D, W_new + w)
         report.outer_iterations += 1
-        diff = np.inf if W is None else max(np.abs(U_new - U).max(),
-                                            np.abs(W_new - W).max())
-        U, W = U_new, W_new
-        res, *sets = predicted(U, W)
+        if moving:
+            t = cfg.omega       # backtracking, at most 20 halvings
+            for _ in range(20):
+                U_t = U_new if t == 1.0 else U + t * (U_new - U)
+                U_t = np.clip(U_t, -1.0, 1.0) if box else U_t
+                W_t = W + t * (W_new - W)
+                lin_t = _Linearization(sys, U_t, W_t, box)
+                report.inner_iterations += 1
+                if lin_t.norm < (1.0 - 1e-4 * t) * lin.norm:
+                    break
+                t *= 0.5
+            else:
+                raise NewtonDivergence(
+                    f"line search exhausted at residual {lin.norm:.3e}")
+            U, W, lin = U_t, W_t, lin_t
+            report.residual = lin.norm
+        else:
+            report.residual = max(np.abs(U_new - U).max(),
+                                  np.abs(W_new - W).max())
+            U, W = U_new, W_new
+        res, *sets = lin.sets(U, W)
         # at a marginally stable state the sets flip at round-off level, so
         # acceptance rests on the sign conditions, not on set repetition; a
         # solve abandoned short of its tolerance is never accepted
-        if (solver.exact and np.all(res[plus] <= kkt_tol)
-                and np.all(res[minus] >= -kkt_tol)
-                and np.all(np.abs(U[~(plus | minus)]) <= 1.0 + cfg.tol)):
-            break
-    else:
-        raise NonConvergence(
-            f"active-set iteration did not converge in {_MAX_OUTER} steps")
-    report.active_plus = int(plus.sum())
-    report.active_minus = int(minus.sum())
-    report.residual = diff
-    return np.clip(U, -1.0, 1.0), W
-
-
-def _start(sys, u0, w0):
-    """The iterate a step solver starts from.
-
-    ``u0=None`` is the previous phase and ``w0="prev"`` the previous
-    temperature; ``w0=None`` means no temperature guess exists.  Both step
-    solvers take this start, and it moves their iteration count, not
-    their answer beyond solver tolerance; ``run_simulation`` passes
-    ``2 U_n - U_{n-1}`` and ``2 W_n - W_{n-1}``.
-    """
-    U0 = sys.phi_prev if u0 is None else np.asarray(u0, dtype=float)
-    W0 = sys.w_prev if isinstance(w0, str) and w0 == "prev" else w0
-    return U0, W0
+        done = solver.exact and (lin.norm < cfg.tol if moving else (
+            np.all(res[plus] <= kkt_tol) and np.all(res[minus] >= -kkt_tol)
+            and np.all(np.abs(U[~pinned]) <= 1.0 + cfg.tol)))
+    report.active_plus, report.active_minus = int(plus.sum()), int(minus.sum())
+    W[sys.dirichlet] = sys.u_D
+    if moving:
+        # a damped step only nears a bound; a node predicted beyond it is
+        # within tol of it
+        U = np.where(sets[0], 1.0, np.where(sets[1], -1.0, U))
+    return (np.clip(U, -1.0, 1.0) if box else U), W
 
 
 def lagged_step(sys, cfg, u0=None, w0="prev"):
-    """One obstacle step via the lagged fixed point, Anderson-accelerated.
-
-    The map G(U, W) solves the step by the active-set iteration with the
-    coefficients frozen at the clipped U.  Each new iterate mixes the last
-    ``_AA_DEPTH`` iterates by the least-squares weights of their residuals
-    G(x) - x, damped by omega, and has its U clipped to the box; once
-    |G(x) - x| < tol in the max norm, G(x) is the answer.  When the
-    coefficients do not move (``SystemMatrices.coefficients_move``), G does
-    not depend on x: the first solve is the answer, returned with its own
-    report (method ``active-set``).  ``u0``/``w0`` give the start (see
-    ``_start``); ``u0`` is clipped to [-1, 1], and without a temperature
-    guess the first solve reads its active sets off ``u0`` and is the first
-    iterate.
-    """
-    report = StepReport(method="lagged")
-    n, omega = sys.n, cfg.omega
-    U, W = _start(sys, u0, w0)
-    U = np.clip(U, -1, 1)
-    x = None if W is None else np.concatenate([U, W])
-    xs, fs = [], []     # the last iterates and their residuals G(x) - x
-    for _ in range(_MAX_OUTER):
-        sub = StepReport(method="active-set")
-        U, W = _pdas_solve(sys, cfg, U, W, sub)
-        if not sys.coefficients_move:
-            return U, W, sub
-        report.outer_iterations += 1
-        report.inner_iterations += sub.outer_iterations
-        report.factorizations += sub.factorizations
-        report.krylov_iterations += sub.krylov_iterations
-        g = np.concatenate([U, W])
-        report.residual = np.inf if x is None else np.abs(g - x).max()
-        if report.residual < cfg.tol:
-            report.active_plus = sub.active_plus
-            report.active_minus = sub.active_minus
-            return U, W, report
-        if x is None:
-            x = g
-        else:
-            keep = 1 - _AA_DEPTH
-            xs, fs = xs[keep:] + [x], fs[keep:] + [g - x]
-            x = x + omega * fs[-1]
-            if len(xs) > 1:
-                dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
-                # an explicit rcond means the same in numpy 1.x and 2.x
-                gam = np.linalg.lstsq(dF, fs[-1], rcond=1e-12)[0]
-                x -= (dX + omega * dF) @ gam
-            x[:n] = np.clip(x[:n], -1.0, 1.0)
-        U, W = x[:n], x[n:]
-    raise NonConvergence(
-        f"lagged fixed point not within tol after {_MAX_OUTER} "
-        f"iterations (residual {report.residual:.3e}, omega={omega:g})")
+    """One obstacle step from the start ``u0``/``w0`` (see ``_newton``),
+    reported as ``active-set`` when the coefficients do not move
+    (``SystemMatrices.coefficients_move``), else as ``lagged``."""
+    report = StepReport("lagged" if sys.coefficients_move else "active-set")
+    return (*_newton(sys, cfg, u0, w0, report, box=True), report)
 
 
 # the obstacle step's earlier name, under which the acceptance tests call it
 active_set_step = lagged_step
 
 
-def _smooth_residual(sys, U, W, B):
-    C = sys.c_matrix(B)
-    m_rho = sys.m_rho_diag(U)
-    r_phi = C @ U + sys.c_conc * sys.M * U**3 - sys.lam * m_rho * W - sys.g
-    r_w = (sys.lam * m_rho * (U - sys.phi_prev)
-           + sys.theta * sys.M * (W - sys.w_prev)
-           + sys.tau * (sys.A_diff @ W))
-    r_w[sys.dirichlet] = W[sys.dirichlet] - sys.u_D
-    return r_phi, r_w, m_rho, C
-
-
 def newton_smooth_step(sys, cfg, u0=None, w0="prev"):
-    """One smooth-potential step by damped Newton with analytic Jacobian.
-
-    The implicit cubic and the clamped implicit shape part are linearized
-    exactly; the direction argument of the anisotropic stiffness is frozen
-    within each linearization and refreshed between iterations.  Newton
-    starts from ``u0``/``w0`` (see ``_start``), with ``w0=None`` read as
-    the previous temperature.  The step stops once the max-norm residual
-    is below ``cfg.tol`` and raises ``NonConvergence`` after
-    ``_NEWTON_MAX_ITER`` iterations.
-    """
-    report = StepReport(method="newton")
-    n = sys.n
-    sh = sys._shape
-    U, W = _start(sys, u0, w0)
-    U = np.array(U, dtype=float)
-    W = np.array(sys.w_prev if W is None else W, dtype=float)
-    B = sys.b_matrix_at(U)
-    r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
-    rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
-    while rnorm >= cfg.tol:
-        if report.outer_iterations == _NEWTON_MAX_ITER:
-            raise NonConvergence(
-                f"Newton reached {_NEWTON_MAX_ITER} iterations at "
-                f"residual {rnorm:.3e}")
-        drho = sh.rho_plus_deriv_clamped(U)
-        J11 = (C + sp.diags(sys.c_conc * sys.M * 3.0 * U**2)
-               - sp.diags(sys.lam * sys.M * drho * W))
-        bottom = sys.lam * (m_rho + sys.M * drho * (U - sys.phi_prev))
-        bottom[sys.dirichlet] = 0.0
-        frozen = _FrozenSolver(sys, J11, -sys.lam * m_rho, bottom, report,
-                               symmetric=False)
-        du, dw = frozen.solve(np.ones(n, bool), -r_phi, -r_w)
-        t = 1.0
-        for _ls in range(20):
-            U_t = U + t * du
-            W_t = W + t * dw
-            B_t = sys.b_matrix_at(U_t)
-            r_phi_t, r_w_t, m_rho_t, C_t = _smooth_residual(sys, U_t, W_t, B_t)
-            rn_t = max(np.abs(r_phi_t).max(), np.abs(r_w_t).max())
-            if rn_t < (1.0 - 1e-4 * t) * rnorm:
-                break
-            t *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"line search exhausted at residual {rnorm:.3e}")
-        U, W, B = U_t, W_t, B_t
-        r_phi, r_w, m_rho, C = r_phi_t, r_w_t, m_rho_t, C_t
-        rnorm = rn_t
-        report.outer_iterations += 1
-    report.residual = rnorm
-    W[sys.dirichlet] = sys.u_D
-    return U, W, report
+    """One smooth-potential (quartic well) step from the start ``u0``/``w0``
+    (see ``_newton``; ``w0=None`` is the previous temperature), done once
+    the max-norm residual is below ``cfg.tol``."""
+    report = StepReport("newton")
+    return (*_newton(sys, cfg, u0, w0, report, box=False), report)
 
 
 def conservation_audit(mesh, shape, phi_prev, phi_new, theta, bc_case):
@@ -483,10 +438,8 @@ def residual_audit(sys, U, W, smooth=False):
     violation at the pinned nodes (positive residual at +1, negative at
     -1; both should be <= 0 up to solver tolerance).
     """
-    res, heat, _, _ = _smooth_residual(sys, U, W, sys.b_matrix_at(U))
-    if not smooth:
-        # the obstacle row has no cubic term
-        res = res - sys.c_conc * sys.M * U**3
+    lin = _Linearization(sys, U, W, box=not smooth)
+    res, heat = lin.res, lin.heat
     at_plus = U == 1.0
     at_minus = U == -1.0
     interior = ~(at_plus | at_minus)

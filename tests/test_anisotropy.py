@@ -381,3 +381,33 @@ def test_b_matrix_of_a_tiny_direction_is_its_unit_one(name, q, p):
     lhs = float((B @ p) @ (p - q))
     rhs = 0.5 * float(a.gamma(p)) ** 2 - 0.5 * float(a.gamma(q)) ** 2
     assert lhs >= rhs
+
+
+@pytest.mark.parametrize("name,dim", [("iso", 2), ("hex2d:0.1", 2),
+                                      ("cube3d:0.3:2", 3),
+                                      ("cube3d:0.3:9", 3)])
+def test_b_matrix_derivative_matches_central_differences(name, dim):
+    # the derivative of B_r(q, p) p in p, with rows where q = 0, where p = 0
+    # and where gamma_l(q)^r underflows (q subnormal in its squares)
+    a = anisotropy_from_name(name, dim)
+    rng = np.random.default_rng(dim)
+    q, p = rng.normal(size=(2, 40, dim))
+    q[0] = 0.0
+    q[1] = 0.0
+    q[1, -1] = 5.895e-162
+    p[2] = 0.0
+    J = a.b_matrix(q, p, derivative=True)
+
+    def bp(x):
+        return (a.b_matrix(q, x) @ x[..., None])[..., 0]
+
+    h = 1e-6
+    fd = np.stack([(bp(p + h * e) - bp(p - h * e)) / (2.0 * h)
+                   for e in np.eye(dim)], axis=-1)
+    smooth = np.arange(40) != 2     # B_r(q, p) p is not differentiable at 0
+    assert np.abs(J - fd)[smooth].max() <= 1e-8 * np.abs(J).max()
+    # the weights are 0-homogeneous in p: J p = B p, and J = B at p = 0
+    np.testing.assert_allclose((J @ p[..., None])[..., 0], bp(p),
+                               rtol=0.0, atol=1e-13 * np.abs(bp(p)).max())
+    np.testing.assert_array_equal(J[2], a.b_matrix(q, p)[2])
+    assert np.isfinite(J).all()

@@ -661,7 +661,7 @@ def test_b_matrix_at_reuses_the_previous_phase_gradient(unit_mesh,
     aniso = AnisotropyDensity(aniso.matrices, 2.0)
     sys = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
     U = rng.uniform(-1, 1, unit_mesh.n_vertices)
-    want = anisotropic_stiffness(unit_mesh, aniso, phi, U)
+    want = anisotropic_stiffness(unit_mesh, aniso, phi, U, derivative=True)
     calls = []
     gradients = unit_mesh.field_gradients
 
@@ -674,6 +674,27 @@ def test_b_matrix_at_reuses_the_previous_phase_gradient(unit_mesh,
     # grad Phi_old comes from the step system, only grad U is computed
     assert len(calls) == 1 and calls[0] is U
     assert _same_csr(B, want)
+
+
+def test_linearized_stiffness_applied_to_the_iterate_is_the_stiffness(
+        unit_mesh):
+    # for r > 1 the phase row is linearized by the derivative of B(U) U,
+    # which applied to U gives B(U) U; the step's own stiffness stays
+    # B(grad Phi_old, grad Phi_old)
+    rng = np.random.default_rng(33)
+    phi = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    w = rng.normal(size=unit_mesh.n_vertices)
+    params, pot, sh, aniso, mob = _default_setup(unit_mesh, rho=0.01)
+    aniso = AnisotropyDensity(aniso.matrices, 2.0)
+    sys = assemble_step_system(unit_mesh, params, pot, sh, aniso, mob, phi, w)
+    U = rng.uniform(-1, 1, unit_mesh.n_vertices)
+    B = anisotropic_stiffness(unit_mesh, aniso, phi, U)
+    J = sys.b_matrix_at(U)
+    assert abs(J - J.T).max() > 1e-3 * abs(J).max()
+    np.testing.assert_allclose(J @ U, B @ U, rtol=0.0,
+                               atol=1e-13 * np.abs(B @ U).max())
+    assert _same_csr(sys.B_stiff, anisotropic_stiffness(unit_mesh, aniso,
+                                                         phi, phi))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -22,12 +22,10 @@ from anisopf.errors import (
 from anisopf.mesh import build_uniform_mesh
 from anisopf.potentials import PotentialSpec, ShapeSpec
 from anisopf.solver import (
-    _NEWTON_MAX_ITER,
     SolverConfig,
     StepReport,
     _factor,
     _FrozenSolver,
-    _smooth_residual,
     active_set_step,
     conservation_audit,
     lagged_step,
@@ -146,6 +144,8 @@ def test_saddle_matrix_matches_bmat(bc, theta, free_set, monkeypatch):
     u, w = frozen.solve(free, r, h)
     assert not u[~free].any()
     _assert_solves((u, w), _dense_saddle(C, top, bottom, sys.MW, free, r, h))
+    # a free set of all nodes solves with C itself, not a copy of it
+    assert (frozen.C_FF is C) == (free_set == "all")
     # the heat LU, then the phase-block LU of a nonempty free set
     assert calls == [sys.n] + ([free.sum()] if free.any() else [])
     assert frozen.report.factorizations == len(calls)
@@ -158,15 +158,16 @@ def test_saddle_matrix_matches_bmat(bc, theta, free_set, monkeypatch):
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
 def test_free_set_solve_matches_dense_saddle(dim, n, bc, theta, krylov):
     # random free sets of one solver; CG serves the symmetric coupling of
-    # the obstacle step, GMRES Newton's unlike top and bottom blocks
+    # the obstacle step, GMRES unlike top and bottom blocks, as the solver
+    # reads off the blocks
     sys, params, cfg = small_setup(n=n, dim=dim, theta=theta, bc=bc)
     rng = np.random.default_rng(dim + 2 * len(bc) + int(theta))
     if krylov == "cg":
         C, top, bottom = _obstacle_coupling(sys)
     else:
         C, top, bottom = _newton_coupling(sys, rng)
-    frozen = _FrozenSolver(sys, C, top, bottom, StepReport(krylov),
-                           symmetric=krylov == "cg")
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport(krylov))
+    assert frozen.symmetric == (krylov == "cg")
     for share in (0.3, 0.7):
         free = rng.random(sys.n) < share
         # free nodes on the Dirichlet walls, where there are any
@@ -198,7 +199,7 @@ def _change_sets(sys, plus, minus, change, k, rng):
 
 def _pdas_iteration(sys, C, f, frozen, plus, minus):
     """U and W with the nodes of ``plus``/``minus`` pinned at +1/-1: the
-    solve of one ``_pdas_solve`` iteration."""
+    solve of one active-set iteration with frozen coefficients."""
     U = np.where(plus, 1.0, np.where(minus, -1.0, 0.0))
     u, W = frozen.solve(~(plus | minus), sys.g - C @ U, f - frozen.bottom * U)
     W[sys.dirichlet] = sys.u_D
@@ -267,8 +268,7 @@ def test_bordered_solve_takes_any_right_hand_side(dim, n, theta, bc, k,
     sets = [~(plus0 | minus0), ~(plus1 | minus1)]
     r, h = rng.standard_normal((2, sys.n))
     calls = _counted_factor(monkeypatch)
-    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("newton"),
-                           symmetric=False)
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("newton"))
     for free in sets * 2:
         u, w = frozen.solve(free, r, h)
         assert not u[~free].any()
@@ -314,8 +314,13 @@ def test_krylov_starts_from_the_iterate():
 
 
 def test_krylov_solve_short_of_its_tolerance_raises(monkeypatch):
+    # the quartic shape's coupling blocks differ once U moves, so GMRES
+    # runs, which tests its true residual; CG's recursive residual falls
+    # below any tolerance
     monkeypatch.setattr(solver, "_KRYLOV_RTOL", 1e-30)
-    sys, params, cfg = small_setup(n=4, pot=PotentialSpec("quartic"))
+    sys, params, cfg = small_setup(
+        n=4, pot=PotentialSpec("quartic"),
+        shape=ShapeSpec("quartic-shape", "for-negative-uD"))
     with pytest.raises(NonConvergence, match="Krylov solve"):
         newton_smooth_step(sys, cfg)
 
@@ -586,23 +591,22 @@ def test_active_set_step_on_moving_coefficients_is_the_lagged_step(case):
 
 @pytest.mark.parametrize("w0", [None, "prev"])
 def test_lagged_frozen_system_solves_once(w0, monkeypatch):
+    # frozen coefficients are linearized once: one saddle solver serves
+    # every active-set iteration of the step, and no line search runs
     sys, params, cfg = small_setup(n=8)
     calls = []
-    pdas = solver._pdas_solve
+    frozen = solver._FrozenSolver
 
     def counted(*args):
         calls.append(args)
-        return pdas(*args)
+        return frozen(*args)
 
-    monkeypatch.setattr(solver, "_pdas_solve", counted)
+    monkeypatch.setattr(solver, "_FrozenSolver", counted)
     U, W, rep = lagged_step(sys, cfg, w0=w0)
-    assert len(calls) == 1
-    # the one solve's own report: its outer count, no inner iterations
+    assert len(calls) == 1 and rep.outer_iterations >= 1
     assert rep.method == "active-set" and rep.inner_iterations == 0
     monkeypatch.undo()
-    rep_a = StepReport(method="active-set")
-    U_a, W_a = solver._pdas_solve(sys, cfg, *solver._start(sys, None, w0),
-                                  rep_a)
+    U_a, W_a, rep_a = active_set_step(sys, cfg, w0=w0)
     assert np.array_equal(U, U_a) and np.array_equal(W, W_a)
     assert _heat_lu_cached(rep) == rep_a
 
@@ -622,26 +626,30 @@ def test_lagged_converges_on_moving_coefficients(case, omega):
     assert max(np.abs(U - U_t).max(), np.abs(W - W_t).max()) <= 1e-7
 
 
-# The two tests below record open defects (ROADMAP item 2): the step raises
-# NonConvergence where another start or more damping converges.
-
-
-@pytest.mark.xfail(strict=True, raises=NonConvergence,
-                   reason="frozen-coefficient active-set iteration cycles "
-                          "from the placeholder temperature w_prev")
 @pytest.mark.parametrize("n", [4, 6])
 def test_lagged_cube3d_r2_from_previous_temperature(n):
+    # the frozen active-set iteration cycled from the placeholder w_prev on
+    # these systems; the Newton loop relinearizes after its first solve and
+    # reaches the answer of the start without a temperature guess
     sys, params, cfg = small_setup(
         n=n, dim=3, aniso=anisotropy_from_name("cube3d:0.3:2", dim=3))
-    lagged_step(sys, cfg)
+    U, W, rep = lagged_step(sys, cfg)
+    assert rep.residual < cfg.tol and U.min() >= -1.0 and U.max() <= 1.0
+    audit = residual_audit(sys, U, W)
+    assert max(audit.values()) <= 10 * cfg.tol * (1 + np.abs(sys.g).max())
+    U_0, W_0, _ = lagged_step(sys, cfg, w0=None)
+    assert max(np.abs(U - U_0).max(), np.abs(W - W_0).max()) <= 1e-7
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergence,
-                   reason="the undamped first iterate melts the seed and the "
-                          "active-set solve at it cycles")
 def test_lagged_undamped_quartic_shape_without_temperature_guess():
+    # the full Newton step from the phase alone: the line search keeps the
+    # seed from melting, and the step converges within the bounds
     sys, params, cfg = _moving_system("quartic-shape")
-    lagged_step(sys, dataclasses.replace(cfg, omega=1.0), w0=None)
+    U, W, rep = lagged_step(sys, dataclasses.replace(cfg, omega=1.0),
+                            w0=None)
+    assert rep.residual < cfg.tol and U.min() >= -1.0 and U.max() <= 1.0
+    audit = residual_audit(sys, U, W)
+    assert max(audit.values()) <= 10 * cfg.tol * (1 + np.abs(sys.g).max())
 
 
 def test_singular_system_detected():
@@ -657,6 +665,29 @@ def test_singular_system_detected():
                                np.zeros(mesh.n_vertices))
     with pytest.raises(SingularSystem):
         active_set_step(sys, CFG, u0=np.ones(sys.n), w0=None)
+
+
+@pytest.mark.parametrize("shape,krylov", [("lin-minus", "cg"),
+                                          ("quartic-shape", "gmres")])
+def test_newton_reads_its_krylov_method_off_the_blocks(shape, krylov,
+                                                       monkeypatch):
+    # the quartic well with a linear shape linearizes to symmetric blocks,
+    # which CG solves; the quartic shape's coupling blocks differ once U
+    # has left the start U = Phi_old
+    sys, params, cfg = small_setup(n=8, pot=PotentialSpec("quartic"),
+                                   shape=ShapeSpec(shape, "for-negative-uD"))
+    solvers = []
+    frozen = solver._FrozenSolver
+
+    def recorded(*args):
+        solvers.append(frozen(*args))
+        return solvers[-1]
+
+    monkeypatch.setattr(solver, "_FrozenSolver", recorded)
+    U, W, rep = newton_smooth_step(sys, cfg)
+    assert rep.residual < cfg.tol and len(solvers) == rep.outer_iterations
+    assert [s.symmetric for s in solvers] == [
+        krylov == "cg" or k == 0 for k in range(len(solvers))]
 
 
 def test_newton_fixed_point_zero_iterations():
@@ -681,9 +712,21 @@ def test_newton_residual_below_tolerance():
     assert rep.residual < cfg.tol
 
 
+def _smooth_residual(sys, U, W, B):
+    C = sys.c_matrix(B)
+    m_rho = sys.m_rho_diag(U)
+    r_phi = C @ U + sys.c_conc * sys.M * U**3 - sys.lam * m_rho * W - sys.g
+    r_w = (sys.lam * m_rho * (U - sys.phi_prev)
+           + sys.theta * sys.M * (W - sys.w_prev)
+           + sys.tau * (sys.A_diff @ W))
+    r_w[sys.dirichlet] = W[sys.dirichlet] - sys.u_D
+    return r_phi, r_w, m_rho, C
+
+
 def _bmat_newton(sys, cfg):
     """Reference copy of the Newton iteration that rebuilt both heat
-    blocks and assembled the Jacobian with ``sp.bmat`` at every iteration."""
+    blocks and assembled the Jacobian with ``sp.bmat`` at every iteration,
+    in increments from the max-norm residual (r = 1: B does not move)."""
     n = sys.n
     sh = sys._shape
     U = sys.phi_prev.copy()
@@ -692,7 +735,7 @@ def _bmat_newton(sys, cfg):
     r_phi, r_w, m_rho, C = _smooth_residual(sys, U, W, B)
     rnorm = max(np.abs(r_phi).max(), np.abs(r_w).max())
     iterations = 0
-    for _it in range(_NEWTON_MAX_ITER):
+    for _it in range(30):
         if rnorm < cfg.tol:
             break
         drho = sh.rho_plus_deriv_clamped(U)
@@ -786,16 +829,17 @@ def test_newton_matches_picard_oracle():
 def test_newton_line_search_halves_the_step(monkeypatch):
     sys, params, cfg = small_setup(pot=PotentialSpec("quartic"), tau=1.0)
     calls = []
-    residual = solver._smooth_residual
+    residual = solver._Linearization
 
     def counted(*args):
         calls.append(1)
         return residual(*args)
 
-    monkeypatch.setattr(solver, "_smooth_residual", counted)
+    monkeypatch.setattr(solver, "_Linearization", counted)
     U, W, rep = newton_smooth_step(sys, cfg)
     # one evaluation at the start and one per full step: any more are halvings
     assert len(calls) > rep.outer_iterations + 1
+    assert len(calls) == rep.inner_iterations + 1
     assert rep.residual < cfg.tol
     monkeypatch.undo()
     U_p, W_p = _picard_oracle(sys)
