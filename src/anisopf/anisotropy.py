@@ -141,21 +141,19 @@ class AnisotropyDensity:
         coef = np.where((g_q == 0.0)[..., None], self.nmat ** (1.0 / r),
                         g_q[..., None] / safe_gl)
         if r != 1.0:
-            gl_p, g_p = self._components(p)
-            pos = g_p[..., None] > 0.0
-            coef = coef * np.where(pos, gl_p / np.where(pos, g_p[..., None], 1.0),
-                                   1.0) ** (r - 1.0)
+            # the weights are 0-homogeneous in p, so p is scaled the same way
+            p = np.asarray(p, dtype=float)
+            p = np.ldexp(p, -np.frexp(np.abs(p).max(axis=-1))[1][..., None])
+            # gamma_l(p) vanishes only at p = 0 (G_l is SPD): weights 1 there
+            gl, g = (np.where(x > 0.0, x, 1.0) for x in self._components(p))
+            w = (gl / g[..., None]) ** (r - 1.0)
+            coef = coef * w
         L, d = self.nmat, self.dim
         B = coef @ self.matrices.reshape(L, d * d)
         B = B.reshape(B.shape[:-1] + (d, d))
         if not derivative or r == 1.0:
             return B
-        # the sum is 0-homogeneous in p too, so p is scaled the same way
-        p = np.asarray(p, dtype=float)
-        p = np.ldexp(p, -np.frexp(np.abs(p).max(axis=-1))[1][..., None])
-        gl, g = (np.where(x > 0.0, x, 1.0) for x in self._components(p))
         Gp = np.einsum("lij,...j->...li", self.matrices, p)
-        w = (gl / g[..., None]) ** (r - 1.0)
         dg = np.einsum("...l,...li->...i", w / gl, Gp) / g[..., None]
         dw = (r - 1.0) * (Gp / (gl**2)[..., None] - dg[..., None, :])
         return B + np.einsum("...l,...li,...lj->...ij", coef, Gp, dw)

@@ -216,8 +216,9 @@ class _FrozenSolver:
 
     def _krylov(self, S, b, x=None, check=None):
         """(x, t, exact): S x = b solved from x, preconditioned by the LU of
-        C_FF, to the relative residual ``_KRYLOV_RTOL``; t = MW^-1 (bottom x).
-        CG asks ``check`` once, after its first iteration within the relative
+        C_FF, to the relative residual ``_KRYLOV_RTOL`` of b - S x itself,
+        not only of CG's updated residual; t = MW^-1 (bottom x).  CG asks
+        ``check`` once, after its first iteration within the relative
         residual ``self.loose``: if the iterate shows F wrong, CG stops there,
         not exact, and ``self.loose`` falls tenfold."""
         bnorm = np.linalg.norm(b)
@@ -237,8 +238,16 @@ class _FrozenSolver:
             return x, S(x)[1], True
         x = np.zeros(b.size) if x is None else x
         Sx, t = S(x)
-        res, k, rho = b - Sx, 0, None
-        while (rnorm := np.linalg.norm(res)) >= _KRYLOV_RTOL * bnorm:
+        res, k, rho, tol = b - Sx, 0, None, _KRYLOV_RTOL * bnorm
+        while (rnorm := np.linalg.norm(res)) >= tol or rho is not None:
+            if rnorm < tol:
+                # the updated residual falls on where the true one stalls:
+                # CG ends on the true one, else restarts from it
+                Sx, t_x = S(x)
+                if np.linalg.norm(b - Sx) < tol:
+                    break
+                res, t, rho = b - Sx, t_x, None
+                continue
             if check and k and rnorm < self.loose * bnorm:
                 if check(x, t):
                     self.loose /= 10.0
@@ -248,13 +257,13 @@ class _FrozenSolver:
                 raise _krylov_failure(k)
             zr = self.pre.solve(res)
             rho_prev, rho = rho, res @ zr
-            p = zr if k == 0 else zr + (rho / rho_prev) * p
+            p = zr if rho_prev is None else zr + (rho / rho_prev) * p
             q, tp = S(p)
             alpha = rho / (p @ q)
             x, t, res = x + alpha * p, t + alpha * tp, res - alpha * q
             k += 1
         self.report.krylov_iterations += k
-        return x, t, rnorm < _KRYLOV_RTOL * bnorm
+        return x, t, rnorm < tol
 
 
 def _krylov_failure(iterations):
@@ -271,14 +280,14 @@ class _Linearization:
     the quartic well) and bottom = lam (M_rho + M rho+' (U - Phi_old)),
     zero on the Dirichlet rows; rhs and f make (U, W) leave the step's own
     residuals, ``res`` on the phase rows and ``heat``.  When nothing moves,
-    J = C, bottom = lam M_rho, rhs = g and f is the heat-row rhs.  With
-    ``norm``, ``heat`` and the max-norm residual ``norm`` are kept too; for
-    the obstacle, ``norm`` reads the natural residual U - clip(U - res /
-    diag(C)) of the inequality, continuous where U meets a bound, and
-    heat / diag(MW), both in the units of U and W.
+    J = C, bottom = lam M_rho, rhs = g and f is the heat-row rhs.  ``heat``
+    and the max-norm residual ``norm`` are kept too; for the obstacle,
+    ``norm`` reads the natural residual U - clip(U - res / diag(C)) of the
+    inequality, continuous where U meets a bound, and heat / diag(MW),
+    both in the units of U and W.
     """
 
-    def __init__(self, sys, U, W, box, norm=True):
+    def __init__(self, sys, U, W, box):
         C = sys.c_matrix(sys.b_matrix_at(U))
         self.d, self.box = C.diagonal(), box
         if np.any(self.d <= 0.0):
@@ -287,15 +296,14 @@ class _Linearization:
         self.coup = sys.lam * m_rho
         cube = 0.0 if box else sys.c_conc * sys.M * U**2
         self.res = res = C @ U + cube * U - self.coup * W - sys.g
-        if norm:    # no residual steers a loop over frozen coefficients
-            self.heat = heat = (self.coup * (U - sys.phi_prev)
-                                + sys.theta * sys.M * (W - sys.w_prev)
-                                + sys.tau * (sys.A_diff @ W))
-            heat[sys.dirichlet] = W[sys.dirichlet] - sys.u_D
-            if box:
-                res = U - np.clip(U - res / self.d, -1.0, 1.0)
-                heat = heat / sys.MW.diagonal()
-            self.norm = max(np.abs(res).max(), np.abs(heat).max())
+        self.heat = heat = (self.coup * (U - sys.phi_prev)
+                            + sys.theta * sys.M * (W - sys.w_prev)
+                            + sys.tau * (sys.A_diff @ W))
+        heat[sys.dirichlet] = W[sys.dirichlet] - sys.u_D
+        if box:
+            res = U - np.clip(U - res / self.d, -1.0, 1.0)
+            heat = heat / sys.MW.diagonal()
+        self.norm = max(np.abs(res).max(), np.abs(heat).max())
         dcoup = sys.lam * sys.M * sys._shape.rho_plus_deriv_clamped(U)
         dJ = 3.0 * cube - dcoup * W
         self.J = C + sp.diags(dJ) if np.any(dJ) else C
@@ -330,7 +338,7 @@ def _newton(sys, cfg, u0, w0, report, box):
     W = np.array(sys.w_prev if w0 is None or isinstance(w0, str) else w0,
                  dtype=float)
     kkt_tol = 10.0 * cfg.tol * (1.0 + np.abs(sys.g).max())
-    lin = _Linearization(sys, U, W, box, moving)
+    lin = _Linearization(sys, U, W, box)
     plus, minus = sets = ((U == 1.0, U == -1.0) if box and w0 is None
                           else lin.sets(U, W)[1:])
     done = moving and lin.norm < cfg.tol
@@ -342,23 +350,22 @@ def _newton(sys, cfg, u0, w0, report, box):
             solver = _FrozenSolver(sys, lin.J, -lin.coup, lin.bottom, report)
         plus, minus = sets
         pinned = plus | minus
-        # moving coefficients: a Newton step from (U, W); frozen ones: the
-        # iterate itself, its free values started from U
-        U_new = np.where(plus, 1.0, np.where(minus, -1.0, U if moving else 0.0))
-        W_new = W if moving else 0.0
+        # moving coefficients solve for a Newton step from (U, W), frozen
+        # ones for the iterate itself; either way the solve starts at U
+        U_b, W_b = (U, W) if moving else (0.0, np.zeros(sys.n))
+        U_new = np.where(plus, 1.0, np.where(minus, -1.0, U_b))
 
         def moved(u, w):
             # a loose iterate that predicts other sets shows F is wrong
             _, p, m = lin.sets(U_new + u,
-                               np.where(sys.dirichlet, sys.u_D, W_new + w))
+                               np.where(sys.dirichlet, sys.u_D, W_b + w))
             return not (np.array_equal(p, plus) and np.array_equal(m, minus))
 
-        u, w = solver.solve(
-            ~pinned, lin.rhs - lin.J @ U_new + lin.coup * W_new,
-            lin.f - lin.bottom * U_new - (sys.MW @ W if moving else 0.0),
-            u0=None if moving else U, check=box and moved)
+        u, w = solver.solve(~pinned, lin.rhs - lin.J @ U_new + lin.coup * W_b,
+                            lin.f - lin.bottom * U_new - sys.MW @ W_b,
+                            u0=U - U_new, check=box and moved)
         U_new = U_new + u
-        W_new = np.where(sys.dirichlet, sys.u_D, W_new + w)
+        W_new = np.where(sys.dirichlet, sys.u_D, W_b + w)
         report.outer_iterations += 1
         if moving:
             t = cfg.omega       # backtracking, at most 20 halvings
@@ -375,7 +382,6 @@ def _newton(sys, cfg, u0, w0, report, box):
                 raise NewtonDivergence(
                     f"line search exhausted at residual {lin.norm:.3e}")
             U, W, lin = U_t, W_t, lin_t
-            report.residual = lin.norm
         else:
             report.residual = max(np.abs(U_new - U).max(),
                                   np.abs(W_new - W).max())
@@ -393,6 +399,7 @@ def _newton(sys, cfg, u0, w0, report, box):
         # a damped step only nears a bound; a node predicted beyond it is
         # within tol of it
         U = np.where(sets[0], 1.0, np.where(sets[1], -1.0, U))
+        report.residual = lin.norm
     return (np.clip(U, -1.0, 1.0) if box else U), W
 
 

@@ -314,9 +314,16 @@ def test_krylov_starts_from_the_iterate():
 
 
 def test_krylov_solve_short_of_its_tolerance_raises(monkeypatch):
-    # the quartic shape's coupling blocks differ once U moves, so GMRES
-    # runs, which tests its true residual; CG's recursive residual falls
-    # below any tolerance
+    # the linear shape's Newton blocks go to CG, which stops on its true
+    # residual, not on the updated one that falls below any tolerance
+    monkeypatch.setattr(solver, "_KRYLOV_RTOL", 1e-30)
+    sys, params, cfg = small_setup(n=4, pot=PotentialSpec("quartic"))
+    with pytest.raises(NonConvergence, match="Krylov solve"):
+        newton_smooth_step(sys, cfg)
+
+
+def test_gmres_solve_short_of_its_tolerance_raises(monkeypatch):
+    # the quartic shape's Newton blocks go to GMRES
     monkeypatch.setattr(solver, "_KRYLOV_RTOL", 1e-30)
     sys, params, cfg = small_setup(
         n=4, pot=PotentialSpec("quartic"),
@@ -606,9 +613,26 @@ def test_lagged_frozen_system_solves_once(w0, monkeypatch):
     assert len(calls) == 1 and rep.outer_iterations >= 1
     assert rep.method == "active-set" and rep.inner_iterations == 0
     monkeypatch.undo()
-    U_a, W_a, rep_a = active_set_step(sys, cfg, w0=w0)
-    assert np.array_equal(U, U_a) and np.array_equal(W, W_a)
-    assert _heat_lu_cached(rep) == rep_a
+    # the oracle: active-set iterations on the same frozen system from the
+    # same start, solved to the end, until the predicted sets repeat
+    C, top, bottom = _obstacle_coupling(sys)
+    f = sys.f_rhs(sys.m_rho_diag(sys.phi_prev))
+    frozen = _FrozenSolver(sys, C, top, bottom, StepReport("active-set"))
+    U_r, W_r = sys.phi_prev, sys.w_prev
+
+    def predicted(U, W):
+        pred = U - (C @ U + top * W - sys.g) / C.diagonal()
+        return pred > 1.0, pred < -1.0
+
+    sets = (U_r == 1.0, U_r == -1.0) if w0 is None else predicted(U_r, W_r)
+    for _ in range(20):
+        U_r, W_r = _pdas_iteration(sys, C, f, frozen, *sets)
+        new = predicted(U_r, W_r)
+        if all(map(np.array_equal, sets, new)):
+            break
+        sets = new
+    assert max(np.abs(U - U_r).max(), np.abs(W - W_r).max()) <= 1e-9
+    assert (rep.active_plus, rep.active_minus) == tuple(map(np.sum, sets))
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0])
@@ -703,6 +727,23 @@ def test_newton_fixed_point_zero_iterations():
     assert rep.outer_iterations <= 1
     assert np.abs(U - 1.0).max() <= 1e-9
     assert np.abs(W - params.u_D).max() <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["quartic-well", "cube3d-r2",
+                                  "quartic-shape"])
+def test_step_converged_at_its_start_reports_its_residual(case):
+    # a moving step started at its own answer takes no Newton step, and its
+    # report still carries the residual it stopped on
+    if case == "quartic-well":
+        sys, params, cfg = small_setup(n=8, pot=PotentialSpec("quartic"))
+        step = newton_smooth_step
+    else:
+        sys, params, cfg = _moving_system(case)
+        step = lagged_step
+    U, W, rep = step(sys, cfg)
+    U_0, W_0, rep_0 = step(sys, cfg, u0=U, w0=W)
+    assert rep_0.outer_iterations == 0 and rep_0.residual < cfg.tol
+    assert max(np.abs(U_0 - U).max(), np.abs(W_0 - W).max()) <= cfg.tol
 
 
 def test_newton_residual_below_tolerance():
